@@ -307,21 +307,23 @@ def max_exponent_given(p: int, d: int, partial) -> int:
     return b0_bound(p, d // degree)
 
 
-def _degree_thresholds(p: int, d: int, e_max: int = 64) -> list[tuple[int, int]]:
+def _degree_thresholds(p: int, d: int) -> list[tuple[int, int]]:
     """(smallest exponent, forced degree) per distinct nontrivial forced degree at p.
 
-    Degrees at one prime form a divisibility chain, so the list is strictly
-    increasing in both coordinates.
+    Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3), the
+    inverse of forced_subfield_exponent.  The list runs up to and including
+    the first degree above d, however large d is.  Degrees at one prime form
+    a divisibility chain, so the list is strictly increasing in both
+    coordinates.
     """
-    thresholds = []
-    last_degree = 1
-    for e in range(1, e_max + 1):
-        degree = real_cyclotomic_degree(p, forced_subfield_exponent(p, e))
-        if degree > last_degree:
-            thresholds.append((e, degree))
-            last_degree = degree
-        if degree > d:
-            break
+    shift = 1 + (2 if p == 2 else 0) + (1 if p == 3 else 0)
+    thresholds: list[tuple[int, int]] = []
+    r = 1
+    while not thresholds or thresholds[-1][1] <= d:
+        degree = real_cyclotomic_degree(p, r)
+        if degree > 1:
+            thresholds.append((2 * r + shift, degree))
+        r += 1
     return thresholds
 
 

@@ -38,7 +38,15 @@ class LmfdbError(Exception):
 
 
 class NetworkUnavailable(LmfdbError):
-    """No usable network answer and neither fixtures nor cache cover the level."""
+    """Offline, and neither fixtures nor cache cover the level."""
+
+
+class NetworkFailed(LmfdbError):
+    """A request failed in transport (connection, DNS, timeout).
+
+    Unlike NetworkUnavailable this is never an offline miss: scans do not
+    skip the level, they stop.
+    """
 
 
 class ServiceError(LmfdbError):
@@ -245,7 +253,7 @@ def _requests_transport(url: str, params: dict[str, str], timeout: float):
     try:
         response = requests.get(url, params=params, timeout=timeout)
     except requests.RequestException as exc:
-        raise NetworkUnavailable(f"request to {url} failed: {exc}") from exc
+        raise NetworkFailed(f"request to {url} failed: {exc}") from exc
     try:
         body = response.json()
     except ValueError:
@@ -383,8 +391,9 @@ class OrbitDimClient:
         Levels p^e * M (M coprime to p) are visited in increasing order up
         to the budget.  Levels the offline store cannot answer are skipped
         (logged, resumable once cached) unless ``strict`` is set, in which
-        case the NetworkUnavailable propagates.  A none_found result means
-        no witness among the answerable levels, never non-existence.
+        case the NetworkUnavailable propagates.  A failed request
+        (NetworkFailed) always propagates.  A none_found result means no
+        witness among the answerable levels, never non-existence.
         """
         require_prime(p)
         if d < 1:

@@ -1,12 +1,14 @@
 """Exhaustive verification of the bound inequalities over finite ranges.
 
-Each property quantifies over an explicit (p, d) or (p, m) box and is
-checked by direct evaluation; failures carry the first counterexample.
+Each property is stated as data: an explicit box of cases, usually
+(p, d) or (p, m), a predicate and an explanation, run by one driver that
+counts the cases and reports the first counterexample.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .arith import digits_base_p, lambda_p, primes_up_to, real_cyclotomic_degree, valuation
@@ -44,186 +46,161 @@ class PropertyResult:
         return {"name": self.name, "ok": self.ok, "cases": self.cases, "counterexample": self.counterexample}
 
 
-def _check(name: str, failures: list[str], cases: int) -> PropertyResult:
-    return PropertyResult(name=name, ok=not failures, cases=cases, counterexample=failures[0] if failures else None)
+def _check(name: str, cases, holds, explain) -> PropertyResult:
+    """Evaluate holds(*case) on every case; explain(*case) describes the first failing one.
+
+    The explanation is built only for that case, so passing runs never format text.
+    """
+    count, counterexample = 0, None
+    for count, case in enumerate(cases, 1):
+        if not holds(*case) and counterexample is None:
+            counterexample = explain(*case)
+    return PropertyResult(name=name, ok=counterexample is None, cases=count, counterexample=counterexample)
+
+
+def _box(p_max: int, n_max: int, start: int = 1):
+    """Cases (p, n) for primes p <= p_max and start <= n <= n_max, p outermost."""
+    return itertools.product(primes_up_to(p_max), range(start, n_max + 1))
+
+
+def _bk_prime_meets(p: int, d: int, value: int, exact: bool) -> bool:
+    """bk_prime_bound(p, d) equals value (exact) or is at least value (a floor)."""
+    got = bk_prime_bound(p, d)
+    return got == value if exact else got >= value
 
 
 def lambda_zero_iff_small(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """lambda_p(m) = 0 exactly when m < p."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for m in range(m_max + 1):
-            cases += 1
-            if (lambda_p(p, m) == 0) != (m < p):
-                failures.append(f"p={p}, m={m}: lambda={lambda_p(p, m)}")
-    return _check("lambda_zero_iff_below_p", failures, cases)
+    return _check(
+        "lambda_zero_iff_below_p", _box(p_max, m_max, start=0),
+        lambda p, m: (lambda_p(p, m) == 0) == (m < p),
+        lambda p, m: f"p={p}, m={m}: lambda={lambda_p(p, m)}",
+    )
 
 
 def lambda_lower_bound(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """lambda_p(m) >= m - p + 1 for m >= 1."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for m in range(1, m_max + 1):
-            cases += 1
-            if lambda_p(p, m) < m - p + 1:
-                failures.append(f"p={p}, m={m}: lambda={lambda_p(p, m)} < {m - p + 1}")
-    return _check("lambda_lower_bound", failures, cases)
+    return _check(
+        "lambda_lower_bound", _box(p_max, m_max),
+        lambda p, m: lambda_p(p, m) >= m - p + 1,
+        lambda p, m: f"p={p}, m={m}: lambda={lambda_p(p, m)} < {m - p + 1}",
+    )
 
 
 def digit_reconstruction(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """The base-p digits of m sum back to m."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for m in range(m_max + 1):
-            cases += 1
-            total = sum(c * p**i for i, c in enumerate(digits_base_p(p, m)))
-            if total != m:
-                failures.append(f"p={p}, m={m}: digits rebuild to {total}")
-    return _check("digit_reconstruction", failures, cases)
+    cases = (
+        (p, m, sum(c * p**i for i, c in enumerate(digits_base_p(p, m))))
+        for p, m in _box(p_max, m_max, start=0)
+    )
+    return _check(
+        "digit_reconstruction", cases,
+        lambda p, m, total: total == m,
+        lambda p, m, total: f"p={p}, m={m}: digits rebuild to {total}",
+    )
 
 
 def b0_le_bk_prime(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 <= bk_prime everywhere, with the stated equality and strictness cases."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            cases += 1
-            b0, bp = b0_bound(p, d), bk_prime_bound(p, d)
-            if b0 > bp:
-                failures.append(f"p={p}, d={d}: b0={b0} > bk_prime={bp}")
-    return _check("b0_le_bk_prime", failures, cases)
+    return _check(
+        "b0_le_bk_prime", _box(p_max, d_max),
+        lambda p, d: b0_bound(p, d) <= bk_prime_bound(p, d),
+        lambda p, d: f"p={p}, d={d}: b0={b0_bound(p, d)} > bk_prime={bk_prime_bound(p, d)}",
+    )
 
 
 def equality_for_large_p(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 = bk_prime whenever p >= 2d + 1."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            if p < 2 * d + 1:
-                continue
-            cases += 1
-            if b0_bound(p, d) != bk_prime_bound(p, d):
-                failures.append(f"p={p}, d={d}: {b0_bound(p, d)} != {bk_prime_bound(p, d)}")
-    return _check("equality_when_p_ge_2d_plus_1", failures, cases)
+    return _check(
+        "equality_when_p_ge_2d_plus_1", ((p, d) for p, d in _box(p_max, d_max) if p >= 2 * d + 1),
+        lambda p, d: b0_bound(p, d) == bk_prime_bound(p, d),
+        lambda p, d: f"p={p}, d={d}: {b0_bound(p, d)} != {bk_prime_bound(p, d)}",
+    )
 
 
 def strict_case_a(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 < bk_prime when 5 <= p < 2d + 1 and (p - 1) does not divide 2d."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        if p < 5:
-            continue
-        for d in range(1, d_max + 1):
-            if not (p < 2 * d + 1 and (2 * d) % (p - 1) != 0):
-                continue
-            cases += 1
-            if not b0_bound(p, d) < bk_prime_bound(p, d):
-                failures.append(f"p={p}, d={d}")
-    return _check("strict_when_p_ge_5_nondivisor", failures, cases)
+    return _check(
+        "strict_when_p_ge_5_nondivisor",
+        ((p, d) for p, d in _box(p_max, d_max) if 5 <= p < 2 * d + 1 and (2 * d) % (p - 1) != 0),
+        lambda p, d: b0_bound(p, d) < bk_prime_bound(p, d),
+        lambda p, d: f"p={p}, d={d}",
+    )
 
 
 def strict_case_b(d_max: int = 100) -> PropertyResult:
     """b0 < bk_prime when p <= 3, d > 3 and p does not divide d."""
-    failures, cases = [], 0
-    for p in (2, 3):
-        for d in range(4, d_max + 1):
-            if d % p == 0:
-                continue
-            cases += 1
-            if not b0_bound(p, d) < bk_prime_bound(p, d):
-                failures.append(f"p={p}, d={d}")
-    return _check("strict_when_p_le_3_nondivisor", failures, cases)
+    return _check(
+        "strict_when_p_le_3_nondivisor", ((p, d) for p, d in _box(3, d_max, start=4) if d % p != 0),
+        lambda p, d: b0_bound(p, d) < bk_prime_bound(p, d),
+        lambda p, d: f"p={p}, d={d}",
+    )
 
 
 def bk_prime_piecewise_large_p(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """For p >= 5 and p >= d: bk_prime is 2 / 4 / 3 by the position of p relative to d."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        if p < 5:
-            continue
-        for d in range(1, d_max + 1):
-            if p < d:
-                continue
-            if p > 2 * d + 1:
-                expected = 2
-            elif p == 2 * d + 1 or p == d:
-                expected = 4
-            elif d + 1 < p < 2 * d + 1:
-                expected = 3
-            else:
-                continue  # p = d + 1 is not covered by the piecewise statement
-            cases += 1
-            if bk_prime_bound(p, d) != expected:
-                failures.append(f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} != {expected}")
-    return _check("bk_prime_piecewise_large_p", failures, cases)
+    # p = d + 1 is not covered by the piecewise statement
+    cases = (
+        (p, d, 2 if p > 2 * d + 1 else 4 if p in (2 * d + 1, d) else 3)
+        for p, d in _box(p_max, d_max) if p >= 5 and p >= d and p != d + 1
+    )
+    return _check(
+        "bk_prime_piecewise_large_p", cases,
+        lambda p, d, expected: bk_prime_bound(p, d) == expected,
+        lambda p, d, expected: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} != {expected}",
+    )
 
 
 def bk_prime_small_p(d_max: int = 100) -> PropertyResult:
     """Small-p exact values and floors for bk_prime."""
-    failures, cases = [], 0
-    exact = {(3, 1): 5, (3, 2): 5, (2, 1): 8, (2, 2): 10, (2, 3): 9}
-    for (p, d), expected in exact.items():
-        cases += 1
-        if bk_prime_bound(p, d) != expected:
-            failures.append(f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} != {expected}")
-    for d in range(4, d_max + 1):
-        cases += 1
-        if bk_prime_bound(2, d) < 9:
-            failures.append(f"p=2, d={d}: bk_prime={bk_prime_bound(2, d)} < 9")
-    for d in range(3, d_max + 1):
-        cases += 1
-        if bk_prime_bound(3, d) < 6:
-            failures.append(f"p=3, d={d}: bk_prime={bk_prime_bound(3, d)} < 6")
-    return _check("bk_prime_small_p_values", failures, cases)
+    exact = [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)]
+    cases = itertools.chain(
+        ((p, d, value, True) for p, d, value in exact),
+        ((2, d, 9, False) for d in range(4, d_max + 1)),
+        ((3, d, 6, False) for d in range(3, d_max + 1)),
+    )
+    return _check(
+        "bk_prime_small_p_values", cases, _bk_prime_meets,
+        lambda p, d, value, exact: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} {'!=' if exact else '<'} {value}",
+    )
 
 
 def bk_prime_divisor_case(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """When (p - 1) | 2d: bk_prime >= 4 + 2 v_p(d) + (4 if p = 2) + (1 if p = 3),
     with equality when the p-free cofactor of 2d / (p - 1) is < p."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            if (2 * d) % (p - 1) != 0:
-                continue
-            cases += 1
-            floor = 4 + 2 * valuation(p, d) + (4 if p == 2 else 0) + (1 if p == 3 else 0)
-            got = bk_prime_bound(p, d)
-            if got < floor:
-                failures.append(f"p={p}, d={d}: bk_prime={got} < {floor}")
-                continue
-            quotient = 2 * d // (p - 1)
-            a = quotient // p ** valuation(p, quotient) if quotient else 0
-            if a and a < p and got != floor:
-                failures.append(f"p={p}, d={d}: equality expected, bk_prime={got} != {floor}")
-    return _check("bk_prime_divisor_case", failures, cases)
+    def case(p, d):
+        floor = 4 + 2 * valuation(p, d) + (4 if p == 2 else 0) + (1 if p == 3 else 0)
+        quotient = 2 * d // (p - 1)
+        return p, d, floor, quotient // p ** valuation(p, quotient) < p
+    def explain(p, d, floor, exact):
+        got = bk_prime_bound(p, d)
+        if got < floor:
+            return f"p={p}, d={d}: bk_prime={got} < {floor}"
+        return f"p={p}, d={d}: equality expected, bk_prime={got} != {floor}"
+    cases = (case(p, d) for p, d in _box(p_max, d_max) if (2 * d) % (p - 1) == 0)
+    return _check("bk_prime_divisor_case", cases, _bk_prime_meets, explain)
 
 
 def forced_exponent_monotone(p_max: int = 200, e_max: int = 40) -> PropertyResult:
     """forced_subfield_exponent is nondecreasing in e for fixed p."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        previous = 0
-        for e in range(e_max + 1):
-            cases += 1
-            r = forced_subfield_exponent(p, e)
-            if r < previous:
-                failures.append(f"p={p}, e={e}: r drops {previous} -> {r}")
-            previous = r
-    return _check("forced_exponent_monotone", failures, cases)
+    def r(p, e):
+        return forced_subfield_exponent(p, e) if e >= 0 else 0
+    return _check(
+        "forced_exponent_monotone", _box(p_max, e_max, start=0),
+        lambda p, e: r(p, e - 1) <= r(p, e),
+        lambda p, e: f"p={p}, e={e}: r drops {r(p, e - 1)} -> {r(p, e)}",
+    )
 
 
 def cyclotomic_degree_monotone(p_max: int = 200, r_max: int = 30) -> PropertyResult:
     """real_cyclotomic_degree is nondecreasing in r for fixed p."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        previous = 0
-        for r in range(r_max + 1):
-            cases += 1
-            degree = real_cyclotomic_degree(p, r)
-            if degree < previous:
-                failures.append(f"p={p}, r={r}")
-            previous = degree
-    return _check("cyclotomic_degree_monotone", failures, cases)
+    def degree(p, r):
+        return real_cyclotomic_degree(p, r) if r >= 0 else 0
+    return _check(
+        "cyclotomic_degree_monotone", _box(p_max, r_max, start=0),
+        lambda p, r: degree(p, r - 1) <= degree(p, r),
+        lambda p, r: f"p={p}, r={r}",
+    )
 
 
 def b0_matches_forced_degree_oracle(p_max: int = 200, d_max: int = 64, e_max: int = 40) -> PropertyResult:
@@ -232,68 +209,64 @@ def b0_matches_forced_degree_oracle(p_max: int = 200, d_max: int = 64, e_max: in
     This is the independent route to the improved bound: scan exponents
     directly instead of using the closed form.
     """
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            cases += 1
-            best = 0
-            for e in range(1, e_max + 1):
-                degree = real_cyclotomic_degree(p, forced_subfield_exponent(p, e))
-                if d % degree == 0:
-                    best = e
-            if best != b0_bound(p, d):
-                failures.append(f"p={p}, d={d}: oracle={best}, b0={b0_bound(p, d)}")
-    return _check("b0_equals_forced_degree_oracle", failures, cases)
+    def oracle(p, d):
+        best = 0
+        for e in range(1, e_max + 1):
+            if d % real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) == 0:
+                best = e
+        return best
+    return _check(
+        "b0_equals_forced_degree_oracle", _box(p_max, d_max),
+        lambda p, d: oracle(p, d) == b0_bound(p, d),
+        lambda p, d: f"p={p}, d={d}: oracle={oracle(p, d)}, b0={b0_bound(p, d)}",
+    )
 
 
 def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
     """A lone prime at b0_bound is admissible; one exponent higher is not."""
     from .cyclo import analyze_profile
-
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            cases += 1
-            cap = b0_bound(p, d)
-            if not analyze_profile({p: cap}, d).admissible:
-                failures.append(f"p={p}, d={d}: exponent {cap} not admissible")
-            elif analyze_profile({p: cap + 1}, d).admissible:
-                failures.append(f"p={p}, d={d}: exponent {cap + 1} not ruled out")
-    return _check("single_prime_boundary", failures, cases)
+    def admissible(p, d, e):
+        return analyze_profile({p: e}, d).admissible
+    def explain(p, d, cap):
+        if not admissible(p, d, cap):
+            return f"p={p}, d={d}: exponent {cap} not admissible"
+        return f"p={p}, d={d}: exponent {cap + 1} not ruled out"
+    return _check(
+        "single_prime_boundary", ((p, d, b0_bound(p, d)) for p, d in _box(p_max, d_max)),
+        lambda p, d, cap: admissible(p, d, cap) and not admissible(p, d, cap + 1),
+        explain,
+    )
 
 
 def reference_grid_check() -> PropertyResult:
     """bk_prime and b0 match the frozen d <= 10 grid cell-for-cell."""
-    failures, cases = [], 0
-    for (d, p), (expect_bp, expect_b0) in sorted(REFERENCE_GRID_D10.items()):
-        cases += 1
-        got = (bk_prime_bound(p, d), b0_bound(p, d))
-        if got != (expect_bp, expect_b0):
-            failures.append(f"p={p}, d={d}: got {got}, expected {(expect_bp, expect_b0)}")
-    return _check("reference_grid_d10", failures, cases)
+    def got(p, d):
+        return (bk_prime_bound(p, d), b0_bound(p, d))
+    return _check(
+        "reference_grid_d10",
+        ((p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())),
+        lambda p, d, expected: got(p, d) == expected,
+        lambda p, d, expected: f"p={p}, d={d}: got {got(p, d)}, expected {expected}",
+    )
 
 
 def valuation_additivity(p_max: int = 50) -> PropertyResult:
     """valuation(p, p^k * n) = k + valuation(p, n)."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for k in range(0, 8):
-            for n in (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11):
-                cases += 1
-                if valuation(p, p**k * n) != k + valuation(p, n):
-                    failures.append(f"p={p}, k={k}, n={n}")
-    return _check("valuation_additivity", failures, cases)
+    cofactors = (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11)
+    return _check(
+        "valuation_additivity", itertools.product(primes_up_to(p_max), range(0, 8), cofactors),
+        lambda p, k, n: valuation(p, p**k * n) == k + valuation(p, n),
+        lambda p, k, n: f"p={p}, k={k}, n={n}",
+    )
 
 
 def bk_prime_floor_identity(p_max: int = 200, d_max: int = 64) -> PropertyResult:
     """bk_prime_bound agrees with floor(bk_bound / d)."""
-    failures, cases = [], 0
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            cases += 1
-            if bk_prime_bound(p, d) != bk_bound(p, d) // d:
-                failures.append(f"p={p}, d={d}")
-    return _check("bk_prime_floor_identity", failures, cases)
+    return _check(
+        "bk_prime_floor_identity", _box(p_max, d_max),
+        lambda p, d: bk_prime_bound(p, d) == bk_bound(p, d) // d,
+        lambda p, d: f"p={p}, d={d}",
+    )
 
 
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:

@@ -206,6 +206,19 @@ def test_sharpness_json_round_trip(capsys):
     assert (witness.status, witness.level) == ("sharp", 12032)
 
 
+def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
+    from test_lmfdb import refuse_connections
+
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    tried = refuse_connections(monkeypatch)
+    code = cli.main(["sharpness", "--p", "13", "--d", "6", "--budget", "20000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: request to ") and "connection refused" in captured.err
+    assert len(tried) == 1
+
+
 def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     from rmbounds.lmfdb import OrbitDimCache
 

@@ -240,6 +240,18 @@ def test_enumerate_forbidden_singletons():
     assert enumerate_forbidden(2, 19, 1) == []
 
 
+def test_enumerate_forbidden_singleton_beyond_exponent_64():
+    # b0_bound(2, 2**40) = 88, so the singleton sits at exponent 89
+    assert [str(s) for s in enumerate_forbidden(2**40, 2, 1, include_singletons=True)] == ["2^89"]
+
+
+@pytest.mark.parametrize("d", [2**31, 2**40, 3**20, 3**40, 2**33 * 3**7 * 5**3, 2**62 * 7])
+def test_enumerate_forbidden_singletons_at_large_d(d):
+    singles = enumerate_forbidden(d, 50, 1, include_singletons=True)
+    expected = [{p: b0_bound(p, d) + 1} for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
+    assert [s.as_dict() for s in singles] == expected
+
+
 def test_enumerate_forbidden_deterministic():
     runs = [enumerate_forbidden(6, 19, 2) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]

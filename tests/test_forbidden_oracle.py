@@ -5,7 +5,8 @@ degree from its definition and walks every profile of at most two primes
 p <= 19 over an exponent box, keeping the inadmissible profiles whose every
 one-step-lowered neighbour is admissible.  It is the independent evidence
 behind the reference lists of acceptance criterion 5b (see the decisions
-ledger in CHANGES.md).
+ledger in CHANGES.md).  Its admissibility test also checks
+``analyze_profile`` on random profiles at dimensions above 2^30.
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmbounds.cyclo import enumerate_forbidden
+from rmbounds.cyclo import analyze_profile, enumerate_forbidden
 from test_acceptance import REFERENCE_FORBIDDEN_PAIRS
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -106,3 +109,38 @@ def test_oracle_matches_enumerate_forbidden(d):
 @pytest.mark.parametrize("d", sorted(REFERENCE_FORBIDDEN_PAIRS))
 def test_oracle_reproduces_reference_lists(d):
     assert minimal_forbidden_pairs(d) == REFERENCE_FORBIDDEN_PAIRS[d]
+
+
+# Dimensions above 2^30: powers of 2 and 3, and products with a few other primes.
+large_dimensions = st.one_of(
+    st.integers(31, 64).map(lambda k: 2**k),
+    st.integers(19, 40).map(lambda k: 3**k),
+    st.builds(
+        lambda a, b, rest: 2**a * 3**b * rest,
+        st.integers(0, 64), st.integers(0, 40), st.sampled_from((1, 5, 7, 25, 11 * 13, 5**4 * 31)),
+    ).filter(lambda d: d > 2**30),
+)
+
+
+def oracle_cap(p: int, d: int) -> int:
+    """Largest exponent whose forced degree at p divides d (degrees at one prime form a divisibility chain)."""
+    e = 1
+    while d % forced_degree(p, e + 1) == 0:
+        e += 1
+    return e
+
+
+@st.composite
+def large_cases(draw):
+    """A dimension above 2^30 and up to four primes p <= 47, each at most two past its own cap."""
+    d = draw(large_dimensions)
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+                           min_size=1, max_size=4, unique=True))
+    return {p: draw(st.integers(1, oracle_cap(p, d) + 2)) for p in primes}, d
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=large_cases())
+def test_analyze_profile_matches_oracle_at_large_d(case):
+    profile, d = case
+    assert analyze_profile(profile, d).admissible == admissible(profile, d)

@@ -7,6 +7,7 @@ import pytest
 
 from rmbounds.lmfdb import (
     MalformedResponse,
+    NetworkFailed,
     NetworkUnavailable,
     OrbitDimCache,
     OrbitDimClient,
@@ -247,6 +248,29 @@ def test_scan_budget_monotone(offline_client):
 def test_scan_strict_propagates(offline_client):
     with pytest.raises(NetworkUnavailable):
         offline_client.sharpness_scan(2, 7, 16384, strict=True)
+
+
+def refuse_connections(monkeypatch):
+    """Make every requests.get raise ConnectionError, so no request leaves the process; returns the URLs tried."""
+    import requests
+
+    tried = []
+
+    def get(url, params=None, timeout=None):
+        tried.append(url)
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "get", get)
+    return tried
+
+
+def test_failed_request_is_not_an_offline_miss(monkeypatch):
+    tried = refuse_connections(monkeypatch)
+    client = OrbitDimClient(fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(NetworkFailed) as info:
+        client.sharpness_scan(2, 7, 16384)
+    assert not isinstance(info.value, NetworkUnavailable)
+    assert len(tried) == 1
 
 
 def test_scan_exponent_is_exact(offline_client):

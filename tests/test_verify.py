@@ -1,0 +1,100 @@
+"""Pins what each verify property reports when it fails.
+
+Each case replaces one kernel that ``rmbounds.verify`` imported by name, so
+the property fails, and checks the exact first counterexample and the case
+count.  Together they fix the iteration order of every case box and the
+text of every failure message.
+"""
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from rmbounds import bounds, verify
+
+real_bk_prime = bounds.bk_prime_bound
+real_b0 = bounds.b0_bound
+
+SABOTAGE = {
+    "zero": lambda *args: 0,
+    "hundred": lambda *args: 100,
+    "empty": lambda *args: [],
+    "negate_second": lambda p, n: -n,
+    "bk_prime_plus_one": lambda p, d: real_bk_prime(p, d) + 1,
+    "b0_minus_one": lambda p, d: real_b0(p, d) - 1,
+    "b0_hundred_from_p11_or_d5": lambda p, d: 100 if p >= 11 or d >= 5 else real_b0(p, d),
+    "zero_p2_from_d4": lambda p, d: 0 if p == 2 and d >= 4 else real_bk_prime(p, d),
+    "zero_p3_from_d3": lambda p, d: 0 if p == 3 and d >= 3 else real_bk_prime(p, d),
+}
+
+# (property, keyword arguments, kernel replaced, sabotage, cases, first counterexample)
+PINS = [
+    ("lambda_zero_iff_small", {"p_max": 7, "m_max": 30}, "lambda_p", "zero", 124, "p=2, m=2: lambda=0"),
+    ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "lambda_p", "zero", 120, "p=2, m=2: lambda=0 < 1"),
+    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "digits_base_p", "empty", 124,
+     "p=2, m=1: digits rebuild to 0"),
+    ("valuation_additivity", {"p_max": 7}, "valuation", "zero", 224, "p=2, k=1, n=1"),
+    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
+    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "b0_bound", "b0_hundred_from_p11_or_d5", 150,
+     "p=2, d=5: b0=100 > bk_prime=11"),
+    ("equality_for_large_p", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 104, "p=3, d=1: 100 != 5"),
+    ("strict_case_a", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 20, "p=5, d=3"),
+    ("strict_case_b", {"d_max": 20}, "b0_bound", "hundred", 20, "p=2, d=5"),
+    ("bk_prime_piecewise_large_p", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 119,
+     "p=5, d=1: bk_prime=0 != 2"),
+    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero", 40, "p=3, d=1: bk_prime=0 != 5"),
+    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p2_from_d4", 40, "p=2, d=4: bk_prime=0 < 9"),
+    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p3_from_d3", 40, "p=3, d=3: bk_prime=0 < 6"),
+    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 33,
+     "p=2, d=1: bk_prime=0 < 8"),
+    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "bk_prime_plus_one", 33,
+     "p=2, d=1: equality expected, bk_prime=9 != 8"),
+    ("bk_prime_floor_identity", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 150, "p=2, d=1"),
+    ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, "forced_subfield_exponent", "negate_second", 88,
+     "p=2, e=1: r drops 0 -> -1"),
+    ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, "real_cyclotomic_degree", "negate_second", 88,
+     "p=2, r=1"),
+    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound", "hundred", 80,
+     "p=2, d=1: oracle=8, b0=100"),
+    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound",
+     "b0_hundred_from_p11_or_d5", 80, "p=2, d=5: oracle=8, b0=100"),
+    ("single_prime_boundary", {"p_max": 20, "d_max": 10}, "b0_bound", "hundred", 80,
+     "p=2, d=1: exponent 100 not admissible"),
+    ("single_prime_boundary", {"p_max": 20, "d_max": 10}, "b0_bound", "b0_minus_one", 80,
+     "p=2, d=1: exponent 8 not ruled out"),
+    ("reference_grid_check", {}, "b0_bound", "hundred", 53, "p=2, d=1: got (8, 100), expected (8, 8)"),
+    ("reference_grid_check", {}, "b0_bound", "b0_hundred_from_p11_or_d5", 53,
+     "p=2, d=5: got (11, 100), expected (11, 8)"),
+]
+
+# PropertyResult.name and case count of each run_all entry at --pmax 19 --dmax 10, in order.
+RUN_ALL_19_10 = [
+    ("lambda_zero_iff_below_p", 20008), ("lambda_lower_bound", 20000), ("digit_reconstruction", 20008),
+    ("valuation_additivity", 448), ("b0_le_bk_prime", 80), ("equality_when_p_ge_2d_plus_1", 34),
+    ("strict_when_p_ge_5_nondivisor", 20), ("strict_when_p_le_3_nondivisor", 8),
+    ("bk_prime_piecewise_large_p", 49), ("bk_prime_small_p_values", 20), ("bk_prime_divisor_case", 33),
+    ("bk_prime_floor_identity", 80), ("forced_exponent_monotone", 328), ("cyclotomic_degree_monotone", 248),
+    ("b0_equals_forced_degree_oracle", 80), ("single_prime_boundary", 80), ("reference_grid_d10", 53),
+]
+
+
+def test_every_property_is_pinned():
+    pinned = {pin[0] for pin in PINS}
+    functions = {
+        name for name, value in vars(verify).items()
+        if inspect.isfunction(value) and value.__module__ == verify.__name__ and not name.startswith("_")
+    }
+    assert pinned == functions - {"run_all", "format_report"}
+
+
+@pytest.mark.parametrize("func, kwargs, kernel, sabotage, cases, counterexample", PINS,
+                         ids=[f"{pin[0]}-{pin[3]}" for pin in PINS])
+def test_first_counterexample_is_pinned(monkeypatch, func, kwargs, kernel, sabotage, cases, counterexample):
+    monkeypatch.setattr(verify, kernel, SABOTAGE[sabotage])
+    result = getattr(verify, func)(**kwargs)
+    assert (result.ok, result.cases, result.counterexample) == (False, cases, counterexample)
+
+
+def test_run_all_order_and_case_counts():
+    assert [(r.name, r.cases) for r in verify.run_all(19, 10)] == RUN_ALL_19_10
