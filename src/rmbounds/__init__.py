@@ -25,7 +25,6 @@ from .cyclo import (
 from .lmfdb import (
     LevelQueryResult,
     LmfdbConfig,
-    NewformOrbitRecord,
     OrbitDimCache,
     OrbitDimClient,
     SharpnessWitness,
@@ -40,7 +39,6 @@ __all__ = [
     "ExponentProfile",
     "LevelQueryResult",
     "LmfdbConfig",
-    "NewformOrbitRecord",
     "OrbitDimCache",
     "OrbitDimClient",
     "RealCyclotomicField",

@@ -22,6 +22,7 @@ from .arith import lambda_p, primes_up_to, real_cyclotomic_degree, require_prime
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
 UNKNOWN = "unknown"
+_MARKS = {SHARP: "!", ALMOST_SHARP: "*"}
 
 
 def _require_dimension(d: int) -> int:
@@ -39,14 +40,11 @@ def bk_bound(p: int, d: int) -> int:
 
 
 def bk_prime_bound(p: int, d: int) -> int:
-    """Per-dimension Brumer-Kramer bound B'(p, d) = 2 + floor((p*t + (p-1)*lambda_p(t)) / d).
+    """Per-dimension Brumer-Kramer bound B'(p, d) = floor(B(p, d) / d).
 
-    Agrees with floor(bk_bound(p, d) / d).
+    Equals 2 + floor((p*t + (p-1)*lambda_p(t)) / d), since B = 2d + X with X >= 0.
     """
-    require_prime(p)
-    _require_dimension(d)
-    t = 2 * d // (p - 1)
-    return 2 + (p * t + (p - 1) * lambda_p(p, t)) // d
+    return bk_bound(p, d) // d
 
 
 def b0_bound(p: int, d: int) -> int:
@@ -125,10 +123,15 @@ class TableCell:
     @property
     def display(self) -> str:
         """B' with the smaller B0 in parentheses, exactly when they differ."""
+        return self.render(marked=False)
+
+    def render(self, marked: bool = True) -> str:
+        """The display text; when marked, "!" (sharp) or "*" (almost sharp) follows the last number."""
+        mark = _MARKS.get(self.sharpness, "") if marked else ""
         t = self.triple
         if t.b0 < t.bk_prime:
-            return f"{t.bk_prime} ({t.b0})"
-        return str(t.bk_prime)
+            return f"{t.bk_prime} ({t.b0}{mark})"
+        return f"{t.bk_prime}{mark}"
 
     def to_json_dict(self) -> dict:
         obj = self.triple.to_json_dict()

@@ -20,7 +20,7 @@ import sys
 
 from . import bounds, cyclo, lmfdb, verify
 from .arith import is_prime
-from .bounds import ALMOST_SHARP, SHARP, BoundTable, BoundTriple, TableCell, render_table
+from .bounds import BoundTable, BoundTriple, TableCell, render_table
 from .cyclo import (
     ExponentProfile,
     Genus2Report,
@@ -58,6 +58,13 @@ def _positive_arg(text: str) -> int:
     return value
 
 
+def _prime_bound_arg(text: str) -> int:
+    value = _positive_arg(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected a prime bound >= 2, got {value}")
+    return value
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -81,14 +88,6 @@ def _client_from_args(args) -> OrbitDimClient:
 
 
 # -- bound -----------------------------------------------------------------
-
-
-def _cell_display(cell: TableCell) -> str:
-    mark = {SHARP: "!", ALMOST_SHARP: "*"}.get(cell.sharpness, "")
-    t = cell.triple
-    if t.b0 < t.bk_prime:
-        return f"{t.bk_prime} ({t.b0}{mark})"
-    return f"{t.bk_prime}{mark}"
 
 
 def cmd_bound(args) -> int:
@@ -170,7 +169,7 @@ def cmd_table(args) -> int:
     else:
         widths = {}
         for p in table.primes:
-            column = [_cell_display(table.cells[(d, p)]) for d in range(1, table.d_max + 1) if (d, p) in table.cells]
+            column = [table.cells[(d, p)].render() for d in range(1, table.d_max + 1) if (d, p) in table.cells]
             widths[p] = max([len(f"p={p}")] + [len(text) for text in column])
         header = "d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)
         print(header.rstrip())
@@ -178,7 +177,7 @@ def cmd_table(args) -> int:
             parts = [f"{d:<3}  "]
             for p in table.primes:
                 cell = table.cells.get((d, p))
-                parts.append((_cell_display(cell) if cell else "").ljust(widths[p]) + "  ")
+                parts.append((cell.render() if cell else "").ljust(widths[p]) + "  ")
             print("".join(parts).rstrip())
     return 0
 
@@ -433,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
     p_table.add_argument("--dmax", type=_positive_arg, required=True)
-    p_table.add_argument("--pmax", type=_positive_arg, default=19)
+    p_table.add_argument("--pmax", type=_prime_bound_arg, default=19)
     p_table.add_argument("--full", action="store_true", help="include the trivial cells with p > 2d + 1")
     p_table.add_argument("--annotate", action="store_true", help="merge sharpness flags from orbit data")
     p_table.add_argument("--budget", type=_positive_arg, default=10000, help="largest level scanned")

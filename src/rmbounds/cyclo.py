@@ -272,11 +272,12 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
         determination = Determination.EXACT_FIELD
     else:
         determination = Determination.CONTAINS_SUBFIELD
+    own = {f.p: f.degree for f in forced.components}
     refined: dict[int, int] = {}
     for p, _ in profile:
-        rest = forced_compositum(profile.without(p))
-        if d % rest.degree == 0:
-            refined[p] = b0_bound(p, d // rest.degree)
+        rest = degree // own.get(p, 1)
+        if d % rest == 0:
+            refined[p] = b0_bound(p, d // rest)
     return RmConstraintReport(
         dimension=d,
         profile=profile,
@@ -327,19 +328,6 @@ def _degree_thresholds(p: int, d: int) -> list[tuple[int, int]]:
     return thresholds
 
 
-def _predecessors(profile: ExponentProfile, thresholds: dict[int, list[tuple[int, int]]]):
-    """Immediate predecessors: each prime lowered one threshold step (or removed)."""
-    for p, e in profile:
-        steps = thresholds[p]
-        idx = next(i for i, (te, _) in enumerate(steps) if te == e)
-        if idx == 0:
-            yield profile.without(p)
-        else:
-            lowered = dict(profile.as_dict())
-            lowered[p] = steps[idx - 1][0]
-            yield ExponentProfile.of(lowered)
-
-
 def enumerate_forbidden(
     d: int,
     prime_bound: int,
@@ -360,37 +348,29 @@ def enumerate_forbidden(
         raise ValueError(f"dimension must be >= 1, got {d}")
     if max_entries < 1:
         return []
-    primes = primes_up_to(prime_bound)
-    thresholds = {p: _degree_thresholds(p, d) for p in primes}
-
     results: list[ExponentProfile] = []
-
-    if include_singletons:
-        for p in primes:
-            # First threshold whose degree fails to divide d; inadmissibility
-            # is upward-absorbing along the divisibility chain.
-            for e, degree in thresholds[p]:
-                if d % degree != 0:
+    # Multi-prime profiles use only thresholds whose degree divides d, each
+    # with the degree one threshold step lower (1 for the first step):
+    # lowering that entry turns a profile's degree D into D // g * lower.
+    usable: dict[int, list[tuple[int, int, int]]] = {}
+    for p in primes_up_to(prime_bound):
+        lower = 1
+        for e, g in _degree_thresholds(p, d):
+            if d % g != 0:
+                # Inadmissibility is upward-absorbing along the divisibility
+                # chain, so this is p's minimal singleton and no profile that
+                # holds a higher step at p is minimal.
+                if include_singletons:
                     results.append(ExponentProfile.of({p: e}))
-                    break
-
-    # Multi-prime profiles: every singleton sub-profile must be admissible,
-    # so only thresholds with degree dividing d can participate.
-    usable = {
-        p: [(e, g) for e, g in thresholds[p] if d % g == 0]
-        for p in primes
-    }
-    candidates = [p for p in primes if usable[p]]
+                break
+            usable.setdefault(p, []).append((e, g, lower))
+            lower = g
     for k in range(2, max_entries + 1):
-        for combo in itertools.combinations(candidates, k):
+        for combo in itertools.combinations(usable, k):
             for choice in itertools.product(*(usable[p] for p in combo)):
-                degree = math.prod(g for _, g in choice)
-                if d % degree == 0:
-                    continue
-                profile = ExponentProfile.of({p: e for p, (e, _) in zip(combo, choice)})
-                preds = _predecessors(profile, thresholds)
-                if all(analyze_profile(q, d).admissible for q in preds):
-                    results.append(profile)
+                degree = math.prod(g for _, g, _ in choice)
+                if d % degree != 0 and all(d % (degree // g * lower) == 0 for _, g, lower in choice):
+                    results.append(ExponentProfile.of({p: e for p, (e, _, _) in zip(combo, choice)}))
     return sorted(results, key=lambda pr: (len(pr), pr.entries))
 
 

@@ -62,49 +62,13 @@ class MalformedResponse(LmfdbError):
 
 
 @dataclass(frozen=True)
-class NewformOrbitRecord:
-    """One Galois orbit of newforms: level, weight, character triviality, orbit degree."""
-
-    level: int
-    weight: int
-    char_trivial: bool
-    dim: int
-
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "weight": self.weight, "char_trivial": self.char_trivial, "dim": self.dim}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NewformOrbitRecord":
-        return cls(level=obj["level"], weight=obj["weight"], char_trivial=obj["char_trivial"], dim=obj["dim"])
-
-
-@dataclass(frozen=True)
 class LevelQueryResult:
+    """Orbit degrees (ascending) of the weight-2 trivial-character newforms at one level."""
+
     level: int
-    records: tuple[NewformOrbitRecord, ...]
+    dims: tuple[int, ...]
     source: str
     fetched_at: str | None
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(rec.dim for rec in self.records)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "records": [rec.to_json_dict() for rec in self.records],
-            "source": self.source,
-            "fetched_at": self.fetched_at,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LevelQueryResult":
-        return cls(
-            level=obj["level"],
-            records=tuple(NewformOrbitRecord.from_json_dict(r) for r in obj["records"]),
-            source=obj["source"],
-            fetched_at=obj["fetched_at"],
-        )
 
 
 @dataclass(frozen=True)
@@ -141,9 +105,8 @@ def _utcnow_iso() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat().replace("+00:00", "Z")
 
 
-def _record_to_line(level: int, dims: list[int], fetched_at: str) -> str:
-    obj = {"level": level, "weight": 2, "char_trivial": True, "dims": sorted(dims), "fetched_at": fetched_at}
-    return json.dumps(obj, separators=(", ", ": "), sort_keys=False)
+def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
+    return {"level": level, "weight": 2, "char_trivial": True, "dims": sorted(dims), "fetched_at": fetched_at}
 
 
 def _parse_store_line(line: str, where: str, lineno: int) -> dict:
@@ -154,6 +117,9 @@ def _parse_store_line(line: str, where: str, lineno: int) -> dict:
     for key in ("level", "weight", "char_trivial", "dims", "fetched_at"):
         if key not in obj:
             raise ValueError(f"{where}:{lineno}: record is missing {key!r}")
+    dims = obj["dims"]
+    if not isinstance(dims, list) or not all(type(dim) is int and dim >= 1 for dim in dims):
+        raise ValueError(f"{where}:{lineno}: 'dims' must be a list of positive integers, got {dims!r}")
     return obj
 
 
@@ -174,27 +140,50 @@ class OrbitDimCache:
 
     One writer with concurrent readers: appends are serialized by a lock
     and written as single lines; loading applies last-writer-wins per level.
+    A write cut short by a crash leaves an unterminated last line.  Loading
+    skips it with a warning if it does not parse, and the next put cuts it
+    off before appending, so the file stays loadable.  Malformed complete
+    lines are still rejected.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[int, dict] = {}
+        # Where the next put cuts the file and what it writes back first: the
+        # unterminated last line's record with its newline, if it parsed.
+        self._cut: int | None = None
+        self._carry = ""
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                self._records = load_store(handle, str(self.path))
+            data = self.path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            lines = data[:end].decode("utf-8").splitlines()
+            self._records = load_store(lines, str(self.path))
+            tail = data[end:].decode("utf-8", errors="replace").strip()
+            if tail:
+                self._cut = end
+                try:
+                    obj = _parse_store_line(tail, str(self.path), len(lines) + 1)
+                except ValueError as exc:
+                    logger.warning("ignoring the unterminated last line, left by an interrupted write: %s", exc)
+                else:
+                    self._records[obj["level"]] = obj
+                    self._carry = tail + "\n"
 
     def get(self, level: int) -> dict | None:
         return self._records.get(level)
 
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
-        fetched_at = fetched_at or _utcnow_iso()
-        line = _record_to_line(level, dims, fetched_at)
+        obj = _store_record(level, dims, fetched_at or _utcnow_iso())
+        line = json.dumps(obj, separators=(", ", ": "), sort_keys=False)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
+                if self._cut is not None:
+                    handle.truncate(self._cut)
+                    handle.write(self._carry)
+                    self._cut, self._carry = None, ""
                 handle.write(line + "\n")
-            obj = json.loads(line)
             self._records[level] = obj
         return obj
 
@@ -296,36 +285,19 @@ class OrbitDimClient:
         """Orbit degrees at a level: fixtures, then cache, then network."""
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        fixture = self.fixtures.get(level)
-        if fixture is not None:
-            return self._result_from_record(fixture, SOURCE_FIXTURE)
-        if self.cache is not None:
-            cached = self.cache.get(level)
-            if cached is not None:
-                return self._result_from_record(cached, SOURCE_CACHE)
-        if self.offline:
-            raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
-        dims = self._fetch_from_network(level)
-        fetched_at = _utcnow_iso()
-        if self.cache is not None:
-            self.cache.put(level, dims, fetched_at)
-        records = tuple(
-            NewformOrbitRecord(level=level, weight=2, char_trivial=True, dim=dim) for dim in sorted(dims)
-        )
-        return LevelQueryResult(level=level, records=records, source=SOURCE_NETWORK, fetched_at=fetched_at)
-
-    def _result_from_record(self, record: dict, source: str) -> LevelQueryResult:
-        records = tuple(
-            NewformOrbitRecord(
-                level=record["level"],
-                weight=record["weight"],
-                char_trivial=record["char_trivial"],
-                dim=dim,
-            )
-            for dim in sorted(record["dims"])
-        )
+        record, source = self.fixtures.get(level), SOURCE_FIXTURE
+        if record is None and self.cache is not None:
+            record, source = self.cache.get(level), SOURCE_CACHE
+        if record is None:
+            if self.offline:
+                raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
+            dims, source = self._fetch_from_network(level), SOURCE_NETWORK
+            if self.cache is not None:
+                record = self.cache.put(level, dims, _utcnow_iso())
+            else:
+                record = _store_record(level, dims, _utcnow_iso())
         return LevelQueryResult(
-            level=record["level"], records=records, source=source, fetched_at=record["fetched_at"]
+            level=level, dims=tuple(sorted(record["dims"])), source=source, fetched_at=record["fetched_at"]
         )
 
     def _fetch_from_network(self, level: int) -> list[int]:

@@ -94,6 +94,21 @@ def test_table_annotated_offline(capsys, tmp_path):
     assert "4*" in out  # (19, 9) almost sharp at 6859
 
 
+@pytest.mark.parametrize(
+    "pmax, message", [("1", "a prime bound >= 2, got 1"), ("0", "a positive integer, got 0")], ids=["1", "0"]
+)
+def test_table_rejects_pmax_below_2(capsys, pmax, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["table", "--dmax", "3", "--pmax", pmax])
+    assert info.value.code == 2
+    assert f"argument --pmax: expected {message}" in capsys.readouterr().err
+
+
+def test_table_smallest_pmax(capsys):
+    code, out = run(capsys, ["table", "--dmax", "1", "--pmax", "2", "--format", "csv"])
+    assert (code, out) == (0, "d,p2\n1,8\n")
+
+
 # -- profile ---------------------------------------------------------------------
 
 

@@ -1,12 +1,12 @@
 """Brute-force oracle for minimal forbidden exponent profiles.
 
 The oracle shares no code with ``rmbounds.cyclo``.  It computes each forced
-degree from its definition and walks every profile of at most two primes
+degree from its definition and walks every profile of at most three primes
 p <= 19 over an exponent box, keeping the inadmissible profiles whose every
 one-step-lowered neighbour is admissible.  It is the independent evidence
 behind the reference lists of acceptance criterion 5b (see the decisions
-ledger in CHANGES.md).  Its admissibility test also checks
-``analyze_profile`` on random profiles at dimensions above 2^30.
+ledger in CHANGES.md).  Its admissibility test and per-prime caps also
+check ``analyze_profile`` on random profiles at dimensions above 2^30.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # shows that every minimal profile for the dimensions below lies inside.
 EXPONENT_BOX = 16
 DIMENSIONS = range(1, 13)
+# Dimensions with a minimal profile of three primes <= 19.
+THREE_PRIME_DIMENSIONS = (12, 24, 60)
 
 
 def forced_degree(p: int, e: int) -> int:
@@ -49,20 +51,28 @@ def admissible(profile: dict[int, int], d: int) -> bool:
     return d % math.prod(forced_degree(p, e) for p, e in profile.items()) == 0
 
 
-def minimal_forbidden(d: int) -> list[str]:
-    """Minimal inadmissible profiles of one or two primes, sorted and written like the library.
+def minimal_forbidden(d: int, max_primes: int = 2) -> list[str]:
+    """Minimal inadmissible profiles of at most max_primes primes, sorted and written like the library.
 
-    Lowering an exponent to 0 drops its prime.
+    The walk carries each profile's product of forced degrees and, for each
+    entry, the product with that entry's exponent lowered by one; lowering
+    an exponent to 0 drops its prime.
     """
+    degrees = {p: [forced_degree(p, e) for e in range(EXPONENT_BOX + 1)] for p in PRIMES}
     found = []
-    for k in (1, 2):
+
+    def walk(primes, exponents, total, lowered):
+        if len(exponents) == len(primes):
+            if d % total != 0 and all(d % g == 0 for g in lowered):
+                found.append(tuple(zip(primes, exponents)))
+            return
+        table = degrees[primes[len(exponents)]]
+        for e in range(1, EXPONENT_BOX + 1):
+            walk(primes, exponents + (e,), total * table[e], [g * table[e] for g in lowered] + [total * table[e - 1]])
+
+    for k in range(1, max_primes + 1):
         for primes in itertools.combinations(PRIMES, k):
-            for exponents in itertools.product(range(1, EXPONENT_BOX + 1), repeat=k):
-                profile = dict(zip(primes, exponents))
-                if admissible(profile, d):
-                    continue
-                if all(admissible({**profile, p: e - 1}, d) for p, e in profile.items()):
-                    found.append(tuple(profile.items()))
+            walk(primes, (), 1, [])
     found.sort(key=lambda entries: (len(entries), entries))
     return [",".join(f"{p}^{e}" if e > 1 else str(p) for p, e in entries) for entries in found]
 
@@ -86,7 +96,7 @@ def test_forced_degree_examples():
     assert forced_degree(5, 5) == 10  # Q(zeta_25)^+
 
 
-@pytest.mark.parametrize("d", DIMENSIONS)
+@pytest.mark.parametrize("d", sorted({*DIMENSIONS, *THREE_PRIME_DIMENSIONS}))
 def test_exponent_box_is_large_enough(d):
     # Degrees at one prime form a divisibility chain, so once the degree stops
     # dividing d it never divides d again.  If it has stopped by the top of the
@@ -104,6 +114,14 @@ def test_oracle_matches_enumerate_forbidden(d):
     singles = [str(profile) for profile in enumerate_forbidden(d, 19, 1, include_singletons=True)]
     assert minimal_forbidden_pairs(d) == pairs
     assert minimal_forbidden(d) == singles + pairs
+
+
+@pytest.mark.parametrize("d", THREE_PRIME_DIMENSIONS)
+def test_oracle_matches_enumerate_forbidden_three_primes(d):
+    found = minimal_forbidden(d, max_primes=3)
+    singles = [str(profile) for profile in enumerate_forbidden(d, 19, 1, include_singletons=True)]
+    assert found == singles + [str(profile) for profile in enumerate_forbidden(d, 19, 3)]
+    assert any(text.count(",") == 2 for text in found)
 
 
 @pytest.mark.parametrize("d", sorted(REFERENCE_FORBIDDEN_PAIRS))
@@ -130,6 +148,16 @@ def oracle_cap(p: int, d: int) -> int:
     return e
 
 
+def oracle_refined_bounds(profile: dict[int, int], d: int) -> dict[int, int]:
+    """Per prime whose rest of the profile is admissible: the largest exponent its forced degree allows beside the rest."""
+    caps = {}
+    for p in profile:
+        rest = math.prod(forced_degree(q, e) for q, e in profile.items() if q != p)
+        if d % rest == 0:
+            caps[p] = oracle_cap(p, d // rest)
+    return caps
+
+
 @st.composite
 def large_cases(draw):
     """A dimension above 2^30 and up to four primes p <= 47, each at most two past its own cap."""
@@ -143,4 +171,6 @@ def large_cases(draw):
 @given(case=large_cases())
 def test_analyze_profile_matches_oracle_at_large_d(case):
     profile, d = case
-    assert analyze_profile(profile, d).admissible == admissible(profile, d)
+    report = analyze_profile(profile, d)
+    assert report.admissible == admissible(profile, d)
+    assert report.refined_bounds == oracle_refined_bounds(profile, d)

@@ -43,7 +43,7 @@ def test_every_cited_level_resolves_offline(offline_client):
     for level in PAPER_LEVELS:
         result = offline_client.fetch_orbit_dims(level)
         assert result.source == "fixture"
-        assert result.records
+        assert result.dims
 
 
 def test_level_243_complete_decomposition(offline_client):
@@ -51,10 +51,9 @@ def test_level_243_complete_decomposition(offline_client):
 
 
 def test_records_are_sorted_and_weight2_trivial(offline_client):
-    result = offline_client.fetch_orbit_dims(243)
-    dims = [rec.dim for rec in result.records]
-    assert dims == sorted(dims)
-    assert all(rec.weight == 2 and rec.char_trivial for rec in result.records)
+    dims = offline_client.fetch_orbit_dims(243).dims
+    assert list(dims) == sorted(dims)
+    assert all(rec["weight"] == 2 and rec["char_trivial"] for rec in load_fixture_store().values())
 
 
 def test_offline_uncached_level_raises(offline_client):
@@ -98,6 +97,56 @@ def test_cache_rejects_corrupt_lines(tmp_path):
     path.write_text('{"level": 1, "weight": 2}\n')
     with pytest.raises(ValueError):
         OrbitDimCache(path)
+
+
+def test_cache_rejects_bad_dims(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = '{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}'
+    for dims in ('"3"', "[0]", "[1, -2]", "[2.0]", "[true]", "null", "{}"):
+        path.write_text(good + "\n" + good.replace("[1]", dims) + "\n")
+        with pytest.raises(ValueError, match=":2: 'dims'"):
+            OrbitDimCache(path)
+
+
+def write_torn_cache(path):
+    """Two complete records, then a third cut off in the middle of its line."""
+    cache = OrbitDimCache(path)
+    cache.put(10, [1], fetched_at="2026-01-01T00:00:00Z")
+    cache.put(11, [2, 3], fetched_at="2026-01-01T00:00:00Z")
+    line = path.read_text().splitlines()[-1].replace("11", "12")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])
+
+
+def test_cache_tolerates_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    write_torn_cache(path)
+    with caplog.at_level("WARNING", logger="rmbounds.lmfdb"):
+        cache = OrbitDimCache(path)
+    assert cache.levels() == [10, 11]
+    assert "unterminated last line" in caplog.text
+
+
+def test_cache_put_after_torn_last_line_keeps_every_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_torn_cache(path)
+    OrbitDimCache(path).put(13, [4])
+    reloaded = OrbitDimCache(path)
+    assert reloaded.levels() == [10, 11, 13]
+    assert reloaded.get(11)["dims"] == [2, 3] and reloaded.get(13)["dims"] == [4]
+    assert path.read_text().count("\n") == 3
+
+
+def test_cache_keeps_unterminated_complete_last_line(tmp_path):
+    # a write cut off just before its newline: the record is whole and is kept
+    path = tmp_path / "cache.jsonl"
+    OrbitDimCache(path).put(10, [1])
+    path.write_text(path.read_text().rstrip("\n"))
+    cache = OrbitDimCache(path)
+    assert cache.levels() == [10]
+    cache.put(11, [2])
+    assert OrbitDimCache(path).levels() == [10, 11]
+    assert path.read_text().count("\n") == 2
 
 
 def test_cache_concurrent_reads_during_writes(tmp_path):
@@ -153,7 +202,7 @@ def test_cache_round_trip_identity(tmp_path):
     fetched = online.fetch_orbit_dims(4000)
     offline = OrbitDimClient(cache=OrbitDimCache(path), fixtures={}, offline=True)
     replayed = offline.fetch_orbit_dims(4000)
-    assert replayed.records == fetched.records
+    assert (replayed.level, replayed.dims) == (fetched.level, fetched.dims) == (4000, (1, 5))
     assert replayed.fetched_at == fetched.fetched_at
     assert (fetched.source, replayed.source) == ("network", "cache")
 
