@@ -77,6 +77,11 @@ def valuation(p: int, n: int) -> int:
     require_prime(p)
     if n <= 0:
         raise ValueError(f"valuation of {n} is undefined; need n >= 1")
+    return _valuation(p, n)
+
+
+def _valuation(p: int, n: int) -> int:
+    """valuation without the checks: p prime and n >= 1 are the caller's to ensure."""
     k = 0
     while n % p == 0:
         n //= p
@@ -103,7 +108,24 @@ def lambda_p(p: int, m: int) -> int:
     for m >= 1.  lambda_p(0) = 0 (empty sum).
     """
     require_prime(p)
-    return sum(i * c * p**i for i, c in enumerate(digits_base_p(p, m)))
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    return _lambda(p, m)
+
+
+def _lambda(p: int, m: int) -> int:
+    """lambda_p without the checks, in one divmod loop that keeps no digit list.
+
+    p prime and m >= 0 are the caller's to ensure.
+    """
+    total, i, power = 0, 1, p
+    m //= p  # the units digit has weight 0
+    while m:
+        m, c = divmod(m, p)
+        total += i * c * power
+        i += 1
+        power *= p
+    return total
 
 
 def real_cyclotomic_degree(p: int, r: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import lambda_p, primes_up_to, real_cyclotomic_degree, require_prime, valuation
+from .arith import _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_prime
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
@@ -35,8 +35,13 @@ def bk_bound(p: int, d: int) -> int:
     """Brumer-Kramer bound B(p, d) = 2d + p*t + (p-1)*lambda_p(t), t = floor(2d/(p-1))."""
     require_prime(p)
     _require_dimension(d)
+    return _bk(p, d)
+
+
+def _bk(p: int, d: int) -> int:
+    """bk_bound without the checks: p prime and d >= 1 are the caller's to ensure."""
     t = 2 * d // (p - 1)
-    return 2 * d + p * t + (p - 1) * lambda_p(p, t)
+    return 2 * d + p * t + (p - 1) * _lambda(p, t)
 
 
 def bk_prime_bound(p: int, d: int) -> int:
@@ -44,7 +49,9 @@ def bk_prime_bound(p: int, d: int) -> int:
 
     Equals 2 + floor((p*t + (p-1)*lambda_p(t)) / d), since B = 2d + X with X >= 0.
     """
-    return bk_bound(p, d) // d
+    require_prime(p)
+    _require_dimension(d)
+    return _bk(p, d) // d
 
 
 def b0_bound(p: int, d: int) -> int:
@@ -55,12 +62,17 @@ def b0_bound(p: int, d: int) -> int:
     """
     require_prime(p)
     _require_dimension(d)
+    return _b0(p, d)
+
+
+def _b0(p: int, d: int) -> int:
+    """b0_bound without the checks: p prime and d >= 1 are the caller's to ensure."""
     if p == 2:
-        return 8 + 2 * valuation(2, d)
+        return 8 + 2 * _valuation(2, d)
     if p == 3:
-        return 5 + 2 * valuation(3, d)
+        return 5 + 2 * _valuation(3, d)
     if (2 * d) % (p - 1) == 0:
-        return 4 + 2 * valuation(p, d)
+        return 4 + 2 * _valuation(p, d)
     return 2
 
 
@@ -103,7 +115,10 @@ class BoundTriple:
 
     @classmethod
     def compute(cls, p: int, d: int) -> "BoundTriple":
-        return cls(p=p, d=d, bk=bk_bound(p, d), bk_prime=bk_prime_bound(p, d), b0=b0_bound(p, d))
+        require_prime(p)
+        _require_dimension(d)
+        bk = _bk(p, d)
+        return cls(p=p, d=d, bk=bk, bk_prime=bk // d, b0=_b0(p, d))
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "d": self.d, "bk": self.bk, "bk_prime": self.bk_prime, "b0": self.b0}

@@ -114,6 +114,8 @@ def _parse_store_line(line: str, where: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}:{lineno}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}:{lineno}: record is not a JSON object")
     for key in ("level", "weight", "char_trivial", "dims", "fetched_at"):
         if key not in obj:
             raise ValueError(f"{where}:{lineno}: record is missing {key!r}")

@@ -297,12 +297,22 @@ def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
 
 
 def format_report(results: list[PropertyResult]) -> str:
+    """One PASS / FAIL / EMPTY line per property, then the summary.
+
+    A property whose box held no case is EMPTY, not PASS, and the summary
+    counts it apart from the properties that were checked.
+    """
     lines = []
     for result in results:
-        if result.ok:
+        if not result.ok:
+            lines.append(f"FAIL {result.name}: counterexample {result.counterexample}")
+        elif result.cases:
             lines.append(f"PASS {result.name} ({result.cases} cases)")
         else:
-            lines.append(f"FAIL {result.name}: counterexample {result.counterexample}")
-    ok = sum(r.ok for r in results)
-    lines.append(f"{ok}/{len(results)} properties hold")
+            lines.append(f"EMPTY {result.name} (0 cases)")
+    empty = sum(r.ok and not r.cases for r in results)
+    summary = f"{sum(r.ok for r in results) - empty}/{len(results) - empty} properties hold"
+    if empty:
+        summary += f"; {empty} checked no case"
+    lines.append(summary)
     return "\n".join(lines)

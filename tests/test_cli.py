@@ -277,6 +277,15 @@ def test_verify_minimal_range(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_empty_box_is_not_a_pass(capsys):
+    code, out = run(capsys, ["verify", "--pmax", "1", "--dmax", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "1/1 properties hold; 15 checked no case"
+    assert [line for line in lines if line.startswith("PASS")] == ["PASS bk_prime_small_p_values (8 cases)"]
+    assert sum(line.startswith("EMPTY") and line.endswith(" (0 cases)") for line in lines) == 15
+
+
 def test_verify_json(capsys):
     code, out = run(capsys, ["verify", "--pmax", "19", "--dmax", "10", "--format", "json"])
     results = cli.parse_verify_json(out)

@@ -108,6 +108,33 @@ def test_cache_rejects_bad_dims(tmp_path):
             OrbitDimCache(path)
 
 
+NON_OBJECT_LINES = ["5", "null", "[1]", '"x"']
+
+
+@pytest.mark.parametrize("line", NON_OBJECT_LINES)
+def test_cache_rejects_non_object_line(tmp_path, line):
+    path = tmp_path / "cache.jsonl"
+    good = '{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}'
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=":2: record is not a JSON object$"):
+        OrbitDimCache(path)
+
+
+@pytest.mark.parametrize("line", NON_OBJECT_LINES)
+def test_cache_skips_unterminated_non_object_last_line(tmp_path, caplog, line):
+    path = tmp_path / "cache.jsonl"
+    OrbitDimCache(path).put(10, [1])
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line)
+    with caplog.at_level("WARNING", logger="rmbounds.lmfdb"):
+        cache = OrbitDimCache(path)
+    assert cache.levels() == [10]
+    assert "record is not a JSON object" in caplog.text
+    cache.put(11, [2])
+    assert OrbitDimCache(path).levels() == [10, 11]
+    assert path.read_text().count("\n") == 2
+
+
 def write_torn_cache(path):
     """Two complete records, then a third cut off in the middle of its line."""
     cache = OrbitDimCache(path)

@@ -98,3 +98,19 @@ def test_first_counterexample_is_pinned(monkeypatch, func, kwargs, kernel, sabot
 
 def test_run_all_order_and_case_counts():
     assert [(r.name, r.cases) for r in verify.run_all(19, 10)] == RUN_ALL_19_10
+
+
+def test_report_marks_empty_properties():
+    report = verify.format_report(verify.run_all(2, 1)).splitlines()
+    empty = ["equality_when_p_ge_2d_plus_1", "strict_when_p_ge_5_nondivisor",
+             "strict_when_p_le_3_nondivisor", "bk_prime_piecewise_large_p"]
+    assert [line for line in report if line.startswith("EMPTY")] == [f"EMPTY {name} (0 cases)" for name in empty]
+    assert sum(line.startswith("PASS") for line in report) == 12
+    assert "PASS b0_le_bk_prime (1 cases)" in report
+    assert report[-1] == "12/12 properties hold; 4 checked no case"
+
+
+def test_report_of_a_box_with_cases_everywhere_has_no_empty_count():
+    report = verify.format_report(verify.run_all(19, 10)).splitlines()
+    assert all(line.startswith("PASS") for line in report[:-1])
+    assert report[-1] == "17/17 properties hold"
