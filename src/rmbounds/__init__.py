@@ -17,10 +17,8 @@ from .cyclo import (
     RealCyclotomicField,
     RmConstraintReport,
     analyze_profile,
-    classify_local_type,
     enumerate_forbidden,
     genus2_rm_analysis,
-    max_exponent_given,
 )
 from .lmfdb import (
     LevelQueryResult,
@@ -49,14 +47,12 @@ __all__ = [
     "b0_gl2_bound",
     "bk_bound",
     "bk_prime_bound",
-    "classify_local_type",
     "digits_base_p",
     "enumerate_forbidden",
     "forced_subfield_exponent",
     "genus2_rm_analysis",
     "is_prime",
     "lambda_p",
-    "max_exponent_given",
     "real_cyclotomic_degree",
     "render_table",
     "valuation",

@@ -57,6 +57,13 @@ def require_prime(p: int) -> int:
     return p
 
 
+def require_dimension(d: int) -> int:
+    """Return d, raising ValueError if it is below 1."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    return d
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending (sieve of Eratosthenes)."""
     if bound < 2:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_prime
+from .arith import _lambda, _valuation, primes_up_to, require_dimension, require_prime
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
@@ -25,16 +25,10 @@ UNKNOWN = "unknown"
 _MARKS = {SHARP: "!", ALMOST_SHARP: "*"}
 
 
-def _require_dimension(d: int) -> int:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return d
-
-
 def bk_bound(p: int, d: int) -> int:
     """Brumer-Kramer bound B(p, d) = 2d + p*t + (p-1)*lambda_p(t), t = floor(2d/(p-1))."""
     require_prime(p)
-    _require_dimension(d)
+    require_dimension(d)
     return _bk(p, d)
 
 
@@ -50,7 +44,7 @@ def bk_prime_bound(p: int, d: int) -> int:
     Equals 2 + floor((p*t + (p-1)*lambda_p(t)) / d), since B = 2d + X with X >= 0.
     """
     require_prime(p)
-    _require_dimension(d)
+    require_dimension(d)
     return _bk(p, d) // d
 
 
@@ -61,7 +55,7 @@ def b0_bound(p: int, d: int) -> int:
     when (p - 1) | 2d; and 2 otherwise.
     """
     require_prime(p)
-    _require_dimension(d)
+    require_dimension(d)
     return _b0(p, d)
 
 
@@ -116,7 +110,7 @@ class BoundTriple:
     @classmethod
     def compute(cls, p: int, d: int) -> "BoundTriple":
         require_prime(p)
-        _require_dimension(d)
+        require_dimension(d)
         bk = _bk(p, d)
         return cls(p=p, d=d, bk=bk, bk_prime=bk // d, b0=_b0(p, d))
 
@@ -172,9 +166,6 @@ class BoundTable:
     primes: tuple[int, ...]
     cells: dict[tuple[int, int], TableCell]  # keyed by (d, p)
 
-    def row(self, d: int) -> list[TableCell | None]:
-        return [self.cells.get((d, p)) for p in self.primes]
-
 
 def render_table(
     d_max: int,
@@ -187,7 +178,7 @@ def render_table(
     ``sharpness`` is keyed by (p, d) with values sharp / almost_sharp /
     none_found (the latter maps to an unknown cell flag).
     """
-    _require_dimension(d_max)
+    require_dimension(d_max)
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
     primes = primes_up_to(p_max)

@@ -218,12 +218,12 @@ def _render_report_plain(report: RmConstraintReport) -> list[str]:
 
 
 def cmd_profile(args) -> int:
+    profile = ExponentProfile.parse(args.profile)
     try:
-        profile = ExponentProfile.parse(args.profile)
-    except ProfileParseError as exc:
+        report = analyze_profile(profile, args.d)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = analyze_profile(profile, args.d)
+        return 1
     if args.format == "json":
         _emit_json({"command": "profile", **report.to_json_dict()})
     elif args.format == "csv":
@@ -292,11 +292,7 @@ def parse_forbidden_json(text: str) -> list[ExponentProfile]:
 
 
 def cmd_genus2(args) -> int:
-    try:
-        profile = ExponentProfile.parse(args.profile)
-    except ProfileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profile = ExponentProfile.parse(args.profile)
     try:
         report = genus2_rm_analysis(profile)
     except ValueError as exc:
@@ -485,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except ProfileParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except lmfdb.LmfdbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

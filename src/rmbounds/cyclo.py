@@ -6,8 +6,8 @@ rationality / endomorphism field K.  Fields forced at distinct primes are
 linearly disjoint, so their compositum degree is the product of the
 component degrees and must divide d = [K : Q].  This module decides joint
 admissibility, computes refined per-prime exponent caps, enumerates
-minimal forbidden exponent combinations, classifies local representation
-types from exponent parity, and runs the genus-2 Jacobian analysis.
+minimal forbidden exponent combinations, and runs the genus-2 Jacobian
+analysis.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import is_prime, primes_up_to, real_cyclotomic_degree, require_prime
+from .arith import is_prime, primes_up_to, real_cyclotomic_degree, require_dimension, require_prime
 from .bounds import b0_bound, forced_subfield_exponent
 
 
@@ -30,6 +30,12 @@ class ProfileParseError(ValueError):
 
 
 _ENTRY_RE = re.compile(r"\s*(\d+)\s*(?:\^\s*(\d+)\s*)?")
+
+# CPython's default limit on int <-> str conversion.  Field names and json
+# print p^r in decimal, so a forced field with p^r at or above 10**4300 is
+# rejected, and so is a profile number written with more digits.
+_MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**_MAX_DIGITS
 
 
 @dataclass(frozen=True, order=True)
@@ -73,9 +79,16 @@ class ExponentProfile:
             if not m or not token.strip():
                 offset = pos + (len(token) - len(token.lstrip()))
                 raise ProfileParseError(f"expected 'p' or 'p^e', got {token.strip()!r}", offset)
+            for group in (1, 2):
+                if m.group(group) and len(m.group(group)) > _MAX_DIGITS:
+                    raise ProfileParseError(f"number has more than {_MAX_DIGITS} digits", pos + m.start(group))
             p = int(m.group(1))
             e = int(m.group(2)) if m.group(2) else 1
-            if not is_prime(p):
+            try:
+                prime = is_prime(p)
+            except ValueError as exc:  # p is past the deterministic primality limit
+                raise ProfileParseError(str(exc), pos + m.start(1)) from exc
+            if not prime:
                 raise ProfileParseError(f"{p} is not prime", pos + m.start(1))
             if e < 1:
                 raise ProfileParseError(f"exponent must be >= 1, got {e}", pos + m.start(2))
@@ -88,9 +101,6 @@ class ExponentProfile:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def get(self, p: int) -> int | None:
-        return self.as_dict().get(p)
 
     def without(self, p: int) -> "ExponentProfile":
         return ExponentProfile(entries=tuple((q, e) for q, e in self.entries if q != p))
@@ -203,8 +213,17 @@ class Determination(str, Enum):
 
 
 def forced_field(p: int, e: int) -> RealCyclotomicField | None:
-    """The nontrivial real cyclotomic field forced by v_p(N) = e, or None."""
+    """The nontrivial real cyclotomic field forced by v_p(N) = e, or None.
+
+    Raises ValueError when p^r has more than 4,300 digits.  The bit-length
+    test comes first, so a huge r is rejected without building p**r.
+    """
     r = forced_subfield_exponent(p, e)
+    if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
+        raise ValueError(
+            f"exponent at prime {p} is too large: p^r of the forced field "
+            f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
+        )
     if r >= 1 and real_cyclotomic_degree(p, r) > 1:
         return RealCyclotomicField(p=p, r=r)
     return None
@@ -260,8 +279,7 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     field is determined, and computes for each profile prime the refined
     exponent cap implied by the remaining primes' forced degrees.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    require_dimension(d)
     profile = ExponentProfile.of(profile)
     forced = forced_compositum(profile)
     degree = forced.degree
@@ -287,25 +305,6 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
         residual_degree=d // degree if admissible else None,
         refined_bounds=refined,
     )
-
-
-def max_exponent_given(p: int, d: int, partial) -> int:
-    """Largest admissible v_p(N) alongside an already-fixed partial profile.
-
-    Equals b0_bound(p, d') where d' = d divided by the partial profile's
-    forced compositum degree.  Rejects partial profiles that already
-    mention p or are themselves inadmissible for d.
-    """
-    require_prime(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    partial = ExponentProfile.of(partial)
-    if partial.get(p) is not None:
-        raise ValueError(f"prime {p} already occurs in the partial profile")
-    degree = forced_compositum(partial).degree
-    if d % degree != 0:
-        raise ValueError(f"partial profile {partial} is inadmissible for dimension {d}")
-    return b0_bound(p, d // degree)
 
 
 def _degree_thresholds(p: int, d: int) -> list[tuple[int, int]]:
@@ -344,8 +343,7 @@ def enumerate_forbidden(
     b0_bound) are omitted unless include_singletons is set.  Output is
     deterministically sorted by size, then entries.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    require_dimension(d)
     if max_entries < 1:
         return []
     results: list[ExponentProfile] = []
@@ -372,56 +370,6 @@ def enumerate_forbidden(
                 if d % degree != 0 and all(d % (degree // g * lower) == 0 for _, g, lower in choice):
                     results.append(ExponentProfile.of({p: e for p, (e, _, _) in zip(combo, choice)}))
     return sorted(results, key=lambda pr: (len(pr), pr.entries))
-
-
-class LocalType(str, Enum):
-    """Constraint on the local representation at p implied by exponent data."""
-
-    SUPERCUSPIDAL_DIHEDRAL_Q3_SQRT_MINUS3 = "supercuspidal_dihedral_from_Q3(sqrt(-3))"
-    SUPERCUSPIDAL_REQUIRED = "supercuspidal_required"
-    UNCONSTRAINED = "unconstrained"
-
-
-@dataclass(frozen=True)
-class LocalTypeVerdict:
-    kind: LocalType
-    justification: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind.value, "justification": self.justification}
-
-
-def classify_local_type(p: int, e: int, contains_forced_subfield: bool) -> LocalTypeVerdict:
-    """Classify the local representation at p from v_p(N) = e and field data.
-
-    An odd exponent e >= 3 forces a supercuspidal local component.  At
-    p = 3 with e = 2m + 1 >= 3, the component is dihedral and the inducing
-    quadratic extension is pinned down to Q_3(sqrt(-3)) whenever the
-    rationality field fails to contain Q(zeta_{3^m})^+ (the containment
-    that every other ramified quadratic extension would force).
-    ``contains_forced_subfield`` supplies that containment fact; deciding
-    it requires number-field data outside this package's scope.
-    """
-    require_prime(p)
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    if p == 3 and e >= 3 and e % 2 == 1 and not contains_forced_subfield:
-        return LocalTypeVerdict(
-            kind=LocalType.SUPERCUSPIDAL_DIHEDRAL_Q3_SQRT_MINUS3,
-            justification=(
-                "odd v_3(N) >= 3 forces a ramified dihedral supercuspidal; the missing "
-                "real cyclotomic subfield rules out every inducing field except Q_3(sqrt(-3))"
-            ),
-        )
-    if e >= 3 and e % 2 == 1:
-        return LocalTypeVerdict(
-            kind=LocalType.SUPERCUSPIDAL_REQUIRED,
-            justification="odd conductor exponent >= 3 admits neither principal series nor twisted Steinberg",
-        )
-    return LocalTypeVerdict(
-        kind=LocalType.UNCONSTRAINED,
-        justification="exponent parity places no restriction on the local type",
-    )
 
 
 @dataclass(frozen=True)

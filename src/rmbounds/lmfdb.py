@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .arith import primes_up_to, require_prime
+from .arith import primes_up_to, require_dimension, require_prime
 from .bounds import ALMOST_SHARP, SHARP, b0_bound
 
 logger = logging.getLogger(__name__)
@@ -370,8 +370,7 @@ class OrbitDimClient:
         witness among the answerable levels, never non-existence.
         """
         require_prime(p)
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        require_dimension(d)
         cap = b0_bound(p, d)
         for exponent, status in ((cap, SHARP), (cap - 1, ALMOST_SHARP)):
             base = p**exponent

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmbounds
 from rmbounds import cli
 from rmbounds.cyclo import Determination
 
@@ -142,6 +147,43 @@ def test_profile_parse_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["profile", "--d", "2", "1000000000000000000000000007^3"], 2),
+        (["genus2", "1000000000000000000000000007^3"], 2),
+        (["profile", "--d", "2", "2^" + "1" * 4301], 2),
+        (["profile", "--d", "2", "2^100000"], 1),
+        (["profile", "--d", "2", "2^99999999999999999999"], 1),
+    ],
+)
+def test_out_of_range_profile_is_an_error_line(argv, code):
+    # In a child process with a timeout: without the range checks the last
+    # input builds 2**(r - 2) for r near 5 * 10**19 and does not return.
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "rmbounds.cli", *argv], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["profile", "--d", "2", "2^14000"], f"Q(zeta_{2**6998})^+"),
+        (["profile", "--d", "2", "3^9000"], f"Q(zeta_{3**4499})^+"),
+        (["genus2", "2^30000"], "30000"),
+    ],
+)
+def test_large_profiles_within_range_are_answered(capsys, argv, shown, fmt):
+    code, out = run(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    assert shown in out
 
 
 def test_profile_json_round_trip(capsys):

@@ -1,23 +1,28 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmbounds
 from rmbounds.bounds import b0_bound
 from rmbounds.cyclo import (
     Compositum,
     Determination,
     ExponentProfile,
-    LocalType,
     ProfileParseError,
     RealCyclotomicField,
     analyze_profile,
-    classify_local_type,
     enumerate_forbidden,
     forced_compositum,
+    forced_field,
     genus2_rm_analysis,
-    max_exponent_given,
 )
 
 profile_dicts = st.dictionaries(
@@ -46,6 +51,13 @@ def test_profile_parse_errors_carry_position():
         ExponentProfile.parse("2^9,2^3")
     with pytest.raises(ProfileParseError):
         ExponentProfile.parse("2^0")
+    # past the deterministic primality limit, and past int()'s 4,300 digits
+    with pytest.raises(ProfileParseError) as info:
+        ExponentProfile.parse("2^9, 1000000000000000000000000007^3")
+    assert info.value.position == 5
+    with pytest.raises(ProfileParseError) as info:
+        ExponentProfile.parse("5^3,2^" + "1" * 4301)
+    assert info.value.position == 6
 
 
 def test_profile_validation():
@@ -53,6 +65,25 @@ def test_profile_validation():
         ExponentProfile.of({6: 1})
     with pytest.raises(ValueError):
         ExponentProfile.of({5: 0})
+
+
+@pytest.mark.parametrize("p, e", [(2, 28571), (3, 18026)])
+def test_forced_field_stops_at_4300_digits(p, e):
+    field = forced_field(p, e)
+    assert len(str(p**field.r)) == 4300
+    json.dumps(field.to_json_dict())
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        forced_field(p, e + 2)  # one step up in r
+
+
+def test_analyze_profile_rejects_huge_exponent_promptly():
+    # In a child process with a timeout: without the range check this call
+    # builds 2**(r - 2) for r near 5 * 10**19 and does not return.
+    script = "from rmbounds.cyclo import analyze_profile\nanalyze_profile({2: 10**20}, 2)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=5)
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1].startswith("ValueError: exponent at prime 2 is too large")
 
 
 def test_field_names_and_degree():
@@ -104,24 +135,17 @@ def test_analyze_profile_rejects_d0():
         analyze_profile({2: 9}, 0)
 
 
-def test_refined_bounds_match_max_exponent_given():
-    profile = ExponentProfile.of({2: 9, 5: 3})
-    report = analyze_profile(profile, 4)
-    for q, _ in profile:
-        assert report.refined_bounds[q] == max_exponent_given(q, 4, profile.without(q))
-
-
-def test_max_exponent_given_examples():
-    assert max_exponent_given(2, 4, {5: 3}) == 10
-    assert max_exponent_given(7, 3, {}) == 4
-    assert max_exponent_given(13, 6, {2: 9}) == 2
-
-
-def test_max_exponent_given_rejects_bad_partial():
-    with pytest.raises(ValueError):
-        max_exponent_given(2, 4, {2: 9})
-    with pytest.raises(ValueError):
-        max_exponent_given(7, 2, {2: 9, 5: 3})  # partial inadmissible for d=2
+@pytest.mark.parametrize(
+    "profile, d, p, cap",
+    [
+        ({5: 3, 2: 1}, 4, 2, 10),
+        ({7: 1}, 3, 7, 4),
+        ({2: 9, 13: 1}, 6, 13, 2),
+        ({2: 9, 5: 3, 7: 1}, 2, 7, None),  # the other primes are already inadmissible for d = 2
+    ],
+)
+def test_refined_bounds_examples(profile, d, p, cap):
+    assert analyze_profile(profile, d).refined_bounds.get(p) == cap
 
 
 @settings(max_examples=300)
@@ -263,28 +287,6 @@ def test_single_prime_boundary_matches_b0():
             cap = b0_bound(p, d)
             assert analyze_profile({p: cap}, d).admissible
             assert not analyze_profile({p: cap + 1}, d).admissible
-
-
-# -- local type classifier -----------------------------------------------------
-
-
-def test_classify_local_type():
-    verdict = classify_local_type(3, 5, False)
-    assert verdict.kind is LocalType.SUPERCUSPIDAL_DIHEDRAL_Q3_SQRT_MINUS3
-    assert classify_local_type(5, 3, True).kind is LocalType.SUPERCUSPIDAL_REQUIRED
-    assert classify_local_type(7, 2, True).kind is LocalType.UNCONSTRAINED
-    assert classify_local_type(3, 5, True).kind is LocalType.SUPERCUSPIDAL_REQUIRED
-    assert classify_local_type(3, 4, False).kind is LocalType.UNCONSTRAINED
-    assert classify_local_type(2, 9, False).kind is LocalType.SUPERCUSPIDAL_REQUIRED
-    assert classify_local_type(3, 1, False).kind is LocalType.UNCONSTRAINED
-
-
-def test_classify_special_verdict_only_at_p3_odd():
-    for p in (2, 5, 7):
-        for e in (3, 5, 7):
-            assert classify_local_type(p, e, False).kind is not LocalType.SUPERCUSPIDAL_DIHEDRAL_Q3_SQRT_MINUS3
-    for e in (2, 4, 6):
-        assert classify_local_type(3, e, False).kind is not LocalType.SUPERCUSPIDAL_DIHEDRAL_Q3_SQRT_MINUS3
 
 
 # -- genus 2 --------------------------------------------------------------------
