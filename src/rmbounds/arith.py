@@ -15,7 +15,7 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 

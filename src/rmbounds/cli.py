@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: bound, table, profile, forbidden, genus2, sharpness, verify.
-Every command renders to plain text (default), csv, or json; results go to
-stdout, logs to stderr.  The json schemas round-trip into the domain types
-via the parse_* helpers below.
+Every command states its result once, as a json object, a csv table and
+plain lines, and _emit prints the one --format names; results go to stdout,
+logs to stderr.  The json schemas round-trip into the domain types via the
+parse_* helpers below.
 
 RMBOUNDS_BASE_URL and RMBOUNDS_CACHE override the --base-url and --cache
 flags when set; all mathematical parameters are flags only.
@@ -12,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import os
 import sys
 
-from . import bounds, cyclo, lmfdb, verify
-from .arith import is_prime
+from . import bounds, lmfdb, verify
+from .arith import is_prime, primes_up_to
 from .bounds import BoundTable, BoundTriple, TableCell, render_table
 from .cyclo import (
     ExponentProfile,
@@ -38,43 +38,62 @@ ENV_BASE_URL = "RMBOUNDS_BASE_URL"
 ENV_CACHE = "RMBOUNDS_CACHE"
 
 
-def _prime_arg(text: str) -> int:
+PMAX_LIMIT = 10**7  # --pmax bounds a sieve of pmax + 1 bytes
+
+
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if not is_prime(value):
+
+
+def _prime_arg(text: str) -> int:
+    value = _int_arg(text)
+    try:
+        prime = is_prime(value)
+    except ValueError as exc:  # value is past the deterministic primality limit
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not prime:
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
 
 def _positive_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
-def _prime_bound_arg(text: str) -> int:
+def _pmax_arg(text: str) -> int:
     value = _positive_arg(text)
+    if value > PMAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected a prime bound <= {PMAX_LIMIT}, got {value}")
+    return value
+
+
+def _prime_bound_arg(text: str) -> int:
+    value = _pmax_arg(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"expected a prime bound >= 2, got {value}")
     return value
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]) -> None:
+    """Print a command's result in the chosen format: its json object, csv table or plain lines.
 
-
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+    csv writes None as an empty field.
+    """
+    match args.format:
+        case "json":
+            print(json.dumps({"command": args.command, **obj}, indent=2))
+        case "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        case _:
+            print("\n".join(plain))
 
 
 def _client_from_args(args) -> OrbitDimClient:
@@ -92,31 +111,26 @@ def _client_from_args(args) -> OrbitDimClient:
 
 def cmd_bound(args) -> int:
     triple = BoundTriple.compute(args.p, args.d)
+    p, d = triple.p, triple.d
+    header = ["p", "d", "bk", "bk_prime", "b0"]
+    row = [p, d, triple.bk, triple.bk_prime, triple.b0]
+    plain = [
+        f"p = {p}, d = {d}",
+        f"B({p},{d})  = {triple.bk}    conductor-exponent bound for v_p(N^d), any abelian variety",
+        f"B'({p},{d}) = {triple.bk_prime}    the same bound per dimension: floor(B/d)",
+        f"B0({p},{d}) = {triple.b0}    bound on v_p(N) under maximal real multiplication",
+    ]
     gl2 = None
     if args.gl2:
-        cap = bounds.b0_gl2_bound(args.p, args.d)
-        gl2 = {"exponent_cap": cap, "conductor_cap": args.d * cap}
-    if args.format == "json":
-        obj = {"command": "bound", **triple.to_json_dict(), "gl2": gl2}
-        _emit_json(obj)
-    elif args.format == "csv":
-        header = ["p", "d", "bk", "bk_prime", "b0"]
-        row = [triple.p, triple.d, triple.bk, triple.bk_prime, triple.b0]
-        if gl2:
-            header += ["gl2_exponent_cap", "gl2_conductor_cap"]
-            row += [gl2["exponent_cap"], gl2["conductor_cap"]]
-        print(_csv_text(header, [row]))
-    else:
-        p, d = triple.p, triple.d
-        print(f"p = {p}, d = {d}")
-        print(f"B({p},{d})  = {triple.bk}    conductor-exponent bound for v_p(N^d), any abelian variety")
-        print(f"B'({p},{d}) = {triple.bk_prime}    the same bound per dimension: floor(B/d)")
-        print(f"B0({p},{d}) = {triple.b0}    bound on v_p(N) under maximal real multiplication")
-        if gl2:
-            print(
-                f"GL(2)-type: v_{p}(N) <= {gl2['exponent_cap']} per dimension, "
-                f"v_{p}(conductor) <= {gl2['conductor_cap']} in dimension {d}"
-            )
+        cap = bounds.b0_gl2_bound(p, d)
+        gl2 = {"exponent_cap": cap, "conductor_cap": d * cap}
+        header += ["gl2_exponent_cap", "gl2_conductor_cap"]
+        row += [cap, d * cap]
+        plain.append(
+            f"GL(2)-type: v_{p}(N) <= {cap} per dimension, "
+            f"v_{p}(conductor) <= {d * cap} in dimension {d}"
+        )
+    _emit(args, {**triple.to_json_dict(), "gl2": gl2}, header, [row], plain)
     return 0
 
 
@@ -139,46 +153,35 @@ def _annotations(args) -> dict[tuple[int, int], str] | None:
 def cmd_table(args) -> int:
     sharpness = _annotations(args)
     table = render_table(args.dmax, args.pmax, sharpness=sharpness, include_trivial=args.full)
-    if args.format == "json":
-        cells = [table.cells[key].to_json_dict() for key in sorted(table.cells)]
-        _emit_json(
-            {
-                "command": "table",
-                "d_max": table.d_max,
-                "p_max": table.p_max,
-                "annotated": args.annotate,
-                "cells": cells,
-            }
-        )
-    elif args.format == "csv":
-        header = ["d"]
+    dims = range(1, table.d_max + 1)
+    header = ["d"]
+    for p in table.primes:
+        header += [f"p{p}", f"p{p}_status"] if args.annotate else [f"p{p}"]
+    rows = []
+    for d in dims:
+        row: list[str] = [str(d)]
         for p in table.primes:
-            header.append(f"p{p}")
+            cell = table.cells.get((d, p))
+            row.append(cell.display if cell else "")
             if args.annotate:
-                header.append(f"p{p}_status")
-        rows = []
-        for d in range(1, table.d_max + 1):
-            row: list[str] = [str(d)]
-            for p in table.primes:
-                cell = table.cells.get((d, p))
-                row.append(cell.display if cell else "")
-                if args.annotate:
-                    row.append(cell.sharpness if cell else "")
-            rows.append(row)
-        print(_csv_text(header, rows))
-    else:
-        widths = {}
-        for p in table.primes:
-            column = [table.cells[(d, p)].render() for d in range(1, table.d_max + 1) if (d, p) in table.cells]
-            widths[p] = max([len(f"p={p}")] + [len(text) for text in column])
-        header = "d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)
-        print(header.rstrip())
-        for d in range(1, table.d_max + 1):
-            parts = [f"{d:<3}  "]
-            for p in table.primes:
-                cell = table.cells.get((d, p))
-                parts.append((cell.render() if cell else "").ljust(widths[p]) + "  ")
-            print("".join(parts).rstrip())
+                row.append(cell.sharpness if cell else "")
+        rows.append(row)
+    rendered = {key: cell.render() for key, cell in table.cells.items()}
+    widths = {}
+    for p in table.primes:
+        column = [rendered[(d, p)] for d in dims if (d, p) in rendered]
+        widths[p] = max([len(f"p={p}")] + [len(text) for text in column])
+    plain = [("d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)).rstrip()]
+    for d in dims:
+        texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes]
+        plain.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
+    obj = {
+        "d_max": table.d_max,
+        "p_max": table.p_max,
+        "annotated": args.annotate,
+        "cells": [table.cells[key].to_json_dict() for key in sorted(table.cells)],
+    }
+    _emit(args, obj, header, rows, plain)
     return 0
 
 
@@ -188,8 +191,6 @@ def parse_table_json(text: str) -> BoundTable:
     for item in obj["cells"]:
         cell = TableCell.from_json_dict(item)
         cells[(cell.triple.d, cell.triple.p)] = cell
-    from .arith import primes_up_to
-
     return BoundTable(
         d_max=obj["d_max"],
         p_max=obj["p_max"],
@@ -201,51 +202,33 @@ def parse_table_json(text: str) -> BoundTable:
 # -- profile ---------------------------------------------------------------
 
 
-def _render_report_plain(report: RmConstraintReport) -> list[str]:
-    lines = [
+def cmd_profile(args) -> int:
+    report = analyze_profile(ExponentProfile.parse(args.profile), args.d)
+    refined = sorted(report.refined_bounds.items())
+    header = ["d", "profile", "admissible", "determination", "forced", "forced_degree", "residual_degree", "refined_bounds"]
+    row = [
+        report.dimension,
+        str(report.profile),
+        report.admissible,
+        report.determination.value,
+        report.forced.name,
+        report.forced.degree,
+        report.residual_degree,
+        ";".join(f"{p}:{cap}" for p, cap in refined),
+    ]
+    plain = [
         f"d = {report.dimension}, profile {report.profile or '(empty)'}",
         f"admissible: {'yes' if report.admissible else 'no'}",
         f"forced subfield: {report.forced.name} (degree {report.forced.degree})",
         f"determination: {report.determination.value}",
     ]
     if report.residual_degree is not None:
-        lines.append(f"residual degree: {report.residual_degree}")
-    for p, cap in sorted(report.refined_bounds.items()):
+        plain.append(f"residual degree: {report.residual_degree}")
+    for p, cap in refined:
         rest = report.profile.without(p)
         given = f" given {rest}" if len(rest) else ""
-        lines.append(f"refined bound: v_{p}(N) <= {cap}{given}")
-    return lines
-
-
-def cmd_profile(args) -> int:
-    profile = ExponentProfile.parse(args.profile)
-    try:
-        report = analyze_profile(profile, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        _emit_json({"command": "profile", **report.to_json_dict()})
-    elif args.format == "csv":
-        header = ["d", "profile", "admissible", "determination", "forced", "forced_degree", "residual_degree", "refined_bounds"]
-        refined = ";".join(f"{p}:{cap}" for p, cap in sorted(report.refined_bounds.items()))
-        print(
-            _csv_text(
-                header,
-                [[
-                    report.dimension,
-                    str(report.profile),
-                    report.admissible,
-                    report.determination.value,
-                    report.forced.name,
-                    report.forced.degree,
-                    "" if report.residual_degree is None else report.residual_degree,
-                    refined,
-                ]],
-            )
-        )
-    else:
-        print("\n".join(_render_report_plain(report)))
+        plain.append(f"refined bound: v_{p}(N) <= {cap}{given}")
+    _emit(args, report.to_json_dict(), header, [row], plain)
     return 0
 
 
@@ -260,26 +243,19 @@ def cmd_forbidden(args) -> int:
     profiles = enumerate_forbidden(
         args.d, args.pmax, args.max_entries, include_singletons=args.include_singletons
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "forbidden",
-                "d": args.d,
-                "prime_bound": args.pmax,
-                "max_entries": args.max_entries,
-                "include_singletons": args.include_singletons,
-                "profiles": [profile.to_json_list() for profile in profiles],
-            }
-        )
-    elif args.format == "csv":
-        print(_csv_text(["profile"], [[str(profile)] for profile in profiles]))
+    obj = {
+        "d": args.d,
+        "prime_bound": args.pmax,
+        "max_entries": args.max_entries,
+        "include_singletons": args.include_singletons,
+        "profiles": [profile.to_json_list() for profile in profiles],
+    }
+    if profiles:
+        plain = [f"minimal forbidden exponent combinations for d = {args.d}:"]
+        plain += [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
     else:
-        if not profiles:
-            print(f"no forbidden combinations for d = {args.d} (primes <= {args.pmax}, <= {args.max_entries} primes)")
-        else:
-            print(f"minimal forbidden exponent combinations for d = {args.d}:")
-            for profile in profiles:
-                print(f"  {' * '.join(f'{p}^{e}' for p, e in profile)}")
+        plain = [f"no forbidden combinations for d = {args.d} (primes <= {args.pmax}, <= {args.max_entries} primes)"]
+    _emit(args, obj, ["profile"], [[str(profile)] for profile in profiles], plain)
     return 0
 
 
@@ -292,37 +268,24 @@ def parse_forbidden_json(text: str) -> list[ExponentProfile]:
 
 
 def cmd_genus2(args) -> int:
-    profile = ExponentProfile.parse(args.profile)
-    try:
-        report = genus2_rm_analysis(profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        _emit_json({"command": "genus2", **report.to_json_dict()})
-    elif args.format == "csv":
-        print(
-            _csv_text(
-                ["profile", "simple", "field"],
-                [[
-                    str(report.profile),
-                    "unknown" if report.simple is None else report.simple,
-                    report.field.name if report.field else "",
-                ]],
-            )
-        )
+    report = genus2_rm_analysis(ExponentProfile.parse(args.profile))
+    row = [
+        str(report.profile),
+        "unknown" if report.simple is None else report.simple,
+        report.field.name if report.field else "",
+    ]
+    plain = [f"conductor profile {report.profile}"]
+    if report.simple is None:
+        plain.append("simple: unknown (exponents stay within the two-elliptic-curve range)")
     else:
-        print(f"conductor profile {report.profile}")
-        if report.simple is None:
-            print("simple: unknown (exponents stay within the two-elliptic-curve range)")
-        else:
-            print("simple: yes (exponent exceeds the product-of-elliptic-curves cap)")
-            if report.analysis is not None and not report.analysis.admissible:
-                print("warning: halved profile is inadmissible in dimension 2; no such surface exists")
-            if report.field is not None:
-                print(f"endomorphism algebra: {report.field.name}")
-            elif report.analysis is not None and report.analysis.admissible:
-                print("endomorphism algebra: not determined by exponent data")
+        plain.append("simple: yes (exponent exceeds the product-of-elliptic-curves cap)")
+        if report.analysis is not None and not report.analysis.admissible:
+            plain.append("warning: halved profile is inadmissible in dimension 2; no such surface exists")
+        if report.field is not None:
+            plain.append(f"endomorphism algebra: {report.field.name}")
+        elif report.analysis is not None and report.analysis.admissible:
+            plain.append("endomorphism algebra: not determined by exponent data")
+    _emit(args, report.to_json_dict(), ["profile", "simple", "field"], [row], plain)
     return 0
 
 
@@ -336,28 +299,14 @@ def parse_genus2_json(text: str) -> Genus2Report:
 def cmd_sharpness(args) -> int:
     client = _client_from_args(args)
     witness = client.sharpness_scan(args.p, args.d, args.budget, strict=args.strict)
-    if args.format == "json":
-        _emit_json({"command": "sharpness", **witness.to_json_dict()})
-    elif args.format == "csv":
-        print(
-            _csv_text(
-                ["p", "d", "status", "exponent_attained", "level"],
-                [[witness.p, witness.d, witness.status,
-                  "" if witness.exponent_attained is None else witness.exponent_attained,
-                  "" if witness.level is None else witness.level]],
-            )
-        )
+    p, d = witness.p, witness.d
+    if witness.status == lmfdb.NONE_FOUND:
+        line = f"p = {p}, d = {d}: no witness found up to level {args.budget} (existence is not ruled out)"
     else:
-        if witness.status == lmfdb.NONE_FOUND:
-            print(
-                f"p = {witness.p}, d = {witness.d}: no witness found up to level {args.budget} "
-                "(existence is not ruled out)"
-            )
-        else:
-            print(
-                f"p = {witness.p}, d = {witness.d}: {witness.status} at level {witness.level} "
-                f"(v_{witness.p} = {witness.exponent_attained})"
-            )
+        line = f"p = {p}, d = {d}: {witness.status} at level {witness.level} (v_{p} = {witness.exponent_attained})"
+    header = ["p", "d", "status", "exponent_attained", "level"]
+    row = [p, d, witness.status, witness.exponent_attained, witness.level]
+    _emit(args, witness.to_json_dict(), header, [row], [line])
     return 0
 
 
@@ -371,32 +320,14 @@ def parse_sharpness_json(text: str) -> SharpnessWitness:
 def cmd_verify(args) -> int:
     results = verify.run_all(p_max=args.pmax, d_max=args.dmax)
     ok = all(result.ok for result in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "p_max": args.pmax,
-                "d_max": args.dmax,
-                "ok": ok,
-                "results": [result.to_json_dict() for result in results],
-            }
-        )
-    elif args.format == "csv":
-        rows = [[r.name, r.ok, r.cases, r.counterexample or ""] for r in results]
-        print(_csv_text(["name", "ok", "cases", "counterexample"], rows))
-    else:
-        print(verify.format_report(results))
+    obj = {"p_max": args.pmax, "d_max": args.dmax, "ok": ok, "results": [r.to_json_dict() for r in results]}
+    rows = [[r.name, r.ok, r.cases, r.counterexample] for r in results]
+    _emit(args, obj, ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(results)])
     return 0 if ok else 1
 
 
 def parse_verify_json(text: str) -> list[verify.PropertyResult]:
-    obj = json.loads(text)
-    return [
-        verify.PropertyResult(
-            name=item["name"], ok=item["ok"], cases=item["cases"], counterexample=item["counterexample"]
-        )
-        for item in obj["results"]
-    ]
+    return [verify.PropertyResult(**item) for item in json.loads(text)["results"]]
 
 
 # -- parser ------------------------------------------------------------------
@@ -444,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_forbidden = sub.add_parser("forbidden", help="minimal inadmissible exponent combinations")
     p_forbidden.add_argument("--d", type=_positive_arg, required=True)
-    p_forbidden.add_argument("--pmax", type=_positive_arg, default=19)
+    p_forbidden.add_argument("--pmax", type=_pmax_arg, default=19)
     p_forbidden.add_argument("--max-entries", type=_positive_arg, default=2)
     p_forbidden.add_argument("--include-singletons", action="store_true")
     add_format(p_forbidden)
@@ -464,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.set_defaults(func=cmd_sharpness)
 
     p_verify = sub.add_parser("verify", help="exhaustively check the bound inequalities")
-    p_verify.add_argument("--pmax", type=_positive_arg, default=1000)
+    p_verify.add_argument("--pmax", type=_pmax_arg, default=1000)
     p_verify.add_argument("--dmax", type=_positive_arg, default=100)
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -481,12 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ProfileParseError as exc:
+    except (lmfdb.LmfdbError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except lmfdb.LmfdbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -124,17 +124,27 @@ class ExponentProfile:
 
 @dataclass(frozen=True, order=True)
 class RealCyclotomicField:
-    """Q(zeta_{p^r})^+ with p prime and r >= 1; only nontrivial fields (degree > 1) are stored."""
+    """Q(zeta_{p^r})^+ with p prime and r >= 1; only nontrivial fields (degree > 1) are stored.
+
+    Construction raises ValueError when p^r has more than 4,300 digits.  The
+    bit-length test comes first, so a huge r is rejected without building p**r.
+    """
 
     p: int
     r: int
 
     def __post_init__(self):
-        require_prime(self.p)
-        if self.r < 1:
+        p, r = self.p, self.r
+        require_prime(p)
+        if r < 1:
             raise ValueError("r must be >= 1")
+        if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
+            raise ValueError(
+                f"exponent at prime {p} is too large: p^r of the forced field "
+                f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
+            )
         if self.degree == 1:
-            raise ValueError(f"Q(zeta_{self.p}^{self.r})^+ is trivial; trivial fields are not stored")
+            raise ValueError(f"Q(zeta_{p}^{r})^+ is trivial; trivial fields are not stored")
 
     @property
     def degree(self) -> int:
@@ -215,16 +225,13 @@ class Determination(str, Enum):
 def forced_field(p: int, e: int) -> RealCyclotomicField | None:
     """The nontrivial real cyclotomic field forced by v_p(N) = e, or None.
 
-    Raises ValueError when p^r has more than 4,300 digits.  The bit-length
-    test comes first, so a huge r is rejected without building p**r.
+    Raises ValueError, from the field's construction, when p^r has more than
+    4,300 digits.
     """
     r = forced_subfield_exponent(p, e)
-    if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
-        raise ValueError(
-            f"exponent at prime {p} is too large: p^r of the forced field "
-            f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
-        )
-    if r >= 1 and real_cyclotomic_degree(p, r) > 1:
+    # Every p^r with r >= 3 is at least 8, so its field is nontrivial; the
+    # degree is computed only for small r, never before the size check.
+    if r >= 3 or (r >= 1 and real_cyclotomic_degree(p, r) > 1):
         return RealCyclotomicField(p=p, r=r)
     return None
 

@@ -33,6 +33,12 @@ def test_is_prime_carmichael_and_squares():
     assert not is_prime((2**31 - 1) ** 2)
 
 
+def test_is_prime_cache_is_bounded():
+    # A long session calls is_prime on ever new integers; the cache keeps
+    # at most this many of them.
+    assert is_prime.cache_info().maxsize == 4096
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]

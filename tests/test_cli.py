@@ -19,6 +19,73 @@ def run(capsys, argv):
     return code, out
 
 
+# -- exact output ----------------------------------------------------------------
+
+VERIFY_CSV_19_10 = """\
+name,ok,cases,counterexample
+lambda_zero_iff_below_p,True,20008,
+lambda_lower_bound,True,20000,
+digit_reconstruction,True,20008,
+valuation_additivity,True,448,
+b0_le_bk_prime,True,80,
+equality_when_p_ge_2d_plus_1,True,34,
+strict_when_p_ge_5_nondivisor,True,20,
+strict_when_p_le_3_nondivisor,True,8,
+bk_prime_piecewise_large_p,True,49,
+bk_prime_small_p_values,True,20,
+bk_prime_divisor_case,True,33,
+bk_prime_floor_identity,True,80,
+forced_exponent_monotone,True,328,
+cyclotomic_degree_monotone,True,248,
+b0_equals_forced_degree_oracle,True,80,
+single_prime_boundary,True,80,
+reference_grid_d10,True,53,
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["profile", "--d", "4", "2^9,5^3", "--format", "csv"],
+            "d,profile,admissible,determination,forced,forced_degree,residual_degree,refined_bounds\n"
+            '4,"2^9,5^3",True,exact_field,Q(sqrt(2)) * Q(sqrt(5)),4,1,2:10;5:4\n',
+        ),
+        (
+            ["forbidden", "--d", "6", "--format", "csv"],
+            'profile\n"2^9,5^3"\n"2^9,13^3"\n"3^6,7^3"\n"3^6,13^3"\n"5^3,13^3"\n"7^3,13^3"\n',
+        ),
+        (["genus2", "5^6", "--format", "csv"], "profile,simple,field\n5^6,True,Q(sqrt(5))\n"),
+        (["genus2", "2^16", "--format", "csv"], "profile,simple,field\n2^16,unknown,\n"),
+        (
+            ["sharpness", "--p", "3", "--d", "9", "--budget", "20000", "--offline", "--format", "csv"],
+            "p,d,status,exponent_attained,level\n3,9,sharp,9,19683\n",
+        ),
+        (["verify", "--pmax", "19", "--dmax", "10", "--format", "csv"], VERIFY_CSV_19_10),
+        (
+            ["table", "--dmax", "3", "--annotate", "--offline", "--budget", "10000", "--format", "csv"],
+            "d,p2,p2_status,p3,p3_status,p5,p5_status,p7,p7_status,p11,p11_status,p13,p13_status,"
+            "p17,p17_status,p19,p19_status\n"
+            "1,8,sharp,5,sharp,,,,,,,,,,,,\n"
+            "2,10,unknown,5,sharp,4,unknown,,,,,,,,,,\n"
+            "3,9 (8),unknown,7,unknown,3 (2),unknown,4,unknown,,,,,,,,\n",
+        ),
+        (
+            ["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"],
+            "p = 13, d = 6: no witness found up to level 20000 (existence is not ruled out)\n",
+        ),
+    ],
+    ids=[
+        "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
+        "table-annotated-csv", "sharpness-none-found-plain",
+    ],
+)
+def test_exact_stdout(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    code, out = run(capsys, argv)
+    assert (code, out) == (0, expected)
+
+
 # -- bound ---------------------------------------------------------------------
 
 
@@ -44,6 +111,16 @@ def test_bound_rejects_composite_p(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["bound", "--p", "4", "--d", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["bound", "--d", "2"], ["sharpness", "--d", "2", "--budget", "100"]])
+def test_prime_past_primality_limit_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "--p", "1000000000000000000000000007"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --p: primality test is only deterministic below 3317044064679887385961981" in err
+    assert "_prime_arg" not in err
 
 
 def test_bound_json_round_trip(capsys):
@@ -107,6 +184,26 @@ def test_table_rejects_pmax_below_2(capsys, pmax, message):
         cli.main(["table", "--dmax", "3", "--pmax", pmax])
     assert info.value.code == 2
     assert f"argument --pmax: expected {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["table", "--dmax", "2"], "cmd_table"),
+        (["forbidden", "--d", "6"], "cmd_forbidden"),
+        (["verify", "--dmax", "1"], "cmd_verify"),
+    ],
+)
+def test_pmax_above_limit_is_rejected_before_any_sieve(capsys, monkeypatch, argv, command):
+    def must_not_run(args):
+        raise AssertionError("the command ran, so its sieve would too")
+
+    monkeypatch.setattr(cli, command, must_not_run)
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--pmax", "100000000000"])
+    assert info.value.code == 2
+    assert "argument --pmax: expected a prime bound <= 10000000, got 100000000000" in capsys.readouterr().err
+    assert cli.build_parser().parse_args([*argv, "--pmax", str(cli.PMAX_LIMIT)]).pmax == cli.PMAX_LIMIT
 
 
 def test_table_smallest_pmax(capsys):
@@ -193,6 +290,22 @@ def test_profile_json_round_trip(capsys):
     assert report.refined_bounds == {2: 10, 5: 4}
 
 
+def test_profile_json_with_huge_r_is_rejected_promptly(capsys):
+    # In a child process with a timeout: without the range check in the
+    # field's construction, parsing builds 2**(r - 2) for r = 10**20.
+    code, out = run(capsys, ["profile", "--d", "4", "2^9,5^3", "--format", "json"])
+    obj = json.loads(out)
+    assert obj["forced"]["components"][0]["p"] == 2
+    obj["forced"]["components"][0]["r"] = 10**20
+    script = "import sys\nfrom rmbounds.cli import parse_profile_json\nparse_profile_json(sys.stdin.read())"
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(obj), env=env, capture_output=True, text=True, timeout=5
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1].startswith("ValueError: exponent at prime 2 is too large")
+
+
 # -- forbidden ---------------------------------------------------------------------
 
 
@@ -274,6 +387,25 @@ def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: request to ") and "connection refused" in captured.err
     assert len(tried) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--p", "3", "--d", "9", "--budget", "100", "--offline"],
+        ["table", "--dmax", "2", "--annotate", "--offline"],
+    ],
+    ids=["sharpness", "table-annotate"],
+)
+def test_corrupt_cache_is_an_error_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("garbage\n")
+    code = cli.main([*argv, "--cache", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}:1: not valid JSON: ")
 
 
 def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
