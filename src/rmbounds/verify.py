@@ -63,6 +63,15 @@ def _box(p_max: int, n_max: int, start: int = 1):
     return itertools.product(primes_up_to(p_max), range(start, n_max + 1))
 
 
+def _box_by_prime(p_max: int, n_max: int, row, start: int = 1):
+    """Cases (p, n, row(p)) over _box(p_max, n_max, start); row(p) is built once per prime
+    and dropped after that prime's cases, so kernel values free of n are computed once."""
+    for p in primes_up_to(p_max):
+        values = row(p)
+        for n in range(start, n_max + 1):
+            yield p, n, values
+
+
 def _bk_prime_meets(p: int, d: int, value: int, exact: bool) -> bool:
     """bk_prime_bound(p, d) equals value (exact) or is at least value (a floor)."""
     got = bk_prime_bound(p, d)
@@ -183,42 +192,48 @@ def bk_prime_divisor_case(p_max: int = 1000, d_max: int = 100) -> PropertyResult
 
 def forced_exponent_monotone(p_max: int = 200, e_max: int = 40) -> PropertyResult:
     """forced_subfield_exponent is nondecreasing in e for fixed p."""
-    def r(p, e):
-        return forced_subfield_exponent(p, e) if e >= 0 else 0
+    def row(p):
+        # row[e + 1] is the forced exponent at e; row[0] = 0 stands for e = -1
+        return [0, *(forced_subfield_exponent(p, e) for e in range(e_max + 1))]
     return _check(
-        "forced_exponent_monotone", _box(p_max, e_max, start=0),
-        lambda p, e: r(p, e - 1) <= r(p, e),
-        lambda p, e: f"p={p}, e={e}: r drops {r(p, e - 1)} -> {r(p, e)}",
+        "forced_exponent_monotone", _box_by_prime(p_max, e_max, row, start=0),
+        lambda p, e, r: r[e] <= r[e + 1],
+        lambda p, e, r: f"p={p}, e={e}: r drops {r[e]} -> {r[e + 1]}",
     )
 
 
 def cyclotomic_degree_monotone(p_max: int = 200, r_max: int = 30) -> PropertyResult:
     """real_cyclotomic_degree is nondecreasing in r for fixed p."""
-    def degree(p, r):
-        return real_cyclotomic_degree(p, r) if r >= 0 else 0
+    def row(p):
+        # row[r + 1] is the degree at r; row[0] = 0 stands for r = -1
+        return [0, *(real_cyclotomic_degree(p, r) for r in range(r_max + 1))]
     return _check(
-        "cyclotomic_degree_monotone", _box(p_max, r_max, start=0),
-        lambda p, r: degree(p, r - 1) <= degree(p, r),
-        lambda p, r: f"p={p}, r={r}",
+        "cyclotomic_degree_monotone", _box_by_prime(p_max, r_max, row, start=0),
+        lambda p, r, degrees: degrees[r] <= degrees[r + 1],
+        lambda p, r, degrees: f"p={p}, r={r}",
     )
 
 
-def b0_matches_forced_degree_oracle(p_max: int = 200, d_max: int = 64, e_max: int = 40) -> PropertyResult:
-    """b0_bound equals the largest e whose forced cyclotomic degree divides d.
+def b0_matches_forced_degree_oracle(p_max: int = 200, d_max: int = 64, e_max: int | None = None) -> PropertyResult:
+    """b0_bound equals the largest e <= e_max whose forced cyclotomic degree divides d.
 
-    This is the independent route to the improved bound: scan exponents
-    directly instead of using the closed form.
+    This is the independent route to the improved bound: scan every exponent
+    directly instead of using the closed form. The forced degrees do not
+    depend on d, so they are listed once per prime. The default e_max,
+    max(40, 2 * d_max.bit_length() + 10), runs at least two exponents past
+    the box's largest b0_bound, b0_bound(2, d) = 8 + 2 v_2(d), so the scan
+    never stops short of the closed form.
     """
-    def oracle(p, d):
-        best = 0
-        for e in range(1, e_max + 1):
-            if d % real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) == 0:
-                best = e
-        return best
+    if e_max is None:
+        e_max = max(40, 2 * d_max.bit_length() + 10)
+    def forced_degrees(p):
+        return [real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) for e in range(1, e_max + 1)]
+    def oracle(p, d, degrees):
+        return max((e for e, degree in enumerate(degrees, 1) if d % degree == 0), default=0)
     return _check(
-        "b0_equals_forced_degree_oracle", _box(p_max, d_max),
-        lambda p, d: oracle(p, d) == b0_bound(p, d),
-        lambda p, d: f"p={p}, d={d}: oracle={oracle(p, d)}, b0={b0_bound(p, d)}",
+        "b0_equals_forced_degree_oracle", _box_by_prime(p_max, d_max, forced_degrees),
+        lambda p, d, degrees: oracle(p, d, degrees) == b0_bound(p, d),
+        lambda p, d, degrees: f"p={p}, d={d}: oracle={oracle(p, d, degrees)}, b0={b0_bound(p, d)}",
     )
 
 

@@ -78,6 +78,33 @@ RUN_ALL_19_10 = [
     ("b0_equals_forced_degree_oracle", 80), ("single_prime_boundary", 80), ("reference_grid_d10", 53),
 ]
 
+# The same at the CLI default box (1000, 100) and at the benchmark's box (2000, 150).
+RUN_ALL_1000_100 = [
+    ("lambda_zero_iff_below_p", 37515), ("lambda_lower_bound", 37500), ("digit_reconstruction", 37515),
+    ("valuation_additivity", 840), ("b0_le_bk_prime", 16800), ("equality_when_p_ge_2d_plus_1", 14290),
+    ("strict_when_p_ge_5_nondivisor", 2127), ("strict_when_p_le_3_nondivisor", 113),
+    ("bk_prime_piecewise_large_p", 15331), ("bk_prime_small_p_values", 200), ("bk_prime_divisor_case", 428),
+    ("bk_prime_floor_identity", 2944), ("forced_exponent_monotone", 1886), ("cyclotomic_degree_monotone", 1426),
+    ("b0_equals_forced_degree_oracle", 2944), ("single_prime_boundary", 2944), ("reference_grid_d10", 53),
+]
+RUN_ALL_2000_150 = [
+    ("lambda_zero_iff_below_p", 37515), ("lambda_lower_bound", 37500), ("digit_reconstruction", 37515),
+    ("valuation_additivity", 840), ("b0_le_bk_prime", 45450), ("equality_when_p_ge_2d_plus_1", 40256),
+    ("strict_when_p_ge_5_nondivisor", 4592), ("strict_when_p_le_3_nondivisor", 171),
+    ("bk_prime_piecewise_large_p", 42437), ("bk_prime_small_p_values", 300), ("bk_prime_divisor_case", 663),
+    ("bk_prime_floor_identity", 2944), ("forced_exponent_monotone", 1886), ("cyclotomic_degree_monotone", 1426),
+    ("b0_equals_forced_degree_oracle", 2944), ("single_prime_boundary", 2944), ("reference_grid_d10", 53),
+]
+
+# (property, keyword arguments, kernels it calls, calls of each): every kernel
+# value that does not depend on d is computed once per prime (8 primes <= 20).
+KERNEL_CALLS = [
+    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20},
+     ("forced_subfield_exponent", "real_cyclotomic_degree"), 8 * 20),
+    ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, ("forced_subfield_exponent",), 8 * 11),
+    ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, ("real_cyclotomic_degree",), 8 * 11),
+]
+
 
 def test_every_property_is_pinned():
     pinned = {pin[0] for pin in PINS}
@@ -98,6 +125,34 @@ def test_first_counterexample_is_pinned(monkeypatch, func, kwargs, kernel, sabot
 
 def test_run_all_order_and_case_counts():
     assert [(r.name, r.cases) for r in verify.run_all(19, 10)] == RUN_ALL_19_10
+
+
+@pytest.mark.parametrize("p_max, d_max, expected", [(1000, 100, RUN_ALL_1000_100), (2000, 150, RUN_ALL_2000_150)],
+                         ids=["cli-default", "benchmark-box"])
+def test_run_all_order_and_case_counts_at_larger_boxes(p_max, d_max, expected):
+    results = verify.run_all(p_max, d_max)
+    assert [(r.name, r.cases) for r in results] == expected
+    assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("func, kwargs, kernels, calls", KERNEL_CALLS, ids=[entry[0] for entry in KERNEL_CALLS])
+def test_kernels_run_once_per_prime_and_exponent(monkeypatch, func, kwargs, kernels, calls):
+    counts = dict.fromkeys(kernels, 0)
+    def counted(name, kernel):
+        def wrapper(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return wrapper
+    for name in kernels:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert getattr(verify, func)(**kwargs).ok
+    assert counts == dict.fromkeys(kernels, calls)
+
+
+def test_oracle_range_reaches_past_b0_at_large_d():
+    # b0_bound(2, 2**17) = 42, so a scan of only 40 exponents would stop short of it
+    result = verify.b0_matches_forced_degree_oracle(p_max=2, d_max=2**17)
+    assert (result.ok, result.cases, result.counterexample) == (True, 2**17, None)
 
 
 def test_report_marks_empty_properties():
