@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -102,7 +102,7 @@ class SharpnessWitness:
 
 
 def _utcnow_iso() -> str:
-    return datetime.now(timezone.utc).replace(microsecond=0).isoformat().replace("+00:00", "Z")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
@@ -156,6 +156,7 @@ class OrbitDimCache:
         # unterminated last line's record with its newline, if it parsed.
         self._cut: int | None = None
         self._carry = ""
+        self._dir_made = False
         if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
@@ -179,7 +180,9 @@ class OrbitDimCache:
         obj = _store_record(level, dims, fetched_at or _utcnow_iso())
         line = json.dumps(obj, separators=(", ", ": "), sort_keys=False)
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
             with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
                 if self._cut is not None:
                     handle.truncate(self._cut)
@@ -228,13 +231,13 @@ class LmfdbConfig:
 
 
 def _parse_retry_after(headers: dict) -> float | None:
-    value = headers.get("Retry-After") or headers.get("retry-after")
-    if value is None:
-        return None
+    """The Retry-After header (any case) in seconds, or None unless it is a finite number >= 0."""
+    value = next((value for name, value in headers.items() if name.lower() == "retry-after"), None)
     try:
-        return float(value)
+        seconds = float(value)
     except (TypeError, ValueError):
         return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 def _requests_transport(url: str, params: dict[str, str], timeout: float):
@@ -303,36 +306,47 @@ class OrbitDimClient:
         )
 
     def _fetch_from_network(self, level: int) -> list[int]:
-        url = self.config.base_url.rstrip("/") + self.config.path
-        params = {key: value.format(level=level) for key, value in self.config.query.items()}
+        config = self.config
+        base_url = config.base_url.rstrip("/")
+        data_key, dim_field, next_key = config.data_key, config.dim_field, config.next_key
+        url = base_url + config.path
+        # Only values with a brace are templates: formatting any other string returns it unchanged.
+        params = dict(config.query)
+        for key, value in params.items():
+            if "{" in value or "}" in value:
+                params[key] = value.format(level=level)
         dims: list[int] = []
         while True:
             body = self._request_with_backoff(url, params)
-            if not isinstance(body, dict) or self.config.data_key not in body:
-                raise MalformedResponse(f"expected a JSON object with {self.config.data_key!r}")
-            rows = body[self.config.data_key]
+            if not isinstance(body, dict) or data_key not in body:
+                raise MalformedResponse(f"expected a JSON object with {data_key!r}")
+            rows = body[data_key]
             if not isinstance(rows, list):
-                raise MalformedResponse(f"{self.config.data_key!r} is not a list")
+                raise MalformedResponse(f"{data_key!r} is not a list")
             for row in rows:
-                if not isinstance(row, dict) or self.config.dim_field not in row:
-                    raise MalformedResponse(f"row without {self.config.dim_field!r} field: {row!r}")
-                dim = row[self.config.dim_field]
+                if not isinstance(row, dict) or dim_field not in row:
+                    raise MalformedResponse(f"row without {dim_field!r} field: {row!r}")
+                dim = row[dim_field]
                 if not isinstance(dim, int) or dim < 1:
                     raise MalformedResponse(f"bad orbit dimension {dim!r}")
                 dims.append(dim)
-            next_url = body.get(self.config.next_key)
+            next_url = body.get(next_key)
             if not next_url:
                 return dims
             url, params = str(next_url), {}
             if url.startswith("/"):
-                url = self.config.base_url.rstrip("/") + url
+                url = base_url + url
 
     def _request_with_backoff(self, url: str, params: dict[str, str]):
+        config = self.config
         with self._net_lock:
             retry_after_hint: float | None = None
-            for attempt in range(self.config.max_retries + 1):
-                self._respect_rate_limit()
-                status, body, headers = self._transport(url, params, self.config.timeout)
+            for attempt in range(config.max_retries + 1):
+                if self._last_request is not None:
+                    elapsed = self._clock() - self._last_request
+                    if elapsed < config.min_interval:
+                        self._sleep(config.min_interval - elapsed)
+                status, body, headers = self._transport(url, params, config.timeout)
                 self._last_request = self._clock()
                 if status == 200:
                     if isinstance(body, str):
@@ -340,22 +354,15 @@ class OrbitDimClient:
                     return body
                 if status == 429 or status >= 500:
                     retry_after_hint = _parse_retry_after(headers)
-                    delay = retry_after_hint or self.config.min_interval * (2**attempt)
+                    delay = config.min_interval * (2**attempt) if retry_after_hint is None else retry_after_hint
                     logger.info("status %d from %s; backing off %.2fs", status, url, delay)
                     self._sleep(delay)
                     continue
                 raise ServiceError(f"unexpected status {status} from {url}")
             raise ServiceError(
-                f"giving up on {url} after {self.config.max_retries + 1} attempts",
+                f"giving up on {url} after {config.max_retries + 1} attempts",
                 retry_after=retry_after_hint,
             )
-
-    def _respect_rate_limit(self):
-        if self._last_request is None:
-            return
-        elapsed = self._clock() - self._last_request
-        if elapsed < self.config.min_interval:
-            self._sleep(self.config.min_interval - elapsed)
 
     # -- scanning ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Brute-force oracle for minimal forbidden exponent profiles.
 
 The oracle shares no code with ``rmbounds.cyclo``.  It computes each forced
-degree from its definition and walks every profile of at most three primes
+degree from its definition and walks every profile of at most four primes
 p <= 19 over an exponent box, keeping the inadmissible profiles whose every
 one-step-lowered neighbour is admissible.  It is the independent evidence
 behind the reference lists of acceptance criterion 5b (see the decisions
@@ -23,10 +23,13 @@ from test_acceptance import REFERENCE_FORBIDDEN_PAIRS
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Exponents 1..EXPONENT_BOX at every prime; test_exponent_box_is_large_enough
 # shows that every minimal profile for the dimensions below lies inside.
-EXPONENT_BOX = 16
+# The singleton 2^19 is the first profile at 2 that is forbidden for d = 96.
+EXPONENT_BOX = 19
 DIMENSIONS = range(1, 13)
 # Dimensions with a minimal profile of three primes <= 19.
 THREE_PRIME_DIMENSIONS = (12, 24, 60)
+# The least dimension with a minimal profile of four primes.
+FOUR_PRIME_DIMENSION = 96
 
 
 def forced_degree(p: int, e: int) -> int:
@@ -57,6 +60,14 @@ def minimal_forbidden(d: int, max_primes: int = 2) -> list[str]:
     The walk carries each profile's product of forced degrees and, for each
     entry, the product with that entry's exponent lowered by one; lowering
     an exponent to 0 drops its prime.
+
+    In a profile of two or more primes, the walk stops a prime's exponent
+    loop once that entry's lone degree no longer divides d.  Such an entry
+    is an inadmissible sub-profile on its own, and lowering any other entry
+    keeps it; a product with a factor that does not divide d does not divide
+    d either, so that lowered neighbour is inadmissible and the profile is
+    not minimal.  Degrees at one prime form a divisibility chain, so every
+    higher exponent fails the same way.
     """
     degrees = {p: [forced_degree(p, e) for e in range(EXPONENT_BOX + 1)] for p in PRIMES}
     found = []
@@ -68,6 +79,8 @@ def minimal_forbidden(d: int, max_primes: int = 2) -> list[str]:
             return
         table = degrees[primes[len(exponents)]]
         for e in range(1, EXPONENT_BOX + 1):
+            if len(primes) > 1 and d % table[e] != 0:
+                break
             walk(primes, exponents + (e,), total * table[e], [g * table[e] for g in lowered] + [total * table[e - 1]])
 
     for k in range(1, max_primes + 1):
@@ -122,6 +135,18 @@ def test_oracle_matches_enumerate_forbidden_three_primes(d):
     singles = [str(profile) for profile in enumerate_forbidden(d, 19, 1, include_singletons=True)]
     assert found == singles + [str(profile) for profile in enumerate_forbidden(d, 19, 3)]
     assert any(text.count(",") == 2 for text in found)
+
+
+def test_oracle_matches_enumerate_forbidden_four_primes():
+    d = FOUR_PRIME_DIMENSION
+    for p in PRIMES:  # the box reaches past every prime's last degree dividing d
+        assert d % forced_degree(p, EXPONENT_BOX) != 0, p
+    assert d % forced_degree(2, EXPONENT_BOX - 1) == 0  # ...and at 2 it must reach 19
+    found = minimal_forbidden(d, max_primes=4)
+    singles = [str(profile) for profile in enumerate_forbidden(d, 19, 1, include_singletons=True)]
+    assert found == singles + [str(profile) for profile in enumerate_forbidden(d, 19, 4)]
+    assert "2^19" in singles
+    assert "2^9,5^3,13^3,17^3" in found
 
 
 @pytest.mark.parametrize("d", sorted(REFERENCE_FORBIDDEN_PAIRS))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from rmbounds.lmfdb import (
+    LmfdbConfig,
     MalformedResponse,
     NetworkFailed,
     NetworkUnavailable,
@@ -200,6 +204,33 @@ def test_cache_concurrent_reads_during_writes(tmp_path):
     assert OrbitDimCache(tmp_path / "cache.jsonl").levels() == list(range(50))
 
 
+def test_cache_makes_its_directory_once(tmp_path, monkeypatch):
+    made, depth = [], [0]
+    real_mkdir = Path.mkdir
+
+    def mkdir(self, *args, **kwargs):
+        # mkdir(parents=True) calls itself for missing parents; count the outer calls only
+        if not depth[0]:
+            made.append(self)
+        depth[0] += 1
+        try:
+            return real_mkdir(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    path = tmp_path / "a" / "b" / "cache.jsonl"
+    cache = OrbitDimCache(path)
+    for level in range(5):
+        cache.put(level, [level + 1, 1], fetched_at="2026-01-01T00:00:00Z")
+    assert made == [path.parent]
+    assert path.read_text() == "".join(
+        f'{{"level": {level}, "weight": 2, "char_trivial": true, "dims": [1, {level + 1}], '
+        f'"fetched_at": "2026-01-01T00:00:00Z"}}\n'
+        for level in range(5)
+    )
+
+
 # -- network path ------------------------------------------------------------------
 
 
@@ -234,6 +265,87 @@ def test_cache_round_trip_identity(tmp_path):
     assert (fetched.source, replayed.source) == ("network", "cache")
 
 
+# The request path: what is sent for a level, and how a record is stamped.
+
+FETCHED_AT = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ$")
+
+
+def test_default_config_sends_these_params():
+    transport, calls = make_transport([(200, {"data": []}, {})])
+    OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None).fetch_orbit_dims(77)
+    url, params = calls[0]
+    assert url == "https://www.lmfdb.org/api/mf_newforms/"
+    assert list(params.items()) == [
+        ("level", "i77"), ("weight", "i2"), ("char_order", "i1"), ("_fields", "dim"), ("_format", "json"),
+    ]
+
+
+def test_custom_query_mixes_templated_and_literal_values():
+    sent = []
+
+    def transport(url, params, timeout):
+        sent.append((url, params))
+        return 200, {"rows": [{"d": 2}]}, {}
+
+    config = LmfdbConfig(
+        base_url="https://mirror.example/",
+        path="/forms",
+        query={"label": "{level}.2.a", "level": "{level}", "weight": "2", "escaped": "{{level}}", "close": "x}}"},
+        data_key="rows",
+        dim_field="d",
+    )
+    client = OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None)
+    assert client.fetch_orbit_dims(11).dims == (2,)
+    url, params = sent[0]
+    assert url == "https://mirror.example/forms"
+    assert type(params) is dict
+    assert list(params.items()) == [
+        ("label", "11.2.a"), ("level", "11"), ("weight", "2"), ("escaped", "{level}"), ("close", "x}"),
+    ]
+    assert config.query["label"] == "{level}.2.a"  # the template is not consumed
+
+
+@pytest.mark.parametrize(
+    "template, error",
+    [
+        ("{lvl}", KeyError), ("{0}", IndexError), ("{level", ValueError), ("level}", ValueError),
+        ("{level!z}", ValueError),
+    ],
+)
+def test_malformed_query_template_raises_before_any_request(template, error):
+    transport, calls = make_transport([(200, {"data": []}, {})])
+    config = LmfdbConfig(query={"level": "i{level}", "bad": template})
+    client = OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None)
+    with pytest.raises(error):
+        client.fetch_orbit_dims(77)
+    assert calls == []
+
+
+def test_relative_next_url_is_joined_to_base_url():
+    pages = [
+        (200, {"data": [{"dim": 1}], "next": "/api/mf_newforms/?level=i55&_offset=1"}, {}),
+        (200, {"data": [{"dim": 4}]}, {}),
+    ]
+    transport, calls = make_transport(pages)
+    config = LmfdbConfig(base_url="https://mirror.example/")
+    OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None).fetch_orbit_dims(55)
+    assert calls[1] == ("https://mirror.example/api/mf_newforms/?level=i55&_offset=1", {})
+
+
+def test_network_result_and_cache_line_are_stamped_in_utc(tmp_path):
+    transport, _ = make_transport([(200, {"data": [{"dim": 1}]}, {})])
+    path = tmp_path / "cache.jsonl"
+    client = OrbitDimClient(cache=OrbitDimCache(path), fixtures={}, transport=transport, sleep=lambda s: None)
+    before = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    result = client.fetch_orbit_dims(77)
+    after = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    assert FETCHED_AT.match(result.fetched_at)
+    assert before <= result.fetched_at <= after
+    assert json.loads(path.read_text())["fetched_at"] == result.fetched_at
+    uncached = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None).fetch_orbit_dims(78)
+    assert FETCHED_AT.match(uncached.fetched_at)
+
+
 def test_pagination_follows_next():
     pages = [
         (200, {"data": [{"dim": 1}], "next": "/api/mf_newforms/?offset=1"}, {}),
@@ -259,6 +371,51 @@ def test_backoff_then_success():
     assert result.dims == (3,)
     assert 2.0 in sleeps  # honored Retry-After
     assert len(calls) == 2
+
+
+# Retry-After is a hint in seconds; one that is not a finite number >= 0 is ignored.
+BAD_RETRY_AFTER = ["-5", "nan", "inf", "1e400"]
+
+
+@pytest.mark.parametrize("value", BAD_RETRY_AFTER)
+def test_bad_retry_after_falls_back_to_backoff(value):
+    sleeps = []
+    transport, calls = make_transport([(503, "busy", {"Retry-After": value}), (200, {"data": [{"dim": 3}]}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append)
+    assert client.fetch_orbit_dims(31).dims == (3,)
+    assert sleeps[0] == client.config.min_interval  # then the rate-limit wait on the real clock
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("value", ["-5", "nan"])
+def test_bad_retry_after_does_not_reach_time_sleep(value):
+    transport, _ = make_transport([(429, "slow down", {"Retry-After": value}), (200, {"data": [{"dim": 3}]}, {})])
+    client = OrbitDimClient(config=LmfdbConfig(min_interval=0.001), fixtures={}, transport=transport)
+    assert client.fetch_orbit_dims(31).dims == (3,)
+
+
+@pytest.mark.parametrize("value", BAD_RETRY_AFTER)
+def test_service_error_carries_no_bad_retry_after(value):
+    transport, _ = make_transport([(503, "busy", {"Retry-After": value})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
+    with pytest.raises(ServiceError) as info:
+        client.fetch_orbit_dims(31)
+    assert info.value.retry_after is None
+
+
+@pytest.mark.parametrize("name", ["RETRY-AFTER", "Retry-after"])
+def test_retry_after_header_name_is_case_insensitive(name):
+    sleeps = []
+    transport, _ = make_transport([(429, "slow down", {name: "2"}), (200, {"data": []}, {})])
+    OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append).fetch_orbit_dims(31)
+    assert sleeps[0] == 2.0
+
+
+def test_retry_after_zero_is_honoured():
+    sleeps = []
+    transport, _ = make_transport([(429, "slow down", {"Retry-After": "0"}), (200, {"data": []}, {})])
+    OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append).fetch_orbit_dims(31)
+    assert sleeps[0] == 0.0
 
 
 def test_service_error_after_retry_exhaustion():
