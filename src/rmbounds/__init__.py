@@ -22,7 +22,6 @@ from .cyclo import (
 )
 from .lmfdb import (
     LevelQueryResult,
-    LmfdbConfig,
     OrbitDimCache,
     OrbitDimClient,
     SharpnessWitness,
@@ -36,7 +35,6 @@ __all__ = [
     "Determination",
     "ExponentProfile",
     "LevelQueryResult",
-    "LmfdbConfig",
     "OrbitDimCache",
     "OrbitDimClient",
     "RealCyclotomicField",

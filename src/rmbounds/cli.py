@@ -30,7 +30,7 @@ from .cyclo import (
     enumerate_forbidden,
     genus2_rm_analysis,
 )
-from .lmfdb import LmfdbConfig, OrbitDimCache, OrbitDimClient, SharpnessWitness
+from .lmfdb import OrbitDimCache, OrbitDimClient, SharpnessWitness
 
 FORMATS = ("plain", "csv", "json")
 
@@ -97,13 +97,10 @@ def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]
 
 
 def _client_from_args(args) -> OrbitDimClient:
-    config = LmfdbConfig()
-    base_url = os.environ.get(ENV_BASE_URL) or args.base_url
-    if base_url:
-        config.base_url = base_url
+    base_url = os.environ.get(ENV_BASE_URL) or args.base_url or lmfdb.BASE_URL
     cache_path = os.environ.get(ENV_CACHE) or args.cache
     cache = OrbitDimCache(cache_path) if cache_path else None
-    return OrbitDimClient(config=config, cache=cache, offline=args.offline)
+    return OrbitDimClient(base_url=base_url, cache=cache, offline=args.offline)
 
 
 # -- bound -----------------------------------------------------------------
@@ -146,7 +143,7 @@ def _annotations(args) -> dict[tuple[int, int], str] | None:
     if not args.annotate:
         return None
     client = _client_from_args(args)
-    witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict)
+    witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
     return {key: witness.status for key, witness in witnesses.items()}
 
 

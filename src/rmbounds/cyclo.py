@@ -157,8 +157,6 @@ class RealCyclotomicField:
             return "Q(sqrt(2))"
         if (self.p, self.r) == (5, 1):
             return "Q(sqrt(5))"
-        if self.degree == 2 and self.r == 1:
-            return f"Q(sqrt({self.p}))"
         return f"Q(zeta_{self.p ** self.r})^+"
 
     def __str__(self):

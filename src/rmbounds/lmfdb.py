@@ -16,7 +16,7 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -31,6 +31,14 @@ NONE_FOUND = "none_found"
 SOURCE_NETWORK = "network"
 SOURCE_CACHE = "cache"
 SOURCE_FIXTURE = "fixture"
+
+# The one query: weight-2, trivial-character newforms at a level, on the LMFDB
+# web API.  Only the host is a setting (OrbitDimClient's base_url).
+BASE_URL = "https://www.lmfdb.org"
+_PATH = "/api/mf_newforms/"
+MIN_INTERVAL = 0.5  # seconds between consecutive requests
+MAX_RETRIES = 4  # retries of a 429/5xx response before ServiceError
+TIMEOUT = 30.0  # seconds per request
 
 
 class LmfdbError(Exception):
@@ -58,7 +66,7 @@ class ServiceError(LmfdbError):
 
 
 class MalformedResponse(LmfdbError):
-    """The remote payload did not match the configured schema."""
+    """The remote payload did not have the shape of an LMFDB newform query answer."""
 
 
 @dataclass(frozen=True)
@@ -119,9 +127,22 @@ def _parse_store_line(line: str, where: str, lineno: int) -> dict:
     for key in ("level", "weight", "char_trivial", "dims", "fetched_at"):
         if key not in obj:
             raise ValueError(f"{where}:{lineno}: record is missing {key!r}")
-    dims = obj["dims"]
-    if not isinstance(dims, list) or not all(type(dim) is int and dim >= 1 for dim in dims):
-        raise ValueError(f"{where}:{lineno}: 'dims' must be a list of positive integers, got {dims!r}")
+    level, dims = obj["level"], obj["dims"]
+    # A record answers the one query: a level, weight 2 and the trivial character.
+    checks = (
+        ("level", type(level) is int and level >= 1, "a positive integer"),
+        ("weight", obj["weight"] == 2, "2"),
+        ("char_trivial", obj["char_trivial"] is True, "true"),
+        (
+            "dims",
+            isinstance(dims, list) and all(type(dim) is int and dim >= 1 for dim in dims),
+            "a list of positive integers",
+        ),
+        ("fetched_at", isinstance(obj["fetched_at"], str), "a string"),
+    )
+    for key, ok, what in checks:
+        if not ok:
+            raise ValueError(f"{where}:{lineno}: {key!r} must be {what}, got {obj[key]!r}")
     return obj
 
 
@@ -202,34 +223,6 @@ def load_fixture_store() -> dict[int, dict]:
     return load_store(text.splitlines(), "fixtures.jsonl")
 
 
-@dataclass
-class LmfdbConfig:
-    """Where and how to query the web API.
-
-    The endpoint path and field names are configuration because the
-    upstream schema has changed historically.  ``query`` values may contain
-    ``{level}``, filled per request.
-    """
-
-    base_url: str = "https://www.lmfdb.org"
-    path: str = "/api/mf_newforms/"
-    query: dict[str, str] = field(
-        default_factory=lambda: {
-            "level": "i{level}",
-            "weight": "i2",
-            "char_order": "i1",
-            "_fields": "dim",
-            "_format": "json",
-        }
-    )
-    data_key: str = "data"
-    dim_field: str = "dim"
-    next_key: str = "next"
-    min_interval: float = 0.5
-    max_retries: int = 4
-    timeout: float = 30.0
-
-
 def _parse_retry_after(headers: dict) -> float | None:
     """The Retry-After header (any case) in seconds, or None unless it is a finite number >= 0."""
     value = next((value for name, value in headers.items() if name.lower() == "retry-after"), None)
@@ -259,14 +252,14 @@ class OrbitDimClient:
     """Fetches orbit degrees with fixtures-first resolution and polite networking.
 
     At most one network request is in flight at a time, consecutive
-    requests are separated by ``config.min_interval`` seconds, and 429/5xx
+    requests are separated by ``MIN_INTERVAL`` seconds, and 429/5xx
     responses are retried with exponential backoff before surfacing as
     ServiceError.
     """
 
     def __init__(
         self,
-        config: LmfdbConfig | None = None,
+        base_url: str = BASE_URL,
         cache: OrbitDimCache | None = None,
         fixtures: dict[int, dict] | None = None,
         offline: bool = False,
@@ -274,7 +267,7 @@ class OrbitDimClient:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.config = config or LmfdbConfig()
+        self.base_url = base_url.rstrip("/")
         self.cache = cache
         self.fixtures = load_fixture_store() if fixtures is None else fixtures
         self.offline = offline
@@ -306,47 +299,39 @@ class OrbitDimClient:
         )
 
     def _fetch_from_network(self, level: int) -> list[int]:
-        config = self.config
-        base_url = config.base_url.rstrip("/")
-        data_key, dim_field, next_key = config.data_key, config.dim_field, config.next_key
-        url = base_url + config.path
-        # Only values with a brace are templates: formatting any other string returns it unchanged.
-        params = dict(config.query)
-        for key, value in params.items():
-            if "{" in value or "}" in value:
-                params[key] = value.format(level=level)
+        url = self.base_url + _PATH
+        params = {"level": f"i{level}", "weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}
         dims: list[int] = []
         while True:
             body = self._request_with_backoff(url, params)
-            if not isinstance(body, dict) or data_key not in body:
-                raise MalformedResponse(f"expected a JSON object with {data_key!r}")
-            rows = body[data_key]
+            if not isinstance(body, dict) or "data" not in body:
+                raise MalformedResponse("expected a JSON object with 'data'")
+            rows = body["data"]
             if not isinstance(rows, list):
-                raise MalformedResponse(f"{data_key!r} is not a list")
+                raise MalformedResponse("'data' is not a list")
             for row in rows:
-                if not isinstance(row, dict) or dim_field not in row:
-                    raise MalformedResponse(f"row without {dim_field!r} field: {row!r}")
-                dim = row[dim_field]
+                if not isinstance(row, dict) or "dim" not in row:
+                    raise MalformedResponse(f"row without 'dim' field: {row!r}")
+                dim = row["dim"]
                 if not isinstance(dim, int) or dim < 1:
                     raise MalformedResponse(f"bad orbit dimension {dim!r}")
                 dims.append(dim)
-            next_url = body.get(next_key)
+            next_url = body.get("next")
             if not next_url:
                 return dims
             url, params = str(next_url), {}
             if url.startswith("/"):
-                url = base_url + url
+                url = self.base_url + url
 
     def _request_with_backoff(self, url: str, params: dict[str, str]):
-        config = self.config
         with self._net_lock:
             retry_after_hint: float | None = None
-            for attempt in range(config.max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 if self._last_request is not None:
                     elapsed = self._clock() - self._last_request
-                    if elapsed < config.min_interval:
-                        self._sleep(config.min_interval - elapsed)
-                status, body, headers = self._transport(url, params, config.timeout)
+                    if elapsed < MIN_INTERVAL:
+                        self._sleep(MIN_INTERVAL - elapsed)
+                status, body, headers = self._transport(url, params, TIMEOUT)
                 self._last_request = self._clock()
                 if status == 200:
                     if isinstance(body, str):
@@ -354,13 +339,13 @@ class OrbitDimClient:
                     return body
                 if status == 429 or status >= 500:
                     retry_after_hint = _parse_retry_after(headers)
-                    delay = config.min_interval * (2**attempt) if retry_after_hint is None else retry_after_hint
+                    delay = MIN_INTERVAL * (2**attempt) if retry_after_hint is None else retry_after_hint
                     logger.info("status %d from %s; backing off %.2fs", status, url, delay)
                     self._sleep(delay)
                     continue
                 raise ServiceError(f"unexpected status {status} from {url}")
             raise ServiceError(
-                f"giving up on {url} after {config.max_retries + 1} attempts",
+                f"giving up on {url} after {MAX_RETRIES + 1} attempts",
                 retry_after=retry_after_hint,
             )
 
@@ -405,13 +390,13 @@ class OrbitDimClient:
         return SharpnessWitness(p=p, d=d, exponent_attained=None, level=None, status=NONE_FOUND)
 
     def annotate_table(
-        self, d_max: int, level_budget: int, strict: bool = False
+        self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None
     ) -> dict[tuple[int, int], SharpnessWitness]:
-        """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1."""
+        """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given."""
         if d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {d_max}")
         witnesses: dict[tuple[int, int], SharpnessWitness] = {}
         for d in range(1, d_max + 1):
-            for p in primes_up_to(2 * d + 1):
+            for p in primes_up_to(2 * d + 1 if p_max is None else min(2 * d + 1, p_max)):
                 witnesses[(p, d)] = self.sharpness_scan(p, d, level_budget, strict=strict)
         return witnesses

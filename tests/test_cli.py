@@ -176,6 +176,36 @@ def test_table_annotated_offline(capsys, tmp_path):
     assert "4*" in out  # (19, 9) almost sharp at 6859
 
 
+def count_requests(monkeypatch):
+    """Answer every request with no orbits and no rate-limit wait; returns the levels asked for."""
+    from rmbounds import lmfdb
+
+    asked = []
+
+    def transport(url, params, timeout):
+        asked.append(params["level"])
+        return 200, {"data": []}, {}
+
+    monkeypatch.setattr(lmfdb, "_requests_transport", transport)
+    monkeypatch.setattr(lmfdb, "MIN_INTERVAL", 0.0)
+    return asked
+
+
+def test_table_annotate_scans_only_printed_columns(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    asked = count_requests(monkeypatch)
+    code, _ = run(capsys, ["table", "--dmax", "10", "--pmax", "5", "--annotate", "--budget", "2000"])
+    assert code == 0
+    assert len(asked) == 1762  # the full p <= 2d + 1 grid sends 4,848
+
+
+def test_table_annotate_strict_ignores_unprinted_columns(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    argv = ["table", "--dmax", "1", "--pmax", "2", "--annotate", "--offline", "--budget", "100"]
+    assert run(capsys, argv) == (0, "d\\p  p=2\n1    8\n")
+    assert run(capsys, [*argv, "--strict"]) == (0, "d\\p  p=2\n1    8\n")
+
+
 @pytest.mark.parametrize(
     "pmax, message", [("1", "a prime bound >= 2, got 1"), ("0", "a positive integer, got 0")], ids=["1", "0"]
 )
@@ -429,10 +459,13 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
 def test_base_url_env_var_overrides_flag(monkeypatch):
     import argparse
 
+    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
+    args = argparse.Namespace(base_url=None, cache=None, offline=True)
+    assert cli._client_from_args(args).base_url == "https://www.lmfdb.org"
     args = argparse.Namespace(base_url="https://flag.example", cache=None, offline=True)
-    assert cli._client_from_args(args).config.base_url == "https://flag.example"
+    assert cli._client_from_args(args).base_url == "https://flag.example"
     monkeypatch.setenv(cli.ENV_BASE_URL, "https://env.example")
-    assert cli._client_from_args(args).config.base_url == "https://env.example"
+    assert cli._client_from_args(args).base_url == "https://env.example"
 
 
 # -- verify ---------------------------------------------------------------------

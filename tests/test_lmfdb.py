@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from rmbounds import lmfdb
 from rmbounds.lmfdb import (
-    LmfdbConfig,
     MalformedResponse,
     NetworkFailed,
     NetworkUnavailable,
@@ -112,6 +112,22 @@ def test_cache_rejects_bad_dims(tmp_path):
             OrbitDimCache(path)
 
 
+# A stored record answers the one query: a positive level, weight 2, the trivial character.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("level", True), ("level", "77"), ("level", 0), ("level", 1.0), ("weight", 4), ("weight", "2"),
+        ("char_trivial", False), ("char_trivial", 1), ("fetched_at", None),
+    ],
+)
+def test_cache_rejects_records_of_another_query(tmp_path, key, value):
+    path = tmp_path / "cache.jsonl"
+    good = {"level": 78, "weight": 2, "char_trivial": True, "dims": [1], "fetched_at": "x"}
+    path.write_text("".join(json.dumps(record) + "\n" for record in (good, {**good, key: value})))
+    with pytest.raises(ValueError, match=f":2: '{key}' must be "):
+        OrbitDimCache(path)
+
+
 NON_OBJECT_LINES = ["5", "null", "[1]", '"x"']
 
 
@@ -185,13 +201,13 @@ def test_cache_concurrent_reads_during_writes(tmp_path):
     errors = []
 
     def writer():
-        for i in range(50):
+        for i in range(1, 51):
             cache.put(i, [1])
 
     def reader():
         try:
             for i in range(200):
-                cache.get(i % 50)
+                cache.get(i % 50 + 1)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -201,7 +217,7 @@ def test_cache_concurrent_reads_during_writes(tmp_path):
     for t in threads:
         t.join()
     assert not errors
-    assert OrbitDimCache(tmp_path / "cache.jsonl").levels() == list(range(50))
+    assert OrbitDimCache(tmp_path / "cache.jsonl").levels() == list(range(1, 51))
 
 
 def test_cache_makes_its_directory_once(tmp_path, monkeypatch):
@@ -280,55 +296,15 @@ def test_default_config_sends_these_params():
     ]
 
 
-def test_custom_query_mixes_templated_and_literal_values():
-    sent = []
-
-    def transport(url, params, timeout):
-        sent.append((url, params))
-        return 200, {"rows": [{"d": 2}]}, {}
-
-    config = LmfdbConfig(
-        base_url="https://mirror.example/",
-        path="/forms",
-        query={"label": "{level}.2.a", "level": "{level}", "weight": "2", "escaped": "{{level}}", "close": "x}}"},
-        data_key="rows",
-        dim_field="d",
-    )
-    client = OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None)
-    assert client.fetch_orbit_dims(11).dims == (2,)
-    url, params = sent[0]
-    assert url == "https://mirror.example/forms"
-    assert type(params) is dict
-    assert list(params.items()) == [
-        ("label", "11.2.a"), ("level", "11"), ("weight", "2"), ("escaped", "{level}"), ("close", "x}"),
-    ]
-    assert config.query["label"] == "{level}.2.a"  # the template is not consumed
-
-
-@pytest.mark.parametrize(
-    "template, error",
-    [
-        ("{lvl}", KeyError), ("{0}", IndexError), ("{level", ValueError), ("level}", ValueError),
-        ("{level!z}", ValueError),
-    ],
-)
-def test_malformed_query_template_raises_before_any_request(template, error):
-    transport, calls = make_transport([(200, {"data": []}, {})])
-    config = LmfdbConfig(query={"level": "i{level}", "bad": template})
-    client = OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None)
-    with pytest.raises(error):
-        client.fetch_orbit_dims(77)
-    assert calls == []
-
-
 def test_relative_next_url_is_joined_to_base_url():
     pages = [
         (200, {"data": [{"dim": 1}], "next": "/api/mf_newforms/?level=i55&_offset=1"}, {}),
         (200, {"data": [{"dim": 4}]}, {}),
     ]
     transport, calls = make_transport(pages)
-    config = LmfdbConfig(base_url="https://mirror.example/")
-    OrbitDimClient(config=config, fixtures={}, transport=transport, sleep=lambda s: None).fetch_orbit_dims(55)
+    client = OrbitDimClient(base_url="https://mirror.example/", fixtures={}, transport=transport, sleep=lambda s: None)
+    client.fetch_orbit_dims(55)
+    assert calls[0][0] == "https://mirror.example/api/mf_newforms/"
     assert calls[1] == ("https://mirror.example/api/mf_newforms/?level=i55&_offset=1", {})
 
 
@@ -383,14 +359,15 @@ def test_bad_retry_after_falls_back_to_backoff(value):
     transport, calls = make_transport([(503, "busy", {"Retry-After": value}), (200, {"data": [{"dim": 3}]}, {})])
     client = OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append)
     assert client.fetch_orbit_dims(31).dims == (3,)
-    assert sleeps[0] == client.config.min_interval  # then the rate-limit wait on the real clock
+    assert sleeps[0] == lmfdb.MIN_INTERVAL  # then the rate-limit wait on the real clock
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("value", ["-5", "nan"])
-def test_bad_retry_after_does_not_reach_time_sleep(value):
+def test_bad_retry_after_does_not_reach_time_sleep(value, monkeypatch):
+    monkeypatch.setattr(lmfdb, "MIN_INTERVAL", 0.001)
     transport, _ = make_transport([(429, "slow down", {"Retry-After": value}), (200, {"data": [{"dim": 3}]}, {})])
-    client = OrbitDimClient(config=LmfdbConfig(min_interval=0.001), fixtures={}, transport=transport)
+    client = OrbitDimClient(fixtures={}, transport=transport)
     assert client.fetch_orbit_dims(31).dims == (3,)
 
 
@@ -423,7 +400,7 @@ def test_service_error_after_retry_exhaustion():
     client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
     with pytest.raises(ServiceError):
         client.fetch_orbit_dims(31)
-    assert len(calls) == client.config.max_retries + 1
+    assert len(calls) == lmfdb.MAX_RETRIES + 1
 
 
 def test_non_retryable_status_is_service_error():
@@ -454,7 +431,7 @@ def test_rate_limit_spacing():
     client.fetch_orbit_dims(10)
     clock_value[0] += 0.1  # only 100ms later
     client.fetch_orbit_dims(11)
-    assert sleeps and abs(sleeps[-1] - (client.config.min_interval - 0.1)) < 1e-9
+    assert sleeps and abs(sleeps[-1] - (lmfdb.MIN_INTERVAL - 0.1)) < 1e-9
 
 
 # -- scanning -----------------------------------------------------------------------
@@ -504,6 +481,17 @@ def test_failed_request_is_not_an_offline_miss(monkeypatch):
         client.sharpness_scan(2, 7, 16384)
     assert not isinstance(info.value, NetworkUnavailable)
     assert len(tried) == 1
+
+
+def test_annotate_table_scans_only_cells_up_to_p_max():
+    transport, calls = make_transport([(200, {"data": []}, {})])
+    client = OrbitDimClient(transport=transport, sleep=lambda s: None)
+    witnesses = client.annotate_table(10, 2000, p_max=5)
+    assert sorted(witnesses) == sorted((p, d) for d in range(1, 11) for p in (2, 3, 5) if p <= 2 * d + 1)
+    assert len(calls) == 1762
+    calls.clear()
+    assert len(client.annotate_table(10, 2000)) == 53
+    assert len(calls) == 4848
 
 
 def test_scan_exponent_is_exact(offline_client):

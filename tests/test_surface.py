@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "Determination",
     "ExponentProfile",
     "LevelQueryResult",
-    "LmfdbConfig",
     "OrbitDimCache",
     "OrbitDimClient",
     "RealCyclotomicField",

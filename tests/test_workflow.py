@@ -6,9 +6,13 @@ shows no failing run; this check lives in the suite for that reason.
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
 import yaml
+
+from rmbounds import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,25 @@ def test_tier1_step_runs_the_roadmap_command_verbatim():
 
 def test_matrix_is_python_3_10_and_3_11():
     assert load_job()["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+
+
+# CI steps of the form `rmbounds ARGS | grep -F "TEXT"`, as (step name, ARGS, TEXT).
+GREP_STEP = re.compile(r'rmbounds (.+) \| grep -F "([^"]+)"')
+GREP_STEPS = [
+    (step["name"], *match.groups())
+    for step in load_job()["steps"]
+    if (match := GREP_STEP.fullmatch(step.get("run", "").strip()))
+]
+
+
+def test_every_cli_smoke_step_is_checked():
+    commands = [shlex.split(args)[0] for _, args, _ in GREP_STEPS]
+    assert sorted(commands) == ["forbidden", "genus2", "sharpness", "verify"]
+
+
+@pytest.mark.parametrize("name, args, text", GREP_STEPS, ids=[name for name, _, _ in GREP_STEPS])
+def test_cli_smoke_step_passes_from_the_checkout(capsys, monkeypatch, name, args, text):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
+    assert cli.main(shlex.split(args)) == 0
+    assert text in capsys.readouterr().out
