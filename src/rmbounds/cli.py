@@ -12,7 +12,9 @@ flags when set; all mathematical parameters are flags only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import logging
 import os
@@ -103,6 +105,17 @@ def _client_from_args(args) -> OrbitDimClient:
     return OrbitDimClient(base_url=base_url, cache=cache, offline=args.offline)
 
 
+@contextlib.contextmanager
+def _command_client(args):
+    """The command's client; its cache, if any, is closed when the command ends."""
+    client = _client_from_args(args)
+    try:
+        yield client
+    finally:
+        if client.cache is not None:
+            client.cache.close()
+
+
 # -- bound -----------------------------------------------------------------
 
 
@@ -142,8 +155,8 @@ def parse_bound_json(text: str) -> tuple[BoundTriple, dict | None]:
 def _annotations(args) -> dict[tuple[int, int], str] | None:
     if not args.annotate:
         return None
-    client = _client_from_args(args)
-    witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
+    with _command_client(args) as client:
+        witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
     return {key: witness.status for key, witness in witnesses.items()}
 
 
@@ -294,8 +307,8 @@ def parse_genus2_json(text: str) -> Genus2Report:
 
 
 def cmd_sharpness(args) -> int:
-    client = _client_from_args(args)
-    witness = client.sharpness_scan(args.p, args.d, args.budget, strict=args.strict)
+    with _command_client(args) as client:
+        witness = client.sharpness_scan(args.p, args.d, args.budget, strict=args.strict)
     p, d = witness.p, witness.d
     if witness.status == lmfdb.NONE_FOUND:
         line = f"p = {p}, d = {d}: no witness found up to level {args.budget} (existence is not ruled out)"
@@ -330,7 +343,9 @@ def parse_verify_json(text: str) -> list[verify.PropertyResult]:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse_args call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="rmbounds",
         description="Local conductor exponent bounds for modular abelian varieties with maximal real multiplication.",
@@ -400,18 +415,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stderr_logging(verbose: bool):
+    """Log to this call's sys.stderr, at INFO with --verbose and WARNING without, for this call only.
+
+    Handlers others put on the root logger stay, and the root level is only
+    ever lowered, then restored, so their records are never dropped.
+    """
+    level = logging.INFO if verbose else logging.WARNING
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(level)
+    root = logging.getLogger()
+    saved = root.level
+    root.addHandler(handler)
+    root.setLevel(min(saved, level))
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
-        return args.func(args)
-    except (lmfdb.LmfdbError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error
+    with _stderr_logging(args.verbose):
+        try:
+            return args.func(args)
+        except (lmfdb.LmfdbError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error
 
 
 if __name__ == "__main__":  # pragma: no cover

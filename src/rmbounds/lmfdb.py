@@ -16,6 +16,7 @@ import logging
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -117,16 +118,13 @@ def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
     return {"level": level, "weight": 2, "char_trivial": True, "dims": sorted(dims), "fetched_at": fetched_at}
 
 
-def _parse_store_line(line: str, where: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}:{lineno}: not valid JSON: {exc}") from exc
+def _check_record(obj, where: str) -> dict:
+    """obj if it is a record of the one query, else a ValueError naming where it came from."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}:{lineno}: record is not a JSON object")
+        raise ValueError(f"{where}: record is not a JSON object")
     for key in ("level", "weight", "char_trivial", "dims", "fetched_at"):
         if key not in obj:
-            raise ValueError(f"{where}:{lineno}: record is missing {key!r}")
+            raise ValueError(f"{where}: record is missing {key!r}")
     level, dims = obj["level"], obj["dims"]
     # A record answers the one query: a level, weight 2 and the trivial character.
     checks = (
@@ -142,8 +140,16 @@ def _parse_store_line(line: str, where: str, lineno: int) -> dict:
     )
     for key, ok, what in checks:
         if not ok:
-            raise ValueError(f"{where}:{lineno}: {key!r} must be {what}, got {obj[key]!r}")
+            raise ValueError(f"{where}: {key!r} must be {what}, got {obj[key]!r}")
     return obj
+
+
+def _parse_store_line(line: str, where: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc}") from exc
+    return _check_record(obj, where)
 
 
 def load_store(lines, where: str) -> dict[int, dict]:
@@ -153,7 +159,7 @@ def load_store(lines, where: str) -> dict[int, dict]:
         line = line.strip()
         if not line:
             continue
-        obj = _parse_store_line(line, where, lineno)
+        obj = _parse_store_line(line, f"{where}:{lineno}")
         store[obj["level"]] = obj
     return store
 
@@ -163,8 +169,13 @@ class OrbitDimCache:
 
     One writer with concurrent readers: appends are serialized by a lock
     and written as single lines; loading applies last-writer-wins per level.
+    The first put opens one append handle, and every put flushes its line
+    before it returns.  The handle is closed by close() or when the cache is
+    dropped.  put checks each record against the loader's rules, so nothing
+    it writes can make the file fail to load.
+
     A write cut short by a crash leaves an unterminated last line.  Loading
-    skips it with a warning if it does not parse, and the next put cuts it
+    skips it with a warning if it does not parse, and the first put cuts it
     off before appending, so the file stays loadable.  Malformed complete
     lines are still rejected.
     """
@@ -173,11 +184,12 @@ class OrbitDimCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[int, dict] = {}
-        # Where the next put cuts the file and what it writes back first: the
+        # Where the first put cuts the file and what it writes back first: the
         # unterminated last line's record with its newline, if it parsed.
         self._cut: int | None = None
         self._carry = ""
-        self._dir_made = False
+        self._handle = None
+        self._finalizer = None
         if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
@@ -187,7 +199,7 @@ class OrbitDimCache:
             if tail:
                 self._cut = end
                 try:
-                    obj = _parse_store_line(tail, str(self.path), len(lines) + 1)
+                    obj = _parse_store_line(tail, f"{self.path}:{len(lines) + 1}")
                 except ValueError as exc:
                     logger.warning("ignoring the unterminated last line, left by an interrupted write: %s", exc)
                 else:
@@ -198,23 +210,30 @@ class OrbitDimCache:
         return self._records.get(level)
 
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
-        obj = _store_record(level, dims, fetched_at or _utcnow_iso())
+        obj = _check_record(_store_record(level, dims, fetched_at or _utcnow_iso()), f"put to {self.path}")
         line = json.dumps(obj, separators=(", ", ": "), sort_keys=False)
         with self._lock:
-            if not self._dir_made:
+            if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._dir_made = True
-            with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
+                handle = open(self.path, "a", encoding="utf-8", newline="\n")
+                # Closes the handle once: at close(), or when the cache is dropped unclosed.
+                self._finalizer = weakref.finalize(self, handle.close)
                 if self._cut is not None:
                     handle.truncate(self._cut)
                     handle.write(self._carry)
                     self._cut, self._carry = None, ""
-                handle.write(line + "\n")
+                self._handle = handle
+            self._handle.write(line + "\n")
+            self._handle.flush()  # a crash can then tear at most the last line
             self._records[level] = obj
         return obj
 
-    def levels(self) -> list[int]:
-        return sorted(self._records)
+    def close(self) -> None:
+        """Close the append handle, if a put opened it; a later put opens it again."""
+        with self._lock:
+            if self._finalizer is not None:
+                self._finalizer()
+            self._handle = None
 
 
 def load_fixture_store() -> dict[int, dict]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -456,6 +457,33 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     assert "sharp at level 49" in out  # env var took precedence over the flag
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--p", "7", "--d", "1", "--budget", "100"],
+        ["table", "--dmax", "1", "--pmax", "3", "--annotate", "--budget", "100"],
+    ],
+    ids=["sharpness", "table-annotate"],
+)
+def test_scan_commands_close_their_cache(capsys, monkeypatch, tmp_path, argv):
+    from rmbounds import lmfdb
+
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    asked = count_requests(monkeypatch)
+    closed = []
+    real_close = lmfdb.OrbitDimCache.close
+
+    def close(self):
+        closed.append(self.path)
+        real_close(self)
+
+    monkeypatch.setattr(lmfdb.OrbitDimCache, "close", close)
+    path = tmp_path / "cache.jsonl"
+    code, _ = run(capsys, [*argv, "--cache", str(path)])
+    assert code == 0 and asked  # the scan wrote records, so the cache had a handle open
+    assert closed == [path]
+
+
 def test_base_url_env_var_overrides_flag(monkeypatch):
     import argparse
 
@@ -507,3 +535,41 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--pmax", "2", "--dmax", "1"])
     assert code == 1
     assert "FAIL synthetic: counterexample p=2, d=1" in out
+
+
+# -- one parser, per-call logging -------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["bound", "--p", "5", "--d", "2", "--format", "json"], ["bound", "--p", "5", "--d", "2"]),
+        (
+            ["table", "--dmax", "2", "--annotate", "--offline", "--budget", "100", "--format", "json"],
+            ["table", "--dmax", "2", "--format", "json"],
+        ),
+    ],
+    ids=["format", "annotate"],
+)
+def test_main_calls_share_no_parse_state(capsys, monkeypatch, first, second):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    alone = run(capsys, second)
+    flagged = run(capsys, first)
+    assert flagged[1] != alone[1]
+    assert run(capsys, second) == alone
+
+
+def test_verbose_takes_effect_on_every_call(capsys, caplog):
+    argv = ["sharpness", "--p", "7", "--d", "1", "--budget", "200", "--offline"]
+    handlers = list(logging.getLogger().handlers)
+    for verbose, info_lines in ((False, 0), (True, 2), (False, 0), (True, 2)):
+        caplog.clear()
+        assert cli.main(["--verbose", *argv] if verbose else argv) == 0
+        err = capsys.readouterr().err
+        assert err.count("INFO rmbounds.lmfdb: scan (p=7, d=1, ") == info_lines
+        assert len(caplog.records) == info_lines  # others' root handlers still see the records
+    assert logging.getLogger().handlers == handlers

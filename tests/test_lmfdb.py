@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from rmbounds.lmfdb import (
     ServiceError,
     SharpnessWitness,
     load_fixture_store,
+    load_store,
 )
 
 PAPER_LEVELS = (243, 1331, 6859, 8750, 11264, 12032, 14592, 14641, 16384, 19683)
@@ -128,6 +131,11 @@ def test_cache_rejects_records_of_another_query(tmp_path, key, value):
         OrbitDimCache(path)
 
 
+def file_levels(path):
+    """The levels stored in a cache file whose lines are all complete."""
+    return sorted(load_store(path.read_text().splitlines(), str(path)))
+
+
 NON_OBJECT_LINES = ["5", "null", "[1]", '"x"']
 
 
@@ -148,10 +156,10 @@ def test_cache_skips_unterminated_non_object_last_line(tmp_path, caplog, line):
         handle.write(line)
     with caplog.at_level("WARNING", logger="rmbounds.lmfdb"):
         cache = OrbitDimCache(path)
-    assert cache.levels() == [10]
+    assert cache.get(10) is not None
     assert "record is not a JSON object" in caplog.text
     cache.put(11, [2])
-    assert OrbitDimCache(path).levels() == [10, 11]
+    assert file_levels(path) == [10, 11]
     assert path.read_text().count("\n") == 2
 
 
@@ -170,7 +178,7 @@ def test_cache_tolerates_torn_last_line(tmp_path, caplog):
     write_torn_cache(path)
     with caplog.at_level("WARNING", logger="rmbounds.lmfdb"):
         cache = OrbitDimCache(path)
-    assert cache.levels() == [10, 11]
+    assert [level for level in (10, 11, 12) if cache.get(level)] == [10, 11]
     assert "unterminated last line" in caplog.text
 
 
@@ -179,7 +187,7 @@ def test_cache_put_after_torn_last_line_keeps_every_record(tmp_path):
     write_torn_cache(path)
     OrbitDimCache(path).put(13, [4])
     reloaded = OrbitDimCache(path)
-    assert reloaded.levels() == [10, 11, 13]
+    assert file_levels(path) == [10, 11, 13]
     assert reloaded.get(11)["dims"] == [2, 3] and reloaded.get(13)["dims"] == [4]
     assert path.read_text().count("\n") == 3
 
@@ -190,9 +198,9 @@ def test_cache_keeps_unterminated_complete_last_line(tmp_path):
     OrbitDimCache(path).put(10, [1])
     path.write_text(path.read_text().rstrip("\n"))
     cache = OrbitDimCache(path)
-    assert cache.levels() == [10]
+    assert cache.get(10) is not None
     cache.put(11, [2])
-    assert OrbitDimCache(path).levels() == [10, 11]
+    assert file_levels(path) == [10, 11]
     assert path.read_text().count("\n") == 2
 
 
@@ -217,7 +225,7 @@ def test_cache_concurrent_reads_during_writes(tmp_path):
     for t in threads:
         t.join()
     assert not errors
-    assert OrbitDimCache(tmp_path / "cache.jsonl").levels() == list(range(1, 51))
+    assert file_levels(tmp_path / "cache.jsonl") == list(range(1, 51))
 
 
 def test_cache_makes_its_directory_once(tmp_path, monkeypatch):
@@ -237,14 +245,60 @@ def test_cache_makes_its_directory_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "mkdir", mkdir)
     path = tmp_path / "a" / "b" / "cache.jsonl"
     cache = OrbitDimCache(path)
-    for level in range(5):
+    for level in range(1, 6):
         cache.put(level, [level + 1, 1], fetched_at="2026-01-01T00:00:00Z")
     assert made == [path.parent]
     assert path.read_text() == "".join(
         f'{{"level": {level}, "weight": 2, "char_trivial": true, "dims": [1, {level + 1}], '
         f'"fetched_at": "2026-01-01T00:00:00Z"}}\n'
-        for level in range(5)
+        for level in range(1, 6)
     )
+
+
+@pytest.mark.parametrize("level, dims", [(0, [1]), (5, [0]), (True, [1])], ids=["level-0", "dim-0", "level-bool"])
+def test_cache_put_rejects_what_the_loader_rejects(tmp_path, level, dims):
+    path = tmp_path / "a" / "cache.jsonl"
+    cache = OrbitDimCache(path)
+    with pytest.raises(ValueError, match=f"^put to {re.escape(str(path))}: '(level|dims)' must be "):
+        cache.put(level, dims)
+    assert not path.parent.exists()  # a rejected first put makes nothing
+    cache.put(7, [1])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        cache.put(level, dims)
+    assert path.read_bytes() == before
+    assert file_levels(path) == [7]
+    assert OrbitDimCache(path).get(7)["dims"] == [1]
+
+
+def test_cache_put_is_visible_to_a_new_reader_when_it_returns(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = OrbitDimCache(path)
+    for level in (10, 11, 12):
+        record = cache.put(level, [level % 3 + 1])
+        assert OrbitDimCache(path).get(level) == record
+
+
+def test_dropped_cache_leaks_no_open_file(tmp_path):
+    cache = OrbitDimCache(tmp_path / "cache.jsonl")
+    cache.put(10, [1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del cache
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_cache_close_twice_and_put_after_close(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = OrbitDimCache(path)
+    cache.close()  # before any put: nothing is open
+    cache.put(10, [1])
+    cache.close()
+    cache.close()
+    cache.put(11, [2])  # opens the handle again
+    cache.close()
+    assert file_levels(path) == [10, 11]
 
 
 # -- network path ------------------------------------------------------------------
