@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--d", type=_positive_arg, required=True)
     p_bound.add_argument("--gl2", action="store_true", help="also print the GL(2)-type exponent cap")
     add_format(p_bound)
-    p_bound.set_defaults(func=cmd_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
     p_table.add_argument("--dmax", type=_positive_arg, required=True)
@@ -377,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--budget", type=_positive_arg, default=10000, help="largest level scanned")
     add_network(p_table)
     add_format(p_table)
-    p_table.set_defaults(func=cmd_table)
 
     p_profile = sub.add_parser("profile", help="admissibility analysis of a factored level")
     p_profile.add_argument("--d", type=_positive_arg, required=True)
     p_profile.add_argument("profile", help='prime-power profile, e.g. "2^9,5^3"')
     add_format(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
 
     p_forbidden = sub.add_parser("forbidden", help="minimal inadmissible exponent combinations")
     p_forbidden.add_argument("--d", type=_positive_arg, required=True)
@@ -391,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_forbidden.add_argument("--max-entries", type=_positive_arg, default=2)
     p_forbidden.add_argument("--include-singletons", action="store_true")
     add_format(p_forbidden)
-    p_forbidden.set_defaults(func=cmd_forbidden)
 
     p_genus2 = sub.add_parser("genus2", help="simplicity and endomorphism field of a genus-2 RM Jacobian")
     p_genus2.add_argument("profile", help='conductor valuations, e.g. "5^6"')
     add_format(p_genus2)
-    p_genus2.set_defaults(func=cmd_genus2)
 
     p_sharp = sub.add_parser("sharpness", help="search orbit data for a bound-attaining newform")
     p_sharp.add_argument("--p", type=_prime_arg, required=True)
@@ -404,13 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--budget", type=_positive_arg, required=True)
     add_network(p_sharp)
     add_format(p_sharp)
-    p_sharp.set_defaults(func=cmd_sharpness)
 
     p_verify = sub.add_parser("verify", help="exhaustively check the bound inequalities")
     p_verify.add_argument("--pmax", type=_pmax_arg, default=1000)
     p_verify.add_argument("--dmax", type=_positive_arg, default=100)
     add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -439,9 +432,10 @@ def _stderr_logging(verbose: bool):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* takes effect
     with _stderr_logging(args.verbose):
         try:
-            return args.func(args)
+            return command(args)
         except (lmfdb.LmfdbError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error

@@ -115,7 +115,7 @@ def _utcnow_iso() -> str:
 
 
 def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
-    return {"level": level, "weight": 2, "char_trivial": True, "dims": sorted(dims), "fetched_at": fetched_at}
+    return {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
 
 
 def _check_record(obj, where: str) -> dict:
@@ -211,6 +211,7 @@ class OrbitDimCache:
 
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
         obj = _check_record(_store_record(level, dims, fetched_at or _utcnow_iso()), f"put to {self.path}")
+        obj["dims"] = sorted(dims)  # after the check, so bad dims raise its ValueError, not a TypeError
         line = json.dumps(obj, separators=(", ", ": "), sort_keys=False)
         with self._lock:
             if self._handle is None:

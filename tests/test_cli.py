@@ -544,6 +544,15 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_main_calls_the_command_bound_when_it_runs(capsys, monkeypatch):
+    argv = ["table", "--dmax", "2"]
+    assert run(capsys, argv)[0] == 0  # the parser exists before the rebinding
+    called = []
+    monkeypatch.setattr(cli, "cmd_table", lambda args: called.append(args.dmax) or 0)
+    assert cli.main(argv) == 0
+    assert called == [2]
+
+
 @pytest.mark.parametrize(
     "first, second",
     [

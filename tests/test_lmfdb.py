@@ -255,7 +255,11 @@ def test_cache_makes_its_directory_once(tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("level, dims", [(0, [1]), (5, [0]), (True, [1])], ids=["level-0", "dim-0", "level-bool"])
+@pytest.mark.parametrize(
+    "level, dims",
+    [(0, [1]), (5, [0]), (True, [1]), (5, None), (5, [1, "a"])],
+    ids=["level-0", "dim-0", "level-bool", "dims-none", "dim-str"],
+)
 def test_cache_put_rejects_what_the_loader_rejects(tmp_path, level, dims):
     path = tmp_path / "a" / "cache.jsonl"
     cache = OrbitDimCache(path)
