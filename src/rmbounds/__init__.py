@@ -4,7 +4,6 @@ from .arith import digits_base_p, is_prime, lambda_p, real_cyclotomic_degree, va
 from .bounds import (
     BoundTriple,
     b0_bound,
-    b0_gl2_bound,
     bk_bound,
     bk_prime_bound,
     forced_subfield_exponent,
@@ -42,7 +41,6 @@ __all__ = [
     "SharpnessWitness",
     "analyze_profile",
     "b0_bound",
-    "b0_gl2_bound",
     "bk_bound",
     "bk_prime_bound",
     "digits_base_p",

@@ -70,15 +70,6 @@ def _b0(p: int, d: int) -> int:
     return 2
 
 
-def b0_gl2_bound(p: int, d: int) -> int:
-    """Per-dimension exponent cap for simple GL(2)-type varieties.
-
-    Same as b0_bound for odd p; one larger at p = 2.
-    """
-    cap = b0_bound(p, d)
-    return cap + 1 if p == 2 else cap
-
-
 def forced_subfield_exponent(p: int, e: int) -> int:
     """Exponent r such that v_p(N) = e forces Q(zeta_{p^r})^+ into the rationality field.
 

@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 
-from . import bounds, lmfdb, verify
+from . import lmfdb, verify
 from .arith import is_prime, primes_up_to
 from .bounds import BoundTable, BoundTriple, TableCell, render_table
 from .cyclo import (
@@ -130,23 +130,12 @@ def cmd_bound(args) -> int:
         f"B'({p},{d}) = {triple.bk_prime}    the same bound per dimension: floor(B/d)",
         f"B0({p},{d}) = {triple.b0}    bound on v_p(N) under maximal real multiplication",
     ]
-    gl2 = None
-    if args.gl2:
-        cap = bounds.b0_gl2_bound(p, d)
-        gl2 = {"exponent_cap": cap, "conductor_cap": d * cap}
-        header += ["gl2_exponent_cap", "gl2_conductor_cap"]
-        row += [cap, d * cap]
-        plain.append(
-            f"GL(2)-type: v_{p}(N) <= {cap} per dimension, "
-            f"v_{p}(conductor) <= {d * cap} in dimension {d}"
-        )
-    _emit(args, {**triple.to_json_dict(), "gl2": gl2}, header, [row], plain)
+    _emit(args, triple.to_json_dict(), header, [row], plain)
     return 0
 
 
-def parse_bound_json(text: str) -> tuple[BoundTriple, dict | None]:
-    obj = json.loads(text)
-    return BoundTriple.from_json_dict(obj), obj.get("gl2")
+def parse_bound_json(text: str) -> BoundTriple:
+    return BoundTriple.from_json_dict(json.loads(text))
 
 
 # -- table -----------------------------------------------------------------
@@ -365,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="the three bounds for one (p, d)")
     p_bound.add_argument("--p", type=_prime_arg, required=True)
     p_bound.add_argument("--d", type=_positive_arg, required=True)
-    p_bound.add_argument("--gl2", action="store_true", help="also print the GL(2)-type exponent cap")
     add_format(p_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")

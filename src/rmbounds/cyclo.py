@@ -30,12 +30,31 @@ class ProfileParseError(ValueError):
 
 
 _ENTRY_RE = re.compile(r"\s*(\d+)\s*(?:\^\s*(\d+)\s*)?")
+_PRIME, _EXPONENT = 1, 2  # the parts of a "p^e" entry, as _ENTRY_RE numbers its groups
 
 # CPython's default limit on int <-> str conversion.  Field names and json
 # print p^r in decimal, so a forced field with p^r at or above 10**4300 is
 # rejected, and so is a profile number written with more digits.
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
+
+
+def _entry_fault(p: int, e: int, seen) -> tuple[str, int] | None:
+    """The message and the part at fault (_PRIME or _EXPONENT) if (p, e) breaks a profile rule, else None.
+
+    The rules: p is prime and below the primality test's limit, e >= 1, and
+    p is not among the primes in seen.  No message is built for an entry that passes.
+    """
+    try:
+        if not is_prime(p):
+            return f"{p} is not prime", _PRIME
+    except ValueError as exc:  # p is past the deterministic primality limit
+        return str(exc), _PRIME
+    if e < 1:
+        return f"exponent at prime {p} must be >= 1, got {e}", _EXPONENT
+    if p in seen:
+        return f"prime {p} occurs twice", _PRIME
+    return None
 
 
 @dataclass(frozen=True, order=True)
@@ -47,11 +66,9 @@ class ExponentProfile:
     def __post_init__(self):
         seen = set()
         for p, e in self.entries:
-            require_prime(p)
-            if e < 1:
-                raise ValueError(f"exponent at prime {p} must be >= 1, got {e}")
-            if p in seen:
-                raise ValueError(f"duplicate prime {p} in profile")
+            fault = _entry_fault(p, e, seen)
+            if fault:
+                raise ValueError(fault[0])
             seen.add(p)
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
@@ -60,7 +77,7 @@ class ExponentProfile:
         """Coerce a {prime: exponent} mapping (or an ExponentProfile) to a profile."""
         if isinstance(mapping, ExponentProfile):
             return mapping
-        return cls(entries=tuple(sorted(mapping.items())))
+        return cls(entries=tuple(mapping.items()))
 
     @classmethod
     def parse(cls, text: str) -> "ExponentProfile":
@@ -71,36 +88,25 @@ class ExponentProfile:
         """
         if text.strip() == "":
             return cls(entries=())
-        entries = []
-        seen: dict[int, int] = {}
+        entries: dict[int, int] = {}
         pos = 0
         for token in text.split(","):
             m = _ENTRY_RE.fullmatch(token)
             if not m or not token.strip():
                 offset = pos + (len(token) - len(token.lstrip()))
                 raise ProfileParseError(f"expected 'p' or 'p^e', got {token.strip()!r}", offset)
-            for group in (1, 2):
+            for group in (_PRIME, _EXPONENT):
                 if m.group(group) and len(m.group(group)) > _MAX_DIGITS:
                     raise ProfileParseError(f"number has more than {_MAX_DIGITS} digits", pos + m.start(group))
             p = int(m.group(1))
             e = int(m.group(2)) if m.group(2) else 1
-            try:
-                prime = is_prime(p)
-            except ValueError as exc:  # p is past the deterministic primality limit
-                raise ProfileParseError(str(exc), pos + m.start(1)) from exc
-            if not prime:
-                raise ProfileParseError(f"{p} is not prime", pos + m.start(1))
-            if e < 1:
-                raise ProfileParseError(f"exponent must be >= 1, got {e}", pos + m.start(2))
-            if p in seen:
-                raise ProfileParseError(f"prime {p} occurs twice", pos + m.start(1))
-            seen[p] = e
-            entries.append((p, e))
+            fault = _entry_fault(p, e, entries)
+            if fault:
+                message, part = fault
+                raise ProfileParseError(message, pos + m.start(part))
+            entries[p] = e
             pos += len(token) + 1  # past this token and the comma
-        return cls(entries=tuple(entries))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
+        return cls.of(entries)
 
     def without(self, p: int) -> "ExponentProfile":
         return ExponentProfile(entries=tuple((q, e) for q, e in self.entries if q != p))

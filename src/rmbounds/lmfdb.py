@@ -118,6 +118,11 @@ def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
     return {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
 
 
+def _is_orbit_degree(dim) -> bool:
+    """Whether dim is an orbit degree: an int, not a bool, and at least 1."""
+    return type(dim) is int and dim >= 1
+
+
 def _check_record(obj, where: str) -> dict:
     """obj if it is a record of the one query, else a ValueError naming where it came from."""
     if not isinstance(obj, dict):
@@ -133,7 +138,7 @@ def _check_record(obj, where: str) -> dict:
         ("char_trivial", obj["char_trivial"] is True, "true"),
         (
             "dims",
-            isinstance(dims, list) and all(type(dim) is int and dim >= 1 for dim in dims),
+            isinstance(dims, list) and all(map(_is_orbit_degree, dims)),
             "a list of positive integers",
         ),
         ("fetched_at", isinstance(obj["fetched_at"], str), "a string"),
@@ -333,7 +338,7 @@ class OrbitDimClient:
                 if not isinstance(row, dict) or "dim" not in row:
                     raise MalformedResponse(f"row without 'dim' field: {row!r}")
                 dim = row["dim"]
-                if not isinstance(dim, int) or dim < 1:
+                if not _is_orbit_degree(dim):
                     raise MalformedResponse(f"bad orbit dimension {dim!r}")
                 dims.append(dim)
             next_url = body.get("next")

@@ -6,7 +6,6 @@ from rmbounds.bounds import (
     BoundTriple,
     TableCell,
     b0_bound,
-    b0_gl2_bound,
     bk_bound,
     bk_prime_bound,
     forced_subfield_exponent,
@@ -31,12 +30,6 @@ def test_b0_examples():
     assert b0_bound(2, 8) == 14
     assert b0_bound(7, 3) == 4
     assert b0_bound(5, 3) == 2
-
-
-def test_b0_gl2_examples():
-    assert b0_gl2_bound(2, 1) == 9
-    assert b0_gl2_bound(3, 9) == 9
-    assert b0_gl2_bound(7, 3) == 4
 
 
 def test_forced_subfield_exponent_examples():

@@ -96,12 +96,6 @@ def test_bound_plain(capsys):
     assert "B0(3,9) = 9" in out
 
 
-def test_bound_gl2(capsys):
-    code, out = run(capsys, ["bound", "--p", "2", "--d", "1", "--gl2"])
-    assert code == 0
-    assert "v_2(N) <= 9" in out
-
-
 def test_bound_trivial_cell(capsys):
     code, out = run(capsys, ["bound", "--p", "23", "--d", "4"])
     assert code == 0
@@ -127,15 +121,21 @@ def test_prime_past_primality_limit_is_a_usage_error(capsys, command):
 def test_bound_json_round_trip(capsys):
     code, out = run(capsys, ["bound", "--p", "2", "--d", "8", "--format", "json"])
     assert code == 0
-    triple, gl2 = cli.parse_bound_json(out)
-    assert (triple.p, triple.d, triple.b0) == (2, 8, 14)
-    assert gl2 is None
+    assert list(json.loads(out)) == ["command", "p", "d", "bk", "bk_prime", "b0"]
+    triple = cli.parse_bound_json(out)
+    assert (triple.p, triple.d, triple.bk, triple.bk_prime, triple.b0) == (2, 8, 112, 14, 14)
 
 
 def test_bound_csv(capsys):
     code, out = run(capsys, ["bound", "--p", "2", "--d", "8", "--format", "csv"])
-    assert out.splitlines()[0] == "p,d,bk,bk_prime,b0"
-    assert out.splitlines()[1] == "2,8,112,14,14"
+    assert (code, out) == (0, "p,d,bk,bk_prime,b0\n2,8,112,14,14\n")
+
+
+def test_bound_has_no_gl2_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bound", "--p", "2", "--d", "1", "--gl2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --gl2" in capsys.readouterr().err
 
 
 # -- table ---------------------------------------------------------------------

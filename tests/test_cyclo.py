@@ -36,9 +36,9 @@ profile_dicts = st.dictionaries(
 
 
 def test_profile_parse():
-    assert ExponentProfile.parse("2^9,5^3").as_dict() == {2: 9, 5: 3}
-    assert ExponentProfile.parse("7").as_dict() == {7: 1}
-    assert ExponentProfile.parse(" 2^9 , 3^6 ").as_dict() == {2: 9, 3: 6}
+    assert dict(ExponentProfile.parse("2^9,5^3")) == {2: 9, 5: 3}
+    assert dict(ExponentProfile.parse("7")) == {7: 1}
+    assert dict(ExponentProfile.parse(" 2^9 , 3^6 ")) == {2: 9, 3: 6}
 
 
 def test_profile_parse_errors_carry_position():
@@ -61,10 +61,21 @@ def test_profile_parse_errors_carry_position():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        ExponentProfile.of({6: 1})
-    with pytest.raises(ValueError):
-        ExponentProfile.of({5: 0})
+    # Construction and parse state each rule in the same words; parse adds the position.
+    limit = "primality test is only deterministic below 3317044064679887385961981"
+    cases = [
+        (((6, 1),), "6", "6 is not prime", 0),
+        (((5, 0),), "5^0", "exponent at prime 5 must be >= 1, got 0", 2),
+        (((2, 9), (2, 3)), "2^9,2^3", "prime 2 occurs twice", 4),
+        (((10**27 + 7, 3),), "1000000000000000000000000007^3", limit, 0),
+    ]
+    for entries, text, message, position in cases:
+        with pytest.raises(ValueError) as built:
+            ExponentProfile(entries=entries)
+        assert str(built.value) == message
+        with pytest.raises(ProfileParseError) as parsed:
+            ExponentProfile.parse(text)
+        assert str(parsed.value) == f"{message} (at position {position})"
 
 
 @pytest.mark.parametrize("p, e", [(2, 28571), (3, 18026)])
@@ -273,7 +284,7 @@ def test_enumerate_forbidden_singleton_beyond_exponent_64():
 def test_enumerate_forbidden_singletons_at_large_d(d):
     singles = enumerate_forbidden(d, 50, 1, include_singletons=True)
     expected = [{p: b0_bound(p, d) + 1} for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
-    assert [s.as_dict() for s in singles] == expected
+    assert [dict(s) for s in singles] == expected
 
 
 def test_enumerate_forbidden_deterministic():

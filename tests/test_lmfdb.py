@@ -469,12 +469,19 @@ def test_non_retryable_status_is_service_error():
     assert len(calls) == 1
 
 
-def test_malformed_payloads():
-    for body in ("not json", {"rows": []}, {"data": "nope"}, {"data": [{"dim": "x"}]}, {"data": [{}]}):
-        transport, _ = make_transport([(200, body, {})])
-        client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
-        with pytest.raises(MalformedResponse):
-            client.fetch_orbit_dims(31)
+def test_malformed_payloads(tmp_path):
+    bodies = ("not json", {"rows": []}, {"data": "nope"}, {"data": [{"dim": "x"}]}, {"data": [{}]})
+    bodies += ({"data": [{"dim": True}]},)  # a bool is not an orbit degree
+    path = tmp_path / "cache.jsonl"
+    for body in bodies:
+        for cache in (None, OrbitDimCache(path)):
+            transport, _ = make_transport([(200, body, {})])
+            client = OrbitDimClient(fixtures={}, cache=cache, transport=transport, sleep=lambda s: None)
+            with pytest.raises(MalformedResponse):
+                client.fetch_orbit_dims(31)
+            if cache is not None:
+                cache.close()
+    assert not path.exists()  # a rejected payload is never stored
 
 
 def test_rate_limit_spacing():

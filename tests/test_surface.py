@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "__version__",
     "analyze_profile",
     "b0_bound",
-    "b0_gl2_bound",
     "bk_bound",
     "bk_prime_bound",
     "digits_base_p",

@@ -43,7 +43,7 @@ GREP_STEPS = [
 
 def test_every_cli_smoke_step_is_checked():
     commands = [shlex.split(args)[0] for _, args, _ in GREP_STEPS]
-    assert sorted(commands) == ["forbidden", "genus2", "sharpness", "verify"]
+    assert sorted(commands) == ["bound", "forbidden", "genus2", "sharpness", "verify"]
 
 
 @pytest.mark.parametrize("name, args, text", GREP_STEPS, ids=[name for name, _, _ in GREP_STEPS])
