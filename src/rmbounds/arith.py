@@ -51,14 +51,18 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    """Return p, raising ValueError if it is not prime."""
+    """Return p, raising ValueError unless it is an int (not a bool) and prime."""
+    if type(p) is not int:
+        raise ValueError(f"prime {p!r} is not an integer")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
 
 def require_dimension(d: int) -> int:
-    """Return d, raising ValueError if it is below 1."""
+    """Return d, raising ValueError unless it is an int (not a bool) and at least 1."""
+    if type(d) is not int:
+        raise ValueError(f"dimension {d!r} is not an integer")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return d

@@ -108,10 +108,6 @@ class BoundTriple:
     def to_json_dict(self) -> dict:
         return {"p": self.p, "d": self.d, "bk": self.bk, "bk_prime": self.bk_prime, "b0": self.b0}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BoundTriple":
-        return cls(p=obj["p"], d=obj["d"], bk=obj["bk"], bk_prime=obj["bk_prime"], b0=obj["b0"])
-
 
 @dataclass(frozen=True)
 class TableCell:
@@ -119,6 +115,10 @@ class TableCell:
 
     triple: BoundTriple
     sharpness: str = UNKNOWN
+
+    def __post_init__(self):
+        if self.sharpness not in (SHARP, ALMOST_SHARP, UNKNOWN):
+            raise ValueError(f"sharpness must be {SHARP}, {ALMOST_SHARP} or {UNKNOWN}, got {self.sharpness!r}")
 
     @property
     def display(self) -> str:
@@ -139,23 +139,25 @@ class TableCell:
         obj["sharpness"] = self.sharpness
         return obj
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TableCell":
-        return cls(triple=BoundTriple.from_json_dict(obj), sharpness=obj.get("sharpness", UNKNOWN))
-
 
 @dataclass(frozen=True)
 class BoundTable:
     """Bounds over d = 1..d_max and primes p <= p_max.
 
     Cells with p > 2d + 1 (where both bounds are 2) are omitted unless the
-    table was rendered with include_trivial.
+    table was rendered with include_trivial; annotated says whether sharpness
+    flags were merged.
     """
 
     d_max: int
     p_max: int
     primes: tuple[int, ...]
     cells: dict[tuple[int, int], TableCell]  # keyed by (d, p)
+    annotated: bool = False
+
+    def to_json_dict(self) -> dict:
+        cells = [self.cells[key].to_json_dict() for key in sorted(self.cells)]
+        return {"d_max": self.d_max, "p_max": self.p_max, "annotated": self.annotated, "cells": cells}
 
 
 def render_table(
@@ -170,8 +172,8 @@ def render_table(
     none_found (the latter maps to an unknown cell flag).
     """
     require_dimension(d_max)
-    if p_max < 2:
-        raise ValueError("p_max must be >= 2")
+    if type(p_max) is not int or p_max < 2:
+        raise ValueError(f"p_max must be an integer >= 2, got {p_max!r}")
     primes = primes_up_to(p_max)
     cells: dict[tuple[int, int], TableCell] = {}
     for d in range(1, d_max + 1):
@@ -184,4 +186,4 @@ def render_table(
                 if status in (SHARP, ALMOST_SHARP):
                     flag = status
             cells[(d, p)] = TableCell(triple=BoundTriple.compute(p, d), sharpness=flag)
-    return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells)
+    return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells, annotated=sharpness is not None)

@@ -3,8 +3,8 @@
 Subcommands: bound, table, profile, forbidden, genus2, sharpness, verify.
 Every command states its result once, as a json object, a csv table and
 plain lines, and _emit prints the one --format names; results go to stdout,
-logs to stderr.  The json schemas round-trip into the domain types via the
-parse_* helpers below.
+logs to stderr.  The parse_* helpers read json output back: computed results
+are recomputed from their inputs and checked, scan and verify results decoded.
 
 RMBOUNDS_BASE_URL and RMBOUNDS_CACHE override the --base-url and --cache
 flags when set; all mathematical parameters are flags only.
@@ -21,8 +21,8 @@ import os
 import sys
 
 from . import lmfdb, verify
-from .arith import is_prime, primes_up_to
-from .bounds import BoundTable, BoundTriple, TableCell, render_table
+from .arith import is_prime
+from .bounds import BoundTable, BoundTriple, render_table
 from .cyclo import (
     ExponentProfile,
     Genus2Report,
@@ -98,6 +98,25 @@ def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]
             print("\n".join(plain))
 
 
+def _recomputed(text: str, compute):
+    """compute(doc) for a command's json output doc, returned only if its to_json_dict() is doc.
+
+    compute reads only doc's inputs.  Every field is then compared as json text,
+    so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
+    """
+    try:
+        doc = {key: value for key, value in json.loads(text).items() if key != "command"}
+        result = compute(doc)
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
+        raise ValueError(f"not a command's json output: {exc!r}") from exc
+    obj = result.to_json_dict()
+    for key in sorted(doc.keys() | obj.keys()):
+        given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
+        if given != recomputed:
+            raise ValueError(f"field {key!r} does not match the result recomputed from the document's inputs")
+    return result
+
+
 def _client_from_args(args) -> OrbitDimClient:
     base_url = os.environ.get(ENV_BASE_URL) or args.base_url or lmfdb.BASE_URL
     cache_path = os.environ.get(ENV_CACHE) or args.cache
@@ -135,7 +154,7 @@ def cmd_bound(args) -> int:
 
 
 def parse_bound_json(text: str) -> BoundTriple:
-    return BoundTriple.from_json_dict(json.loads(text))
+    return _recomputed(text, lambda doc: BoundTriple.compute(doc["p"], doc["d"]))
 
 
 # -- table -----------------------------------------------------------------
@@ -174,28 +193,17 @@ def cmd_table(args) -> int:
     for d in dims:
         texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes]
         plain.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
-    obj = {
-        "d_max": table.d_max,
-        "p_max": table.p_max,
-        "annotated": args.annotate,
-        "cells": [table.cells[key].to_json_dict() for key in sorted(table.cells)],
-    }
-    _emit(args, obj, header, rows, plain)
+    _emit(args, table.to_json_dict(), header, rows, plain)
     return 0
 
 
 def parse_table_json(text: str) -> BoundTable:
-    obj = json.loads(text)
-    cells = {}
-    for item in obj["cells"]:
-        cell = TableCell.from_json_dict(item)
-        cells[(cell.triple.d, cell.triple.p)] = cell
-    return BoundTable(
-        d_max=obj["d_max"],
-        p_max=obj["p_max"],
-        primes=tuple(primes_up_to(obj["p_max"])),
-        cells=cells,
-    )
+    def rerender(doc):  # a trivial cell (p > 2d + 1) means the table was rendered with --full
+        sharpness = {(cell["p"], cell["d"]): cell["sharpness"] for cell in doc["cells"]}
+        full = any(p > 2 * d + 1 for p, d in sharpness)
+        return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
+
+    return _recomputed(text, rerender)
 
 
 # -- profile ---------------------------------------------------------------
@@ -232,7 +240,7 @@ def cmd_profile(args) -> int:
 
 
 def parse_profile_json(text: str) -> RmConstraintReport:
-    return RmConstraintReport.from_json_dict(json.loads(text))
+    return _recomputed(text, lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]))
 
 
 # -- forbidden ---------------------------------------------------------------
@@ -289,7 +297,7 @@ def cmd_genus2(args) -> int:
 
 
 def parse_genus2_json(text: str) -> Genus2Report:
-    return Genus2Report.from_json_dict(json.loads(text))
+    return _recomputed(text, lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])))
 
 
 # -- sharpness ---------------------------------------------------------------

@@ -42,9 +42,14 @@ _DIGIT_LIMIT = 10**_MAX_DIGITS
 def _entry_fault(p: int, e: int, seen) -> tuple[str, int] | None:
     """The message and the part at fault (_PRIME or _EXPONENT) if (p, e) breaks a profile rule, else None.
 
-    The rules: p is prime and below the primality test's limit, e >= 1, and
-    p is not among the primes in seen.  No message is built for an entry that passes.
+    The rules: p and e are ints (not bools), p is prime and below the primality
+    test's limit, e >= 1, and p is not among the primes in seen.  No message is
+    built for an entry that passes.
     """
+    if type(p) is not int:
+        return f"prime {p!r} is not an integer", _PRIME
+    if type(e) is not int:
+        return f"exponent {e!r} at prime {p} is not an integer", _EXPONENT
     try:
         if not is_prime(p):
             return f"{p} is not prime", _PRIME
@@ -171,10 +176,6 @@ class RealCyclotomicField:
     def to_json_dict(self) -> dict:
         return {"p": self.p, "r": self.r, "degree": self.degree, "name": self.name}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RealCyclotomicField":
-        return cls(p=obj["p"], r=obj["r"])
-
 
 @dataclass(frozen=True)
 class Compositum:
@@ -212,10 +213,6 @@ class Compositum:
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "components": [f.to_json_dict() for f in self.components]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Compositum":
-        return cls(components=tuple(RealCyclotomicField.from_json_dict(c) for c in obj["components"]))
 
 
 class Determination(str, Enum):
@@ -268,18 +265,6 @@ class RmConstraintReport:
             "residual_degree": self.residual_degree,
             "refined_bounds": {str(p): cap for p, cap in sorted(self.refined_bounds.items())},
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RmConstraintReport":
-        return cls(
-            dimension=obj["d"],
-            profile=ExponentProfile.from_json_list(obj["profile"]),
-            admissible=obj["admissible"],
-            forced=Compositum.from_json_dict(obj["forced"]),
-            determination=Determination(obj["determination"]),
-            residual_degree=obj["residual_degree"],
-            refined_bounds={int(p): cap for p, cap in obj["refined_bounds"].items()},
-        )
 
 
 def analyze_profile(profile, d: int) -> RmConstraintReport:
@@ -405,15 +390,6 @@ class Genus2Report:
             "field": self.field.to_json_dict() if self.field else None,
             "analysis": self.analysis.to_json_dict() if self.analysis else None,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Genus2Report":
-        return cls(
-            profile=ExponentProfile.from_json_list(obj["profile"]),
-            simple=obj["simple"],
-            field=RealCyclotomicField.from_json_dict(obj["field"]) if obj["field"] else None,
-            analysis=RmConstraintReport.from_json_dict(obj["analysis"]) if obj["analysis"] else None,
-        )
 
 
 def genus2_rm_analysis(conductor_valuations) -> Genus2Report:

@@ -198,7 +198,11 @@ class OrbitDimCache:
         if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
-            lines = data[:end].decode("utf-8").splitlines()
+            try:
+                lines = data[:end].decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                lineno = data.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"{self.path}:{lineno}: not valid UTF-8") from exc
             self._records = load_store(lines, str(self.path))
             tail = data[end:].decode("utf-8", errors="replace").strip()
             if tail:

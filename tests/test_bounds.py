@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from rmbounds import cli
 from rmbounds.bounds import (
     BoundTriple,
     TableCell,
@@ -102,6 +105,13 @@ def test_cell_display_parenthesizes_iff_strict():
 
 def test_json_round_trip():
     triple = BoundTriple.compute(3, 9)
-    assert BoundTriple.from_json_dict(triple.to_json_dict()) == triple
+    assert cli.parse_bound_json(json.dumps(triple.to_json_dict())) == triple
     cell = TableCell(triple=triple, sharpness="sharp")
-    assert TableCell.from_json_dict(cell.to_json_dict()) == cell
+    table = render_table(9, 3, sharpness={(3, 9): "sharp"})
+    assert cli.parse_table_json(json.dumps(table.to_json_dict())).cells[(9, 3)] == cell
+
+
+@pytest.mark.parametrize("sharpness", ["bogus", "none_found", None])
+def test_cell_rejects_an_unknown_sharpness(sharpness):
+    with pytest.raises(ValueError, match="sharpness must be sharp, almost_sharp or unknown"):
+        TableCell(triple=BoundTriple.compute(3, 9), sharpness=sharpness)

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import rmbounds
-from rmbounds import cli
-from rmbounds.cyclo import Determination
+from rmbounds import cli, verify
+from rmbounds.bounds import BoundTriple, render_table
+from rmbounds.cyclo import Determination, analyze_profile, enumerate_forbidden, genus2_rm_analysis
+from rmbounds.lmfdb import OrbitDimClient
 
 
 def run(capsys, argv):
@@ -322,8 +324,9 @@ def test_profile_json_round_trip(capsys):
 
 
 def test_profile_json_with_huge_r_is_rejected_promptly(capsys):
-    # In a child process with a timeout: without the range check in the
-    # field's construction, parsing builds 2**(r - 2) for r = 10**20.
+    # In a child process with a timeout: a parse that built the stored field
+    # would compute 2**(r - 2) for r = 10**20.  The field is recomputed from
+    # the profile instead, and the stored one is only compared with it.
     code, out = run(capsys, ["profile", "--d", "4", "2^9,5^3", "--format", "json"])
     obj = json.loads(out)
     assert obj["forced"]["components"][0]["p"] == 2
@@ -334,7 +337,9 @@ def test_profile_json_with_huge_r_is_rejected_promptly(capsys):
         [sys.executable, "-c", script], input=json.dumps(obj), env=env, capture_output=True, text=True, timeout=5
     )
     assert result.returncode == 1
-    assert result.stderr.splitlines()[-1].startswith("ValueError: exponent at prime 2 is too large")
+    assert result.stderr.splitlines()[-1] == (
+        "ValueError: field 'forced' does not match the result recomputed from the document's inputs"
+    )
 
 
 # -- forbidden ---------------------------------------------------------------------
@@ -439,6 +444,16 @@ def test_corrupt_cache_is_an_error_line(capsys, monkeypatch, tmp_path, argv):
     assert captured.err.startswith(f"error: {bad}:1: not valid JSON: ")
 
 
+def test_cache_with_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    bad = tmp_path / "bad.jsonl"
+    good = b'{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}\n'
+    bad.write_bytes(good + good.replace(b'"x"', b'"\xff"'))
+    code = cli.main(["sharpness", "--p", "3", "--d", "9", "--budget", "100", "--offline", "--cache", str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {bad}:2: not valid UTF-8\n")
+
+
 def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     from rmbounds.lmfdb import OrbitDimCache
 
@@ -535,6 +550,119 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--pmax", "2", "--dmax", "1"])
     assert code == 1
     assert "FAIL synthetic: counterexample p=2, d=1" in out
+
+
+# -- json round-trips ---------------------------------------------------------------
+
+
+def annotated_table(d_max, p_max, budget):
+    witnesses = OrbitDimClient(offline=True).annotate_table(d_max, budget, p_max=p_max)
+    sharpness = {key: witness.status for key, witness in witnesses.items()}
+    return render_table(d_max, p_max, sharpness=sharpness, include_trivial=True)
+
+
+# (argv without --format json, the in-process result its json parses back to)
+ROUND_TRIPS = [
+    (["bound", "--p", "2", "--d", "8"], lambda: BoundTriple.compute(2, 8)),
+    (["table", "--dmax", "10", "--pmax", "19"], lambda: render_table(10, 19)),
+    (["table", "--dmax", "6", "--pmax", "13", "--full"], lambda: render_table(6, 13, include_trivial=True)),
+    (
+        ["table", "--dmax", "4", "--pmax", "7", "--full", "--annotate", "--offline", "--budget", "20000"],
+        lambda: annotated_table(4, 7, 20000),
+    ),
+    (["profile", "--d", "4", "2^9,5^3"], lambda: analyze_profile({2: 9, 5: 3}, 4)),
+    (["profile", "--d", "4", ""], lambda: analyze_profile({}, 4)),
+    (
+        ["profile", "--d", "720", "2^13,3^8,5^5,7^5,13^3"],
+        lambda: analyze_profile({2: 13, 3: 8, 5: 5, 7: 5, 13: 3}, 720),
+    ),
+    (["profile", "--d", "2", "2^14000"], lambda: analyze_profile({2: 14000}, 2)),
+    (["forbidden", "--d", "96", "--max-entries", "4"], lambda: enumerate_forbidden(96, 19, 4)),
+    (["genus2", "5^6"], lambda: genus2_rm_analysis({5: 6})),
+    (["genus2", "2^22"], lambda: genus2_rm_analysis({2: 22})),
+    (["genus2", "3^4,5^2"], lambda: genus2_rm_analysis({3: 4, 5: 2})),
+    (
+        ["sharpness", "--p", "3", "--d", "9", "--budget", "20000", "--offline"],
+        lambda: OrbitDimClient(offline=True).sharpness_scan(3, 9, 20000),
+    ),
+    (["verify", "--pmax", "19", "--dmax", "10"], lambda: verify.run_all(p_max=19, d_max=10)),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ROUND_TRIPS, ids=[" ".join(argv) for argv, _ in ROUND_TRIPS])
+def test_json_parses_back_to_the_in_process_result(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    code, out = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert getattr(cli, f"parse_{argv[0]}_json")(out) == expected()
+
+
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (argv without --format json, the path to one field, the value put there)
+TAMPERED = [
+    (["bound", "--p", "2", "--d", "8"], ["b0"], 15),
+    (["bound", "--p", "2", "--d", "8"], ["b0"], 14.0),
+    (["bound", "--p", "2", "--d", "8"], ["p"], 2.0),
+    (["bound", "--p", "2", "--d", "1"], ["d"], True),
+    (["bound", "--p", "2", "--d", "8"], ["gl2"], None),
+    (["profile", "--d", "4", "2^9,5^3"], ["admissible"], False),
+    (["profile", "--d", "4", "2^9,5^3"], ["refined_bounds", "2"], 11),
+    (["profile", "--d", "4", "2^9,5^3"], ["d"], 4.0),
+    (["profile", "--d", "4", "2^9,5^3"], ["profile", 0, "e"], 9.0),
+    (["profile", "--d", "4", "2^9,5^3"], ["forced", "components", 0, "r"], 10**20),
+    (["genus2", "5^6"], ["simple"], False),
+    (["genus2", "5^6"], ["field"], {"p": 7, "r": 1, "degree": 3, "name": "Q(zeta_7)^+"}),
+    (["genus2", "5^6"], ["profile", 0, "p"], True),
+    (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "display"], "9 (8)"),
+    (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "bk_prime"], 0),
+    (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "sharpness"], "sharp"),
+    (["table", "--dmax", "3", "--pmax", "7", "--annotate", "--offline"], ["cells", 0, "sharpness"], "bogus"),
+    (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "p"], 2.0),
+    (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "d"], True),
+    (["table", "--dmax", "3", "--pmax", "7"], ["d_max"], 4),
+    (["table", "--dmax", "3", "--pmax", "7"], ["annotated"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, path, value", TAMPERED, ids=[f"{argv[0]}-{'.'.join(map(str, path))}={value!r}" for argv, path, value in TAMPERED]
+)
+def test_json_with_one_changed_field_is_rejected(capsys, monkeypatch, argv, path, value):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    code, out = run(capsys, [*argv, "--format", "json"])
+    doc = json.loads(out)
+    set_path(doc, path, value)
+    with pytest.raises(ValueError):
+        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (cli.parse_bound_json, '{"p": 2}'),
+        (cli.parse_bound_json, "[2, 8]"),
+        (cli.parse_profile_json, '{"d": 4, "profile": 5}'),
+        (cli.parse_genus2_json, '{"profile": [[5, 6]]}'),
+        (cli.parse_table_json, '{"d_max": 1, "p_max": 3, "annotated": false, "cells": [{"p": "2", "d": 1}]}'),
+    ],
+)
+def test_malformed_json_is_a_value_error(parse, text):
+    with pytest.raises(ValueError, match="^not a command's json output: "):
+        parse(text)
+
+
+def test_table_json_with_a_cell_dropped_is_rejected(capsys):
+    code, out = run(capsys, ["table", "--dmax", "3", "--pmax", "7", "--format", "json"])
+    doc = json.loads(out)
+    del doc["cells"][-1]
+    with pytest.raises(ValueError, match="^field 'cells' does not match"):
+        cli.parse_table_json(json.dumps(doc))
 
 
 # -- one parser, per-call logging -------------------------------------------------

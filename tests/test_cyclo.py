@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmbounds
+from rmbounds import cli
 from rmbounds.bounds import b0_bound
 from rmbounds.cyclo import (
     Compositum,
@@ -62,17 +64,25 @@ def test_profile_parse_errors_carry_position():
 
 def test_profile_validation():
     # Construction and parse state each rule in the same words; parse adds the position.
+    # Parsed text always gives ints, so the integer rule has no text form (text None).
     limit = "primality test is only deterministic below 3317044064679887385961981"
     cases = [
         (((6, 1),), "6", "6 is not prime", 0),
         (((5, 0),), "5^0", "exponent at prime 5 must be >= 1, got 0", 2),
         (((2, 9), (2, 3)), "2^9,2^3", "prime 2 occurs twice", 4),
         (((10**27 + 7, 3),), "1000000000000000000000000007^3", limit, 0),
+        (((5, 3.0),), None, "exponent 3.0 at prime 5 is not an integer", None),
+        (((5, True),), None, "exponent True at prime 5 is not an integer", None),
+        (((5.0, 3),), None, "prime 5.0 is not an integer", None),
     ]
     for entries, text, message, position in cases:
         with pytest.raises(ValueError) as built:
             ExponentProfile(entries=entries)
         assert str(built.value) == message
+        if text is None:  # a float or bool entry used to reach the engine's output
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                analyze_profile(dict(entries), 2)
+            continue
         with pytest.raises(ProfileParseError) as parsed:
             ExponentProfile.parse(text)
         assert str(parsed.value) == f"{message} (at position {position})"
@@ -333,10 +343,6 @@ def test_genus2_inconsistent_profile_surfaces_in_analysis():
 
 def test_json_round_trips():
     report = analyze_profile({2: 9, 5: 3}, 4)
-    from rmbounds.cyclo import RmConstraintReport
-
-    assert RmConstraintReport.from_json_dict(report.to_json_dict()) == report
+    assert cli.parse_profile_json(json.dumps(report.to_json_dict())) == report
     g2 = genus2_rm_analysis({5: 6})
-    from rmbounds.cyclo import Genus2Report
-
-    assert Genus2Report.from_json_dict(g2.to_json_dict()) == g2
+    assert cli.parse_genus2_json(json.dumps(g2.to_json_dict())) == g2

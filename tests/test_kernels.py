@@ -100,6 +100,10 @@ BAD_INPUTS = [
         ((4, 0), "4 is not prime"),
         ((7, -3), "dimension must be >= 1, got -3"),
         ((-7, 2), "-7 is not prime"),
+        ((2.0, 8), "prime 2.0 is not an integer"),
+        ((True, 8), "prime True is not an integer"),
+        ((2, 8.0), "dimension 8.0 is not an integer"),
+        ((2, True), "dimension True is not an integer"),
     ]
 ]
 

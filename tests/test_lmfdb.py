@@ -131,6 +131,14 @@ def test_cache_rejects_records_of_another_query(tmp_path, key, value):
         OrbitDimCache(path)
 
 
+def test_cache_with_invalid_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = b'{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}\n'
+    path.write_bytes(good + good.replace(b'"x"', b'"\xff"'))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
+        OrbitDimCache(path)
+
+
 def file_levels(path):
     """The levels stored in a cache file whose lines are all complete."""
     return sorted(load_store(path.read_text().splitlines(), str(path)))
@@ -537,6 +545,55 @@ def refuse_connections(monkeypatch):
 
     monkeypatch.setattr(requests, "get", get)
     return tried
+
+
+class FakeResponse:
+    """The part of requests.Response the default transport reads."""
+
+    def __init__(self, status_code, text, headers=None):
+        self.status_code, self.text, self.headers = status_code, text, headers or {}
+
+    def json(self):
+        return json.loads(self.text)  # JSONDecodeError is a ValueError, as requests' own is
+
+
+def serve(monkeypatch, responses):
+    """Make requests.get answer with the given FakeResponses in turn; returns the URLs asked."""
+    import requests
+
+    asked = []
+
+    def get(url, params=None, timeout=None):
+        asked.append(url)
+        return responses[len(asked) - 1]
+
+    monkeypatch.setattr(requests, "get", get)
+    return asked
+
+
+def test_default_transport_returns_a_json_body_as_a_dict(monkeypatch):
+    asked = serve(monkeypatch, [FakeResponse(200, '{"data": [{"dim": 3}]}', {"Content-Type": "application/json"})])
+    status, body, headers = lmfdb._requests_transport("https://example.invalid/api", {}, 1.0)
+    assert (status, body, headers) == (200, {"data": [{"dim": 3}]}, {"Content-Type": "application/json"})
+    assert asked == ["https://example.invalid/api"]
+
+
+def test_default_transport_returns_a_non_json_body_as_text(monkeypatch):
+    serve(monkeypatch, [FakeResponse(200, "<html>busy</html>")] * 2)
+    assert lmfdb._requests_transport("https://example.invalid/api", {}, 1.0) == (200, "<html>busy</html>", {})
+    client = OrbitDimClient(fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(MalformedResponse, match="^response was not JSON$"):
+        client.fetch_orbit_dims(31)
+
+
+def test_default_transport_retries_a_503_after_its_retry_after_hint(monkeypatch):
+    busy, answer = FakeResponse(503, "busy", {"Retry-After": "0"}), FakeResponse(200, '{"data": [{"dim": 3}]}')
+    asked = serve(monkeypatch, [busy, answer])
+    sleeps = []
+    client = OrbitDimClient(fixtures={}, sleep=sleeps.append, clock=lambda: 0.0)
+    assert client.fetch_orbit_dims(31).dims == (3,)
+    assert len(asked) == 2
+    assert sleeps == [0.0, lmfdb.MIN_INTERVAL]  # the hint, then the rate-limit spacing
 
 
 def test_failed_request_is_not_an_offline_miss(monkeypatch):

@@ -5,8 +5,11 @@ shows no failing run; this check lives in the suite for that reason.
 """
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,28 @@ def test_cli_smoke_step_passes_from_the_checkout(capsys, monkeypatch, name, args
     monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
     assert cli.main(shlex.split(args)) == 0
     assert text in capsys.readouterr().out
+
+
+# CI steps of the form `rmbounds ARGS | python -c "SCRIPT"`, as (step name, ARGS, SCRIPT).
+PYTHON_STEP = re.compile(r'rmbounds ([^|]+) \| python -c (".*")', re.S)
+PYTHON_STEPS = [
+    (step["name"], match.group(1), shlex.split(match.group(2))[0])
+    for step in load_job()["steps"]
+    if (match := PYTHON_STEP.fullmatch(step.get("run", "").strip()))
+]
+
+
+def test_every_json_round_trip_step_is_checked():
+    commands = [shlex.split(args)[0] for _, args, _ in PYTHON_STEPS]
+    assert sorted(commands) == ["genus2", "profile"]
+
+
+@pytest.mark.parametrize("name, args, script", PYTHON_STEPS, ids=[name for name, _, _ in PYTHON_STEPS])
+def test_json_round_trip_step_passes_from_the_checkout(capsys, tmp_path, name, args, script):
+    assert cli.main(shlex.split(args)) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        input=capsys.readouterr().out, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
