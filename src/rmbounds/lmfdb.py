@@ -11,6 +11,7 @@ attested (a partial list); level 243 carries its complete decomposition.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .arith import primes_up_to, require_dimension, require_prime
+from .arith import primes_up_to, require_dimension, require_prime, valuation
 from .bounds import ALMOST_SHARP, SHARP, b0_bound
 
 logger = logging.getLogger(__name__)
@@ -101,13 +102,30 @@ class SharpnessWitness:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SharpnessWitness":
-        return cls(
-            p=obj["p"],
-            d=obj["d"],
-            exponent_attained=obj["exponent_attained"],
-            level=obj["level"],
-            status=obj["status"],
-        )
+        """The witness obj records, or a ValueError unless it is consistent with B0(p, d).
+
+        Which level attains the exponent is database data and is taken as given;
+        the status, the exponent and the level's p-adic valuation are checked.
+        """
+        try:
+            witness = cls(**{key: obj[key] for key in ("p", "d", "exponent_attained", "level", "status")})
+        except (KeyError, TypeError) as exc:  # not an object, or a field missing
+            raise ValueError(f"not a sharpness witness: {exc!r}") from exc
+        p, d = require_prime(witness.p), require_dimension(witness.d)
+        exponent, level, status = witness.exponent_attained, witness.level, witness.status
+        if status == NONE_FOUND:
+            if exponent is not None or level is not None:
+                raise ValueError(f"a {NONE_FOUND} witness has no exponent or level, got {exponent!r} at {level!r}")
+            return witness
+        if status not in (SHARP, ALMOST_SHARP):
+            raise ValueError(f"status must be {SHARP}, {ALMOST_SHARP} or {NONE_FOUND}, got {status!r}")
+        cap = b0_bound(p, d)
+        target = cap if status == SHARP else cap - 1
+        if type(exponent) is not int or exponent != target:
+            raise ValueError(f"a {status} witness for B0({p},{d}) = {cap} attains {target}, got {exponent!r}")
+        if type(level) is not int or level < 1 or valuation(p, level) != exponent:
+            raise ValueError(f"level must be a positive integer with v_{p}(level) = {exponent}, got {level!r}")
+        return witness
 
 
 def _utcnow_iso() -> str:
@@ -199,7 +217,8 @@ class OrbitDimCache:
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
             try:
-                lines = data[:end].decode("utf-8").splitlines()
+                # Records end at "\n" only, so line numbers count newlines, as the UTF-8 error does.
+                lines = data[:end].decode("utf-8").split("\n")[:-1]
             except UnicodeDecodeError as exc:
                 lineno = data.count(b"\n", 0, exc.start) + 1
                 raise ValueError(f"{self.path}:{lineno}: not valid UTF-8") from exc
@@ -221,7 +240,7 @@ class OrbitDimCache:
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
         obj = _check_record(_store_record(level, dims, fetched_at or _utcnow_iso()), f"put to {self.path}")
         obj["dims"] = sorted(dims)  # after the check, so bad dims raise its ValueError, not a TypeError
-        line = json.dumps(obj, separators=(", ", ": "), sort_keys=False)
+        line = json.dumps(obj)
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -246,10 +265,16 @@ class OrbitDimCache:
             self._handle = None
 
 
-def load_fixture_store() -> dict[int, dict]:
-    """The packaged fixture records, keyed by level."""
+@functools.cache
+def _packaged_fixtures() -> dict[int, dict]:
+    """The packaged fixture records, read and parsed once per process; never handed out."""
     text = resources.files("rmbounds.data").joinpath("fixtures.jsonl").read_text(encoding="utf-8")
-    return load_store(text.splitlines(), "fixtures.jsonl")
+    return load_store(text.split("\n"), "fixtures.jsonl")
+
+
+def load_fixture_store() -> dict[int, dict]:
+    """The packaged fixture records, keyed by level: a fresh copy on every call."""
+    return {level: {**record, "dims": list(record["dims"])} for level, record in _packaged_fixtures().items()}
 
 
 def _parse_retry_after(headers: dict) -> float | None:
@@ -297,6 +322,7 @@ class OrbitDimClient:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.base_url = base_url.rstrip("/")
+        self._url = self.base_url + _PATH
         self.cache = cache
         self.fixtures = load_fixture_store() if fixtures is None else fixtures
         self.offline = offline
@@ -328,7 +354,7 @@ class OrbitDimClient:
         )
 
     def _fetch_from_network(self, level: int) -> list[int]:
-        url = self.base_url + _PATH
+        url = self._url
         params = {"level": f"i{level}", "weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}
         dims: list[int] = []
         while True:

@@ -585,6 +585,14 @@ ROUND_TRIPS = [
         ["sharpness", "--p", "3", "--d", "9", "--budget", "20000", "--offline"],
         lambda: OrbitDimClient(offline=True).sharpness_scan(3, 9, 20000),
     ),
+    (
+        ["sharpness", "--p", "11", "--d", "10", "--budget", "10000", "--offline"],
+        lambda: OrbitDimClient(offline=True).sharpness_scan(11, 10, 10000),
+    ),
+    (
+        ["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"],
+        lambda: OrbitDimClient(offline=True).sharpness_scan(13, 6, 20000),
+    ),
     (["verify", "--pmax", "19", "--dmax", "10"], lambda: verify.run_all(p_max=19, d_max=10)),
 ]
 
@@ -627,6 +635,23 @@ TAMPERED = [
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "d"], True),
     (["table", "--dmax", "3", "--pmax", "7"], ["d_max"], 4),
     (["table", "--dmax", "3", "--pmax", "7"], ["annotated"], 0),
+    # a sharp witness at level 12032 = 2^8 * 47, B0(2, 7) = 8
+    *(
+        (["sharpness", "--p", "2", "--d", "7", "--budget", "16384", "--offline"], [key], value)
+        for key, value in [
+            ("p", 3), ("p", 4), ("p", 2.0), ("p", True), ("d", 8), ("d", 0), ("d", True),
+            ("exponent_attained", 7), ("exponent_attained", 8.0), ("exponent_attained", None),
+            ("level", 12033), ("level", 6016), ("level", 0), ("level", "12032"), ("level", None),
+            ("status", "almost_sharp"), ("status", "none_found"), ("status", "bogus"),
+        ]
+    ),
+    # an almost_sharp witness at level 1331 = 11^3, B0(11, 10) = 4
+    (["sharpness", "--p", "11", "--d", "10", "--budget", "10000", "--offline"], ["status"], "sharp"),
+    (["sharpness", "--p", "11", "--d", "10", "--budget", "10000", "--offline"], ["exponent_attained"], 4),
+    # a none_found witness
+    (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["exponent_attained"], 4),
+    (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["level"], 13**4),
+    (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["status"], "sharp"),
 ]
 
 
@@ -655,6 +680,18 @@ def test_json_with_one_changed_field_is_rejected(capsys, monkeypatch, argv, path
 def test_malformed_json_is_a_value_error(parse, text):
     with pytest.raises(ValueError, match="^not a command's json output: "):
         parse(text)
+
+
+@pytest.mark.parametrize("text", ['{"p": 2}', "[2, 7]", "null", '"sharp"'])
+def test_malformed_sharpness_json_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^not a sharpness witness: "):
+        cli.parse_sharpness_json(text)
+
+
+def test_sharpness_json_contradicting_its_bound_is_rejected():
+    text = '{"p": 2, "d": 7, "exponent_attained": 3, "level": 5, "status": "sharp"}'
+    with pytest.raises(ValueError, match=r"^a sharp witness for B0\(2,7\) = 8 attains 8, got 3$"):
+        cli.parse_sharpness_json(text)
 
 
 def test_table_json_with_a_cell_dropped_is_rejected(capsys):

@@ -68,6 +68,76 @@ def test_offline_uncached_level_raises(offline_client):
         offline_client.fetch_orbit_dims(9999)
 
 
+def test_default_clients_hold_their_own_fixture_copies():
+    assert load_fixture_store() is not load_fixture_store()
+    first, second = OrbitDimClient(offline=True), OrbitDimClient(offline=True)
+    assert first.fixtures == second.fixtures and first.fixtures is not second.fixtures
+    del first.fixtures[243]
+    second.fixtures[16384]["dims"].append(1)
+    fresh = OrbitDimClient(offline=True)
+    assert fresh.fixtures == load_fixture_store()
+    assert fresh.fetch_orbit_dims(243).source == "fixture"
+    assert fresh.fetch_orbit_dims(16384).dims == (8,)
+
+
+def test_given_fixtures_are_used_as_given():
+    given = {}
+    assert OrbitDimClient(fixtures=given).fixtures is given
+
+
+class FakePackage:
+    """Stands in for importlib.resources: serves one text as the fixture file and counts its reads."""
+
+    def __init__(self, text):
+        self.text, self.reads = text, 0
+
+    def files(self, package):
+        return self
+
+    def joinpath(self, name):
+        return self
+
+    def read_text(self, encoding):
+        self.reads += 1
+        return self.text
+
+
+@pytest.fixture
+def packaged(monkeypatch):
+    """Serve a test's text as the packaged fixtures; the once-per-process parse is forgotten around the test."""
+
+    def install(text):
+        package = FakePackage(text)
+        monkeypatch.setattr(lmfdb, "resources", package)
+        lmfdb._packaged_fixtures.cache_clear()
+        return package
+
+    yield install
+    lmfdb._packaged_fixtures.cache_clear()
+
+
+def test_packaged_fixtures_are_read_once_per_process(packaged):
+    package = packaged((Path(lmfdb.__file__).parent / "data" / "fixtures.jsonl").read_text(encoding="utf-8"))
+    clients = [OrbitDimClient(offline=True) for _ in range(3)]
+    assert load_fixture_store() == clients[0].fixtures
+    assert package.reads == 1
+
+
+# A complete record whose fetched_at holds characters str.splitlines() breaks at.
+SEPARATOR_STAMP = "2026-01-01\u2028T00:00:00\x85Z"
+SEPARATOR_RECORD = json.dumps(
+    {"level": 5, "weight": 2, "char_trivial": True, "dims": [1], "fetched_at": SEPARATOR_STAMP}, ensure_ascii=False
+)
+
+
+def test_fixture_records_end_only_at_newline(packaged):
+    packaged(SEPARATOR_RECORD + "\n")
+    assert load_fixture_store()[5]["fetched_at"] == SEPARATOR_STAMP
+    packaged(SEPARATOR_RECORD + "\n{\n")
+    with pytest.raises(ValueError, match="^fixtures.jsonl:2: not valid JSON"):
+        load_fixture_store()
+
+
 # -- cache store -----------------------------------------------------------------
 
 
@@ -136,6 +206,15 @@ def test_cache_with_invalid_utf8_names_file_and_line(tmp_path):
     good = b'{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}\n'
     path.write_bytes(good + good.replace(b'"x"', b'"\xff"'))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
+        OrbitDimCache(path)
+
+
+def test_cache_records_end_only_at_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(SEPARATOR_RECORD + "\n", encoding="utf-8")
+    assert OrbitDimCache(path).get(5)["fetched_at"] == SEPARATOR_STAMP
+    path.write_text(SEPARATOR_RECORD + "\n{\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid JSON"):
         OrbitDimCache(path)
 
 
