@@ -103,7 +103,7 @@ class BoundTriple:
         require_prime(p)
         require_dimension(d)
         bk = _bk(p, d)
-        return cls(p=p, d=d, bk=bk, bk_prime=bk // d, b0=_b0(p, d))
+        return cls(p, d, bk, bk // d, _b0(p, d))  # positional: keywords cost more per instance
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "d": self.d, "bk": self.bk, "bk_prime": self.bk_prime, "b0": self.b0}

@@ -98,17 +98,24 @@ def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]
             print("\n".join(plain))
 
 
+@contextlib.contextmanager
+def _document_shape():
+    """Raise the errors of reading a json document of the wrong shape as ValueError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
+        raise ValueError(f"not a command's json output: {exc!r}") from exc
+
+
 def _recomputed(text: str, compute):
     """compute(doc) for a command's json output doc, returned only if its to_json_dict() is doc.
 
     compute reads only doc's inputs.  Every field is then compared as json text,
     so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
     """
-    try:
+    with _document_shape():
         doc = {key: value for key, value in json.loads(text).items() if key != "command"}
         result = compute(doc)
-    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
-        raise ValueError(f"not a command's json output: {exc!r}") from exc
     obj = result.to_json_dict()
     for key in sorted(doc.keys() | obj.keys()):
         given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
@@ -267,8 +274,8 @@ def cmd_forbidden(args) -> int:
 
 
 def parse_forbidden_json(text: str) -> list[ExponentProfile]:
-    obj = json.loads(text)
-    return [ExponentProfile.from_json_list(items) for items in obj["profiles"]]
+    with _document_shape():
+        return [ExponentProfile.from_json_list(items) for items in json.loads(text)["profiles"]]
 
 
 # -- genus2 ------------------------------------------------------------------
@@ -334,7 +341,24 @@ def cmd_verify(args) -> int:
 
 
 def parse_verify_json(text: str) -> list[verify.PropertyResult]:
-    return [verify.PropertyResult(**item) for item in json.loads(text)["results"]]
+    """The document's results; ValueError unless each has exactly the four fields, a str name,
+    an int cases >= 0 and a bool ok that is true exactly when counterexample is null, and the
+    document's ok is true exactly when every result is."""
+    with _document_shape():
+        doc = json.loads(text)
+        items = doc["results"]
+        if any(item.keys() != {"name", "ok", "cases", "counterexample"} for item in items):
+            raise ValueError("a verify result needs exactly name, ok, cases and counterexample")
+        results = [verify.PropertyResult(**item) for item in items]
+        all_ok = doc["ok"]
+    for r in results:
+        if not (isinstance(r.name, str) and type(r.cases) is int and r.cases >= 0
+                and (r.counterexample is None or isinstance(r.counterexample, str))
+                and r.ok is (r.counterexample is None)):
+            raise ValueError(f"inconsistent verify result: {r}")
+    if all_ok is not all(r.ok for r in results):
+        raise ValueError("field 'ok' does not say whether every result holds")
+    return results
 
 
 # -- parser ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exhaustive verification of the bound inequalities over finite ranges.
 
 Each property is stated as data: an explicit box of cases, usually
-(p, d) or (p, m), a predicate and an explanation, run by one driver that
-counts the cases and reports the first counterexample.
+(p, d) or (p, m), a case filter, a predicate and an explanation, run by one
+driver that counts the cases and reports the first counterexample.  The
+driver checks every property on a box in one walk over it, so each cell's
+kernel values are computed once.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
@@ -10,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .arith import digits_base_p, lambda_p, primes_up_to, real_cyclotomic_degree, valuation
-from .bounds import b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
+from .arith import _lambda, _valuation, digits_base_p, primes_up_to, real_cyclotomic_degree, valuation
+from .bounds import _b0, _bk, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
 
 # Known (bk_prime, b0) values for d = 1..10 and the primes p <= 2d + 1.
 REFERENCE_GRID_D10: dict[tuple[int, int], tuple[int, int]] = {
@@ -46,16 +49,42 @@ class PropertyResult:
         return {"name": self.name, "ok": self.ok, "cases": self.cases, "counterexample": self.counterexample}
 
 
-def _check(name: str, cases, holds, explain) -> PropertyResult:
-    """Evaluate holds(*case) on every case; explain(*case) describes the first failing one.
+class _Property(NamedTuple):
+    """A property of a box's cells: applies(*cell) picks its cases (None: every cell),
+    holds(*cell) checks one and explain(*cell) describes the first that fails."""
 
-    The explanation is built only for that case, so passing runs never format text.
+    name: str
+    applies: Callable[..., bool] | None
+    holds: Callable[..., bool]
+    explain: Callable[..., str]
+
+
+def _walk(cells, properties) -> list[PropertyResult]:
+    """Check every property on each cell in one pass, counting each property's cases.
+
+    The explanation is built only for a property's first failing case, so
+    passing runs never format text.
     """
-    count, counterexample = 0, None
-    for count, case in enumerate(cases, 1):
-        if not holds(*case) and counterexample is None:
-            counterexample = explain(*case)
-    return PropertyResult(name=name, ok=counterexample is None, cases=count, counterexample=counterexample)
+    counts = [0] * len(properties)
+    found: list[str | None] = [None] * len(properties)
+    checks = [(i, applies, holds, explain) for i, (_, applies, holds, explain) in enumerate(properties)]
+    for cell in cells:
+        for i, applies, holds, explain in checks:
+            if applies is None or applies(*cell):
+                counts[i] += 1
+                if not holds(*cell) and found[i] is None:
+                    found[i] = explain(*cell)
+    return [PropertyResult(prop.name, text is None, count, text) for prop, count, text in zip(properties, counts, found)]
+
+
+def _meets(got: int, value: int, exact: bool) -> bool:
+    """got equals value (exact) or is at least value (a floor)."""
+    return got == value if exact else got >= value
+
+
+def _check(name: str, cases, holds, explain) -> PropertyResult:
+    """The single property holds(*case) over cases; explain(*case) describes the first failing one."""
+    return _walk(cases, [_Property(name, None, holds, explain)])[0]
 
 
 def _box(p_max: int, n_max: int, start: int = 1):
@@ -72,69 +101,114 @@ def _box_by_prime(p_max: int, n_max: int, row, start: int = 1):
             yield p, n, values
 
 
-def _bk_prime_meets(p: int, d: int, value: int, exact: bool) -> bool:
-    """bk_prime_bound(p, d) equals value (exact) or is at least value (a floor)."""
-    got = bk_prime_bound(p, d)
-    return got == value if exact else got >= value
+def _digit_cells(p_max: int, m_max: int):
+    """Cells (p, m, lambda_p(m), m rebuilt from its base-p digits) over _box(p_max, m_max, start=0)."""
+    for p in primes_up_to(p_max):
+        for m in range(m_max + 1):
+            rebuilt = 0
+            for c in reversed(digits_base_p(p, m)):  # Horner's rule
+                rebuilt = rebuilt * p + c
+            yield p, m, _lambda(p, m), rebuilt
+
+
+_LAMBDA_ZERO = _Property(
+    "lambda_zero_iff_below_p", None,
+    lambda p, m, lam, rebuilt: (lam == 0) == (m < p),
+    lambda p, m, lam, rebuilt: f"p={p}, m={m}: lambda={lam}",
+)
+_LAMBDA_LOWER_BOUND = _Property(
+    "lambda_lower_bound", lambda p, m, lam, rebuilt: m >= 1,
+    lambda p, m, lam, rebuilt: lam >= m - p + 1,
+    lambda p, m, lam, rebuilt: f"p={p}, m={m}: lambda={lam} < {m - p + 1}",
+)
+_DIGIT_RECONSTRUCTION = _Property(
+    "digit_reconstruction", None,
+    lambda p, m, lam, rebuilt: rebuilt == m,
+    lambda p, m, lam, rebuilt: f"p={p}, m={m}: digits rebuild to {rebuilt}",
+)
 
 
 def lambda_zero_iff_small(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """lambda_p(m) = 0 exactly when m < p."""
-    return _check(
-        "lambda_zero_iff_below_p", _box(p_max, m_max, start=0),
-        lambda p, m: (lambda_p(p, m) == 0) == (m < p),
-        lambda p, m: f"p={p}, m={m}: lambda={lambda_p(p, m)}",
-    )
+    return _walk(_digit_cells(p_max, m_max), [_LAMBDA_ZERO])[0]
 
 
 def lambda_lower_bound(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """lambda_p(m) >= m - p + 1 for m >= 1."""
-    return _check(
-        "lambda_lower_bound", _box(p_max, m_max),
-        lambda p, m: lambda_p(p, m) >= m - p + 1,
-        lambda p, m: f"p={p}, m={m}: lambda={lambda_p(p, m)} < {m - p + 1}",
-    )
+    return _walk(_digit_cells(p_max, m_max), [_LAMBDA_LOWER_BOUND])[0]
 
 
 def digit_reconstruction(p_max: int = 50, m_max: int = 2500) -> PropertyResult:
     """The base-p digits of m sum back to m."""
-    cases = (
-        (p, m, sum(c * p**i for i, c in enumerate(digits_base_p(p, m))))
-        for p, m in _box(p_max, m_max, start=0)
-    )
-    return _check(
-        "digit_reconstruction", cases,
-        lambda p, m, total: total == m,
-        lambda p, m, total: f"p={p}, m={m}: digits rebuild to {total}",
-    )
+    return _walk(_digit_cells(p_max, m_max), [_DIGIT_RECONSTRUCTION])[0]
+
+
+def _bound_cells(p_max: int, d_max: int):
+    """Cells (p, d, bk_prime, b0) over _box(p_max, d_max), each bound computed once."""
+    for p in primes_up_to(p_max):
+        for d in range(1, d_max + 1):
+            yield p, d, _bk(p, d) // d, _b0(p, d)
+
+
+def _piecewise_value(p: int, d: int) -> int:
+    """bk_prime for p >= 5, p >= d and p != d + 1: 2, 4 or 3 by the position of p relative to d."""
+    return 2 if p > 2 * d + 1 else 4 if p in (2 * d + 1, d) else 3
+
+
+def _divisor_floor(p: int, d: int) -> tuple[int, bool]:
+    """(floor, exact) when (p - 1) | 2d: bk_prime >= floor = 4 + 2 v_p(d) + (4 if p = 2) + (1 if p = 3),
+    with equality (exact) when the p-free cofactor of 2d / (p - 1) is < p."""
+    floor = 4 + 2 * _valuation(p, d) + (4 if p == 2 else 0) + (1 if p == 3 else 0)
+    quotient = 2 * d // (p - 1)
+    return floor, quotient // p ** _valuation(p, quotient) < p
+
+
+def _divisor_explain(p: int, d: int, bk_prime: int, b0: int) -> str:
+    floor, _ = _divisor_floor(p, d)
+    if bk_prime < floor:
+        return f"p={p}, d={d}: bk_prime={bk_prime} < {floor}"
+    return f"p={p}, d={d}: equality expected, bk_prime={bk_prime} != {floor}"
+
+
+_B0_LE_BK_PRIME = _Property(
+    "b0_le_bk_prime", None,
+    lambda p, d, bk_prime, b0: b0 <= bk_prime,
+    lambda p, d, bk_prime, b0: f"p={p}, d={d}: b0={b0} > bk_prime={bk_prime}",
+)
+_EQUALITY_FOR_LARGE_P = _Property(
+    "equality_when_p_ge_2d_plus_1", lambda p, d, bk_prime, b0: p >= 2 * d + 1,
+    lambda p, d, bk_prime, b0: b0 == bk_prime,
+    lambda p, d, bk_prime, b0: f"p={p}, d={d}: {b0} != {bk_prime}",
+)
+_STRICT_CASE_A = _Property(
+    "strict_when_p_ge_5_nondivisor", lambda p, d, bk_prime, b0: 5 <= p < 2 * d + 1 and (2 * d) % (p - 1) != 0,
+    lambda p, d, bk_prime, b0: b0 < bk_prime,
+    lambda p, d, bk_prime, b0: f"p={p}, d={d}",
+)
+_PIECEWISE_LARGE_P = _Property(  # p = d + 1 is not covered by the piecewise statement
+    "bk_prime_piecewise_large_p", lambda p, d, bk_prime, b0: p >= 5 and p >= d and p != d + 1,
+    lambda p, d, bk_prime, b0: bk_prime == _piecewise_value(p, d),
+    lambda p, d, bk_prime, b0: f"p={p}, d={d}: bk_prime={bk_prime} != {_piecewise_value(p, d)}",
+)
+_DIVISOR_CASE = _Property(
+    "bk_prime_divisor_case", lambda p, d, bk_prime, b0: (2 * d) % (p - 1) == 0,
+    lambda p, d, bk_prime, b0: _meets(bk_prime, *_divisor_floor(p, d)), _divisor_explain,
+)
 
 
 def b0_le_bk_prime(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 <= bk_prime everywhere, with the stated equality and strictness cases."""
-    return _check(
-        "b0_le_bk_prime", _box(p_max, d_max),
-        lambda p, d: b0_bound(p, d) <= bk_prime_bound(p, d),
-        lambda p, d: f"p={p}, d={d}: b0={b0_bound(p, d)} > bk_prime={bk_prime_bound(p, d)}",
-    )
+    return _walk(_bound_cells(p_max, d_max), [_B0_LE_BK_PRIME])[0]
 
 
 def equality_for_large_p(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 = bk_prime whenever p >= 2d + 1."""
-    return _check(
-        "equality_when_p_ge_2d_plus_1", ((p, d) for p, d in _box(p_max, d_max) if p >= 2 * d + 1),
-        lambda p, d: b0_bound(p, d) == bk_prime_bound(p, d),
-        lambda p, d: f"p={p}, d={d}: {b0_bound(p, d)} != {bk_prime_bound(p, d)}",
-    )
+    return _walk(_bound_cells(p_max, d_max), [_EQUALITY_FOR_LARGE_P])[0]
 
 
 def strict_case_a(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """b0 < bk_prime when 5 <= p < 2d + 1 and (p - 1) does not divide 2d."""
-    return _check(
-        "strict_when_p_ge_5_nondivisor",
-        ((p, d) for p, d in _box(p_max, d_max) if 5 <= p < 2 * d + 1 and (2 * d) % (p - 1) != 0),
-        lambda p, d: b0_bound(p, d) < bk_prime_bound(p, d),
-        lambda p, d: f"p={p}, d={d}",
-    )
+    return _walk(_bound_cells(p_max, d_max), [_STRICT_CASE_A])[0]
 
 
 def strict_case_b(d_max: int = 100) -> PropertyResult:
@@ -148,16 +222,7 @@ def strict_case_b(d_max: int = 100) -> PropertyResult:
 
 def bk_prime_piecewise_large_p(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """For p >= 5 and p >= d: bk_prime is 2 / 4 / 3 by the position of p relative to d."""
-    # p = d + 1 is not covered by the piecewise statement
-    cases = (
-        (p, d, 2 if p > 2 * d + 1 else 4 if p in (2 * d + 1, d) else 3)
-        for p, d in _box(p_max, d_max) if p >= 5 and p >= d and p != d + 1
-    )
-    return _check(
-        "bk_prime_piecewise_large_p", cases,
-        lambda p, d, expected: bk_prime_bound(p, d) == expected,
-        lambda p, d, expected: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} != {expected}",
-    )
+    return _walk(_bound_cells(p_max, d_max), [_PIECEWISE_LARGE_P])[0]
 
 
 def bk_prime_small_p(d_max: int = 100) -> PropertyResult:
@@ -169,7 +234,7 @@ def bk_prime_small_p(d_max: int = 100) -> PropertyResult:
         ((3, d, 6, False) for d in range(3, d_max + 1)),
     )
     return _check(
-        "bk_prime_small_p_values", cases, _bk_prime_meets,
+        "bk_prime_small_p_values", cases, lambda p, d, value, exact: _meets(bk_prime_bound(p, d), value, exact),
         lambda p, d, value, exact: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} {'!=' if exact else '<'} {value}",
     )
 
@@ -177,17 +242,7 @@ def bk_prime_small_p(d_max: int = 100) -> PropertyResult:
 def bk_prime_divisor_case(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """When (p - 1) | 2d: bk_prime >= 4 + 2 v_p(d) + (4 if p = 2) + (1 if p = 3),
     with equality when the p-free cofactor of 2d / (p - 1) is < p."""
-    def case(p, d):
-        floor = 4 + 2 * valuation(p, d) + (4 if p == 2 else 0) + (1 if p == 3 else 0)
-        quotient = 2 * d // (p - 1)
-        return p, d, floor, quotient // p ** valuation(p, quotient) < p
-    def explain(p, d, floor, exact):
-        got = bk_prime_bound(p, d)
-        if got < floor:
-            return f"p={p}, d={d}: bk_prime={got} < {floor}"
-        return f"p={p}, d={d}: equality expected, bk_prime={got} != {floor}"
-    cases = (case(p, d) for p, d in _box(p_max, d_max) if (2 * d) % (p - 1) == 0)
-    return _check("bk_prime_divisor_case", cases, _bk_prime_meets, explain)
+    return _walk(_bound_cells(p_max, d_max), [_DIVISOR_CASE])[0]
 
 
 def forced_exponent_monotone(p_max: int = 200, e_max: int = 40) -> PropertyResult:
@@ -285,21 +340,32 @@ def bk_prime_floor_identity(p_max: int = 200, d_max: int = 64) -> PropertyResult
 
 
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
-    """Run the full suite, scaling range-quantified properties to the flags."""
+    """Run the full suite, scaling range-quantified properties to the flags.
+
+    The properties of the (p, m) box and those of the (p, d) box are each
+    checked in one walk over their box, so each cell's kernels run once.
+    """
     small_p = min(p_max, 50)
     oracle_p, oracle_d = min(p_max, 200), min(d_max, 64)
+    lambda_zero, lambda_lower, digits = _walk(
+        _digit_cells(small_p, 2500), [_LAMBDA_ZERO, _LAMBDA_LOWER_BOUND, _DIGIT_RECONSTRUCTION]
+    )
+    b0_le, equality, strict_a, piecewise, divisor = _walk(
+        _bound_cells(p_max, d_max),
+        [_B0_LE_BK_PRIME, _EQUALITY_FOR_LARGE_P, _STRICT_CASE_A, _PIECEWISE_LARGE_P, _DIVISOR_CASE],
+    )
     results = [
-        lambda_zero_iff_small(p_max=small_p),
-        lambda_lower_bound(p_max=small_p),
-        digit_reconstruction(p_max=small_p),
+        lambda_zero,
+        lambda_lower,
+        digits,
         valuation_additivity(p_max=small_p),
-        b0_le_bk_prime(p_max=p_max, d_max=d_max),
-        equality_for_large_p(p_max=p_max, d_max=d_max),
-        strict_case_a(p_max=p_max, d_max=d_max),
+        b0_le,
+        equality,
+        strict_a,
         strict_case_b(d_max=d_max),
-        bk_prime_piecewise_large_p(p_max=p_max, d_max=d_max),
+        piecewise,
         bk_prime_small_p(d_max=max(d_max, 4)),
-        bk_prime_divisor_case(p_max=p_max, d_max=d_max),
+        divisor,
         bk_prime_floor_identity(p_max=oracle_p, d_max=oracle_d),
         forced_exponent_monotone(p_max=oracle_p),
         cyclotomic_degree_monotone(p_max=oracle_p),

@@ -652,6 +652,15 @@ TAMPERED = [
     (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["exponent_attained"], 4),
     (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["level"], 13**4),
     (["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"], ["status"], "sharp"),
+    # verify results: ok must be a bool that is true exactly when there is no counterexample
+    *(
+        (["verify", "--pmax", "2", "--dmax", "1"], path, value)
+        for path, value in [
+            (["results", 0, "counterexample"], "p=2"), (["results", 0, "ok"], False), (["results", 0, "ok"], 1),
+            (["results", 0, "cases"], -1), (["results", 0, "cases"], True), (["results", 0, "cases"], 2.0),
+            (["results", 0, "name"], 3), (["results", 0, "extra"], 1), (["ok"], False),
+        ]
+    ),
 ]
 
 
@@ -675,6 +684,11 @@ def test_json_with_one_changed_field_is_rejected(capsys, monkeypatch, argv, path
         (cli.parse_profile_json, '{"d": 4, "profile": 5}'),
         (cli.parse_genus2_json, '{"profile": [[5, 6]]}'),
         (cli.parse_table_json, '{"d_max": 1, "p_max": 3, "annotated": false, "cells": [{"p": "2", "d": 1}]}'),
+        (cli.parse_verify_json, "[]"),
+        (cli.parse_verify_json, "{}"),
+        (cli.parse_verify_json, '{"ok": true, "results": [5]}'),
+        (cli.parse_forbidden_json, "{}"),
+        (cli.parse_forbidden_json, '{"profiles": [5]}'),
     ],
 )
 def test_malformed_json_is_a_value_error(parse, text):

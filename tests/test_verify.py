@@ -13,6 +13,7 @@ import pytest
 
 from rmbounds import bounds, verify
 
+real_bk = bounds.bk_bound
 real_bk_prime = bounds.bk_prime_bound
 real_b0 = bounds.b0_bound
 
@@ -21,7 +22,7 @@ SABOTAGE = {
     "hundred": lambda *args: 100,
     "empty": lambda *args: [],
     "negate_second": lambda p, n: -n,
-    "bk_prime_plus_one": lambda p, d: real_bk_prime(p, d) + 1,
+    "bk_prime_plus_one": lambda p, d: real_bk(p, d) + d,  # replaces _bk: bk_prime = bk // d rises by one
     "b0_minus_one": lambda p, d: real_b0(p, d) - 1,
     "b0_hundred_from_p11_or_d5": lambda p, d: 100 if p >= 11 or d >= 5 else real_b0(p, d),
     "zero_p2_from_d4": lambda p, d: 0 if p == 2 and d >= 4 else real_bk_prime(p, d),
@@ -30,25 +31,25 @@ SABOTAGE = {
 
 # (property, keyword arguments, kernel replaced, sabotage, cases, first counterexample)
 PINS = [
-    ("lambda_zero_iff_small", {"p_max": 7, "m_max": 30}, "lambda_p", "zero", 124, "p=2, m=2: lambda=0"),
-    ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "lambda_p", "zero", 120, "p=2, m=2: lambda=0 < 1"),
+    ("lambda_zero_iff_small", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 124, "p=2, m=2: lambda=0"),
+    ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 120, "p=2, m=2: lambda=0 < 1"),
     ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "digits_base_p", "empty", 124,
      "p=2, m=1: digits rebuild to 0"),
     ("valuation_additivity", {"p_max": 7}, "valuation", "zero", 224, "p=2, k=1, n=1"),
-    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
-    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "b0_bound", "b0_hundred_from_p11_or_d5", 150,
+    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
+    ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "b0_hundred_from_p11_or_d5", 150,
      "p=2, d=5: b0=100 > bk_prime=11"),
-    ("equality_for_large_p", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 104, "p=3, d=1: 100 != 5"),
-    ("strict_case_a", {"p_max": 50, "d_max": 10}, "b0_bound", "hundred", 20, "p=5, d=3"),
+    ("equality_for_large_p", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 104, "p=3, d=1: 100 != 5"),
+    ("strict_case_a", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 20, "p=5, d=3"),
     ("strict_case_b", {"d_max": 20}, "b0_bound", "hundred", 20, "p=2, d=5"),
-    ("bk_prime_piecewise_large_p", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 119,
+    ("bk_prime_piecewise_large_p", {"p_max": 50, "d_max": 10}, "_bk", "zero", 119,
      "p=5, d=1: bk_prime=0 != 2"),
     ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero", 40, "p=3, d=1: bk_prime=0 != 5"),
     ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p2_from_d4", 40, "p=2, d=4: bk_prime=0 < 9"),
     ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p3_from_d3", 40, "p=3, d=3: bk_prime=0 < 6"),
-    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 33,
+    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "_bk", "zero", 33,
      "p=2, d=1: bk_prime=0 < 8"),
-    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "bk_prime_plus_one", 33,
+    ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "_bk", "bk_prime_plus_one", 33,
      "p=2, d=1: equality expected, bk_prime=9 != 8"),
     ("bk_prime_floor_identity", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 150, "p=2, d=1"),
     ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, "forced_subfield_exponent", "negate_second", 88,
@@ -135,8 +136,8 @@ def test_run_all_order_and_case_counts_at_larger_boxes(p_max, d_max, expected):
     assert all(r.ok for r in results)
 
 
-@pytest.mark.parametrize("func, kwargs, kernels, calls", KERNEL_CALLS, ids=[entry[0] for entry in KERNEL_CALLS])
-def test_kernels_run_once_per_prime_and_exponent(monkeypatch, func, kwargs, kernels, calls):
+def count_calls(monkeypatch, kernels) -> dict[str, int]:
+    """Wrap each named kernel of verify to count its calls; the counts fill in as the kernels run."""
     counts = dict.fromkeys(kernels, 0)
     def counted(name, kernel):
         def wrapper(*args):
@@ -145,8 +146,51 @@ def test_kernels_run_once_per_prime_and_exponent(monkeypatch, func, kwargs, kern
         return wrapper
     for name in kernels:
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    return counts
+
+
+@pytest.mark.parametrize("func, kwargs, kernels, calls", KERNEL_CALLS, ids=[entry[0] for entry in KERNEL_CALLS])
+def test_kernels_run_once_per_prime_and_exponent(monkeypatch, func, kwargs, kernels, calls):
+    counts = count_calls(monkeypatch, kernels)
     assert getattr(verify, func)(**kwargs).ok
     assert counts == dict.fromkeys(kernels, calls)
+
+
+# The properties run_all checks in one walk per box, each with the box run_all(p_max, d_max) gives it.
+SHARED_WALK = {
+    "lambda_zero_iff_small": {"p_max": 7},
+    "lambda_lower_bound": {"p_max": 7},
+    "digit_reconstruction": {"p_max": 7},
+    **dict.fromkeys(
+        ["b0_le_bk_prime", "equality_for_large_p", "strict_case_a", "bk_prime_piecewise_large_p",
+         "bk_prime_divisor_case"],
+        {"p_max": 50, "d_max": 10},
+    ),
+}
+SHARED_PINS = [pin for pin in PINS if pin[0] in SHARED_WALK]
+
+
+def test_shared_walks_cover_their_pins():
+    assert {pin[0] for pin in SHARED_PINS} == set(SHARED_WALK)
+
+
+@pytest.mark.parametrize("func, kwargs, kernel, sabotage, cases, counterexample", SHARED_PINS,
+                         ids=[f"{pin[0]}-{pin[3]}" for pin in SHARED_PINS])
+def test_shared_walk_matches_the_standalone_property(monkeypatch, func, kwargs, kernel, sabotage, cases,
+                                                     counterexample):
+    box = SHARED_WALK[func]
+    monkeypatch.setattr(verify, kernel, SABOTAGE[sabotage])
+    standalone = getattr(verify, func)(**box)
+    shared = {result.name: result for result in verify.run_all(box["p_max"], box.get("d_max", 10))}
+    assert not standalone.ok
+    assert shared[standalone.name] == standalone
+
+
+def test_shared_walks_run_each_kernel_once_per_cell(monkeypatch):
+    counts = count_calls(monkeypatch, ("_bk", "_b0", "_lambda", "digits_base_p"))
+    assert all(result.ok for result in verify.run_all(19, 10))
+    # 8 primes <= 19 times d = 1..10, and the 20,008 cases of lambda_zero_iff_below_p
+    assert counts == {"_bk": 8 * 10, "_b0": 8 * 10, "_lambda": 8 * 2501, "digits_base_p": 8 * 2501}
 
 
 def test_oracle_range_reaches_past_b0_at_large_d():
