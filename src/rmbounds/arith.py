@@ -105,6 +105,11 @@ def digits_base_p(p: int, m: int) -> list[int]:
     require_prime(p)
     if m < 0:
         raise ValueError("m must be non-negative")
+    return _digits(p, m)
+
+
+def _digits(p: int, m: int) -> list[int]:
+    """digits_base_p without the checks: p prime and m >= 0 are the caller's to ensure."""
     digits = []
     while m:
         m, c = divmod(m, p)
@@ -148,6 +153,11 @@ def real_cyclotomic_degree(p: int, r: int) -> int:
     require_prime(p)
     if r < 0:
         raise ValueError("r must be non-negative")
+    return _real_cyclotomic_degree(p, r)
+
+
+def _real_cyclotomic_degree(p: int, r: int) -> int:
+    """real_cyclotomic_degree without the checks: p prime and r >= 0 are the caller's to ensure."""
     if r == 0:
         return 1
     if p == 2:

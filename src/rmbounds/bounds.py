@@ -80,8 +80,12 @@ def forced_subfield_exponent(p: int, e: int) -> int:
     require_prime(p)
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    threshold = 9 if p == 2 else 3
-    if e < threshold:
+    return _forced_exponent(p, e)
+
+
+def _forced_exponent(p: int, e: int) -> int:
+    """forced_subfield_exponent without the checks: p prime and e >= 0 are the caller's to ensure."""
+    if e < (9 if p == 2 else 3):
         return 0
     vp3 = 1 if p == 3 else 0
     vp2 = 1 if p == 2 else 0

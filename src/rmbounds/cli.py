@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from typing import NamedTuple
 
 from . import lmfdb, verify
 from .arith import is_prime
@@ -41,6 +42,7 @@ ENV_CACHE = "RMBOUNDS_CACHE"
 
 
 PMAX_LIMIT = 10**7  # --pmax bounds a sieve of pmax + 1 bytes
+DMAX_LIMIT = 10**5  # table --dmax bounds a grid of dmax rows, built and printed in memory
 
 
 def _int_arg(text: str) -> int:
@@ -72,6 +74,13 @@ def _pmax_arg(text: str) -> int:
     value = _positive_arg(text)
     if value > PMAX_LIMIT:
         raise argparse.ArgumentTypeError(f"expected a prime bound <= {PMAX_LIMIT}, got {value}")
+    return value
+
+
+def _dmax_arg(text: str) -> int:
+    value = _positive_arg(text)
+    if value > DMAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected a dimension bound <= {DMAX_LIMIT}, got {value}")
     return value
 
 
@@ -253,29 +262,53 @@ def parse_profile_json(text: str) -> RmConstraintReport:
 # -- forbidden ---------------------------------------------------------------
 
 
+class _ForbiddenProfiles(NamedTuple):
+    """enumerate_forbidden's inputs and its profiles: the forbidden command's result."""
+
+    d: int
+    prime_bound: int
+    max_entries: int
+    include_singletons: bool
+    profiles: list[ExponentProfile]
+
+    @classmethod
+    def compute(cls, d: int, prime_bound: int, max_entries: int, include_singletons: bool) -> "_ForbiddenProfiles":
+        profiles = enumerate_forbidden(d, prime_bound, max_entries, include_singletons=include_singletons)
+        return cls(d, prime_bound, max_entries, include_singletons, profiles)
+
+    def to_json_dict(self) -> dict:
+        return {**self._asdict(), "profiles": [profile.to_json_list() for profile in self.profiles]}
+
+
 def cmd_forbidden(args) -> int:
-    profiles = enumerate_forbidden(
-        args.d, args.pmax, args.max_entries, include_singletons=args.include_singletons
-    )
-    obj = {
-        "d": args.d,
-        "prime_bound": args.pmax,
-        "max_entries": args.max_entries,
-        "include_singletons": args.include_singletons,
-        "profiles": [profile.to_json_list() for profile in profiles],
-    }
+    result = _ForbiddenProfiles.compute(args.d, args.pmax, args.max_entries, args.include_singletons)
+    profiles = result.profiles
     if profiles:
         plain = [f"minimal forbidden exponent combinations for d = {args.d}:"]
         plain += [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
     else:
         plain = [f"no forbidden combinations for d = {args.d} (primes <= {args.pmax}, <= {args.max_entries} primes)"]
-    _emit(args, obj, ["profile"], [[str(profile)] for profile in profiles], plain)
+    _emit(args, result.to_json_dict(), ["profile"], [[str(profile)] for profile in profiles], plain)
     return 0
 
 
 def parse_forbidden_json(text: str) -> list[ExponentProfile]:
-    with _document_shape():
-        return [ExponentProfile.from_json_list(items) for items in json.loads(text)["profiles"]]
+    """The document's profiles, recomputed from its d, prime_bound, max_entries and include_singletons.
+
+    Those inputs are checked as the command's flags are: prime_bound an int in
+    1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
+    """
+    def recompute(doc):
+        prime_bound, max_entries, singletons = doc["prime_bound"], doc["max_entries"], doc["include_singletons"]
+        if not (type(prime_bound) is int and 1 <= prime_bound <= PMAX_LIMIT):
+            raise ValueError(f"prime_bound must be an integer in 1..{PMAX_LIMIT}, got {prime_bound!r}")
+        if not (type(max_entries) is int and max_entries >= 1):
+            raise ValueError(f"max_entries must be an integer >= 1, got {max_entries!r}")
+        if type(singletons) is not bool:
+            raise ValueError(f"include_singletons must be true or false, got {singletons!r}")
+        return _ForbiddenProfiles.compute(doc["d"], prime_bound, max_entries, singletons)
+
+    return _recomputed(text, recompute).profiles
 
 
 # -- genus2 ------------------------------------------------------------------
@@ -389,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
-    p_table.add_argument("--dmax", type=_positive_arg, required=True)
+    p_table.add_argument("--dmax", type=_dmax_arg, required=True)
     p_table.add_argument("--pmax", type=_prime_bound_arg, default=19)
     p_table.add_argument("--full", action="store_true", help="include the trivial cells with p > 2d + 1")
     p_table.add_argument("--annotate", action="store_true", help="merge sharpness flags from orbit data")

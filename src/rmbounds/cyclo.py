@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import is_prime, primes_up_to, real_cyclotomic_degree, require_dimension, require_prime
-from .bounds import b0_bound, forced_subfield_exponent
+from .arith import _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_prime
+from .bounds import _b0, _forced_exponent, b0_bound, forced_subfield_exponent
 
 
 class ProfileParseError(ValueError):
@@ -159,7 +159,7 @@ class RealCyclotomicField:
 
     @property
     def degree(self) -> int:
-        return real_cyclotomic_degree(self.p, self.r)
+        return _real_cyclotomic_degree(self.p, self.r)
 
     @property
     def name(self) -> str:
@@ -232,9 +232,19 @@ def forced_field(p: int, e: int) -> RealCyclotomicField | None:
     r = forced_subfield_exponent(p, e)
     # Every p^r with r >= 3 is at least 8, so its field is nontrivial; the
     # degree is computed only for small r, never before the size check.
-    if r >= 3 or (r >= 1 and real_cyclotomic_degree(p, r) > 1):
+    if r >= 3 or (r >= 1 and _real_cyclotomic_degree(p, r) > 1):
         return RealCyclotomicField(p=p, r=r)
     return None
+
+
+def _entry_degree(p: int, e: int) -> int:
+    """Degree of the field forced by v_p(N) = e, 1 when none is, without the checks.
+
+    p prime, e >= 0 and a forced p^r of at most 4,300 digits (forced_field
+    rejects larger ones) are the caller's to ensure.  A profile is admissible
+    in dimension d exactly when the product of its entries' degrees divides d.
+    """
+    return _real_cyclotomic_degree(p, _forced_exponent(p, e))
 
 
 def forced_compositum(profile: ExponentProfile) -> Compositum:
@@ -273,25 +283,27 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     Assembles the compositum of the forced real cyclotomic subfields, tests
     whether its degree divides d, reports how completely the endomorphism
     field is determined, and computes for each profile prime the refined
-    exponent cap implied by the remaining primes' forced degrees.
+    exponent cap implied by the remaining primes' forced degrees.  The
+    compositum is built first, for the report and its size check; every
+    verdict then comes from the integer degrees of _entry_degree.
     """
     require_dimension(d)
     profile = ExponentProfile.of(profile)
     forced = forced_compositum(profile)
-    degree = forced.degree
+    own = [(p, _entry_degree(p, e)) for p, e in profile]
+    degree = math.prod(g for _, g in own)
     admissible = d % degree == 0
-    if forced.is_trivial:
+    if degree == 1:
         determination = Determination.NO_CONSTRAINT
     elif degree == d:
         determination = Determination.EXACT_FIELD
     else:
         determination = Determination.CONTAINS_SUBFIELD
-    own = {f.p: f.degree for f in forced.components}
     refined: dict[int, int] = {}
-    for p, _ in profile:
-        rest = degree // own.get(p, 1)
+    for p, g in own:
+        rest = degree // g
         if d % rest == 0:
-            refined[p] = b0_bound(p, d // rest)
+            refined[p] = _b0(p, d // rest)
     return RmConstraintReport(
         dimension=d,
         profile=profile,
@@ -307,19 +319,19 @@ def _degree_thresholds(p: int, d: int) -> list[tuple[int, int]]:
     """(smallest exponent, forced degree) per distinct nontrivial forced degree at p.
 
     Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3), the
-    inverse of forced_subfield_exponent.  The list runs up to and including
-    the first degree above d, however large d is.  Degrees at one prime form
-    a divisibility chain, so the list is strictly increasing in both
-    coordinates.
+    inverse of forced_subfield_exponent, so the walk takes those exponents,
+    r = 1, 2, ..., and reads each one's degree from _entry_degree.  The list
+    runs up to and including the first degree above d, however large d is.
+    Degrees at one prime form a divisibility chain, so the list is strictly
+    increasing in both coordinates.
     """
-    shift = 1 + (2 if p == 2 else 0) + (1 if p == 3 else 0)
     thresholds: list[tuple[int, int]] = []
-    r = 1
+    e = 3 + (2 if p == 2 else 0) + (1 if p == 3 else 0)  # r = 1
     while not thresholds or thresholds[-1][1] <= d:
-        degree = real_cyclotomic_degree(p, r)
+        degree = _entry_degree(p, e)
         if degree > 1:
-            thresholds.append((2 * r + shift, degree))
-        r += 1
+            thresholds.append((e, degree))
+        e += 2
     return thresholds
 
 
@@ -359,7 +371,7 @@ def enumerate_forbidden(
                 break
             usable.setdefault(p, []).append((e, g, lower))
             lower = g
-    for k in range(2, max_entries + 1):
+    for k in range(2, min(max_entries, len(usable)) + 1):  # no combination holds more primes than are usable
         for combo in itertools.combinations(usable, k):
             for choice in itertools.product(*(usable[p] for p in combo)):
                 degree = math.prod(g for _, g, _ in choice)

@@ -14,8 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .arith import _lambda, _valuation, digits_base_p, primes_up_to, real_cyclotomic_degree, valuation
+from .arith import _digits, _lambda, _valuation, primes_up_to, real_cyclotomic_degree, valuation
 from .bounds import _b0, _bk, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
+from .cyclo import _entry_degree
 
 # Known (bk_prime, b0) values for d = 1..10 and the primes p <= 2d + 1.
 REFERENCE_GRID_D10: dict[tuple[int, int], tuple[int, int]] = {
@@ -106,7 +107,7 @@ def _digit_cells(p_max: int, m_max: int):
     for p in primes_up_to(p_max):
         for m in range(m_max + 1):
             rebuilt = 0
-            for c in reversed(digits_base_p(p, m)):  # Horner's rule
+            for c in reversed(_digits(p, m)):  # Horner's rule
                 rebuilt = rebuilt * p + c
             yield p, m, _lambda(p, m), rebuilt
 
@@ -293,10 +294,13 @@ def b0_matches_forced_degree_oracle(p_max: int = 200, d_max: int = 64, e_max: in
 
 
 def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
-    """A lone prime at b0_bound is admissible; one exponent higher is not."""
-    from .cyclo import analyze_profile
+    """A lone prime at b0_bound is admissible; one exponent higher is not.
+
+    Each case makes analyze_profile's own admissibility test: the forced
+    degree divides d.
+    """
     def admissible(p, d, e):
-        return analyze_profile({p: e}, d).admissible
+        return d % _entry_degree(p, e) == 0
     def explain(p, d, cap):
         if not admissible(p, d, cap):
             return f"p={p}, d={d}: exponent {cap} not admissible"

@@ -239,6 +239,15 @@ def test_pmax_above_limit_is_rejected_before_any_sieve(capsys, monkeypatch, argv
     assert cli.build_parser().parse_args([*argv, "--pmax", str(cli.PMAX_LIMIT)]).pmax == cli.PMAX_LIMIT
 
 
+def test_table_dmax_limit_is_checked_at_the_parser(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["table", "--dmax", str(cli.DMAX_LIMIT)]).dmax == cli.DMAX_LIMIT
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(["table", "--dmax", str(cli.DMAX_LIMIT + 1)])
+    assert info.value.code == 2
+    assert "argument --dmax: expected a dimension bound <= 100000, got 100001" in capsys.readouterr().err
+
+
 def test_table_smallest_pmax(capsys):
     code, out = run(capsys, ["table", "--dmax", "1", "--pmax", "2", "--format", "csv"])
     assert (code, out) == (0, "d,p2\n1,8\n")
@@ -355,6 +364,27 @@ def test_forbidden_json_round_trip(capsys):
     code, out = run(capsys, ["forbidden", "--d", "4", "--format", "json"])
     profiles = cli.parse_forbidden_json(out)
     assert [str(p) for p in profiles] == ["2^11,5^3"]
+
+
+# Edits of `forbidden --d 6 --format json` that no enumeration gives: each must be rejected.
+FORBIDDEN_EDITS = {
+    # 2^9,7^3 is admissible at d = 6: its forced degree 2 * 3 divides 6
+    "added": lambda profiles: profiles.append([{"p": 2, "e": 9}, {"p": 7, "e": 3}]),
+    "dropped": lambda profiles: profiles.pop(),
+    "changed-exponent": lambda profiles: profiles[0][0].update(e=11),
+}
+
+
+@pytest.mark.parametrize("edit", FORBIDDEN_EDITS.values(), ids=FORBIDDEN_EDITS.keys())
+def test_forbidden_json_with_edited_profiles_is_rejected(capsys, edit):
+    code, out = run(capsys, ["forbidden", "--d", "6", "--format", "json"])
+    doc = json.loads(out)
+    assert [str(profile) for profile in cli.parse_forbidden_json(out)] == [
+        "2^9,5^3", "2^9,13^3", "3^6,7^3", "3^6,13^3", "5^3,13^3", "7^3,13^3"
+    ]
+    edit(doc["profiles"])
+    with pytest.raises(ValueError, match="^field 'profiles' does not match"):
+        cli.parse_forbidden_json(json.dumps(doc))
 
 
 def test_forbidden_empty(capsys):
@@ -578,6 +608,10 @@ ROUND_TRIPS = [
     ),
     (["profile", "--d", "2", "2^14000"], lambda: analyze_profile({2: 14000}, 2)),
     (["forbidden", "--d", "96", "--max-entries", "4"], lambda: enumerate_forbidden(96, 19, 4)),
+    (
+        ["forbidden", "--d", "6", "--pmax", "200", "--max-entries", "3", "--include-singletons"],
+        lambda: enumerate_forbidden(6, 200, 3, include_singletons=True),
+    ),
     (["genus2", "5^6"], lambda: genus2_rm_analysis({5: 6})),
     (["genus2", "2^22"], lambda: genus2_rm_analysis({2: 22})),
     (["genus2", "3^4,5^2"], lambda: genus2_rm_analysis({3: 4, 5: 2})),
@@ -635,6 +669,16 @@ TAMPERED = [
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "d"], True),
     (["table", "--dmax", "3", "--pmax", "7"], ["d_max"], 4),
     (["table", "--dmax", "3", "--pmax", "7"], ["annotated"], 0),
+    # forbidden profiles are recomputed from the inputs, which are checked as the flags are
+    *(
+        (["forbidden", "--d", "6"], path, value)
+        for path, value in [
+            (["profiles", 0, 0, "e"], 10), (["d"], 4), (["d"], 6.0), (["d"], 0), (["prime_bound"], 11),
+            (["prime_bound"], 0), (["prime_bound"], 10**11), (["prime_bound"], 19.0), (["max_entries"], 1),
+            (["max_entries"], 0), (["max_entries"], True), (["include_singletons"], True),
+            (["include_singletons"], 0),
+        ]
+    ),
     # a sharp witness at level 12032 = 2^8 * 47, B0(2, 7) = 8
     *(
         (["sharpness", "--p", "2", "--d", "7", "--budget", "16384", "--offline"], [key], value)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +21,7 @@ from rmbounds.cyclo import (
     ExponentProfile,
     ProfileParseError,
     RealCyclotomicField,
+    _entry_degree,
     analyze_profile,
     enumerate_forbidden,
     forced_compositum,
@@ -184,6 +186,15 @@ def test_downward_closure(profile, d):
         assert analyze_profile(smaller, d).admissible
 
 
+@given(profile=profile_dicts, d=st.integers(min_value=1, max_value=24))
+def test_verdict_is_the_product_of_entry_degrees(profile, d):
+    report = analyze_profile(profile, d)
+    degree = math.prod(_entry_degree(p, e) for p, e in profile.items())
+    assert degree == report.forced.degree
+    assert report.admissible == (d % degree == 0)
+    assert report.residual_degree == (d // degree if d % degree == 0 else None)
+
+
 @given(profile=profile_dicts)
 def test_compositum_order_invariance(profile):
     forward = forced_compositum(ExponentProfile.of(profile))
@@ -295,6 +306,18 @@ def test_enumerate_forbidden_singletons_at_large_d(d):
     singles = enumerate_forbidden(d, 50, 1, include_singletons=True)
     expected = [{p: b0_bound(p, d) + 1} for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
     assert [dict(s) for s in singles] == expected
+
+
+def test_enumerate_forbidden_huge_max_entries_returns_promptly():
+    # In a child process with a timeout: a size loop that runs to max_entries
+    # does not return.  At d = 96 the largest minimal profile has four primes.
+    script = (
+        "from rmbounds.cyclo import enumerate_forbidden\n"
+        "assert enumerate_forbidden(96, 19, 10**18) == enumerate_forbidden(96, 19, 4) != enumerate_forbidden(96, 19, 3)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=5)
+    assert result.returncode == 0, result.stderr
 
 
 def test_enumerate_forbidden_deterministic():

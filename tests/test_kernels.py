@@ -1,15 +1,17 @@
-"""The public arith/bounds entry points: values against independent oracles, and their input checks.
+"""The public arith/bounds entry points and the cyclo degree kernel: values against independent
+oracles, and their input checks.
 
 Each public function checks its input once and hands the rest to an
 unchecked kernel.  The oracles below share no code with ``rmbounds``: the
 base-p digits come from the definition c_i = floor(m / p^i) mod p, and B0
-from a scan over exponents using the forced degrees of the brute-force
-oracle in ``test_forbidden_oracle``.
+and each entry's forced degree from the brute-force oracle in
+``test_forbidden_oracle``.
 """
 from __future__ import annotations
 
 import pytest
 
+from rmbounds import cyclo, verify
 from rmbounds.arith import digits_base_p, lambda_p, real_cyclotomic_degree, valuation
 from rmbounds.bounds import BoundTriple, b0_bound, bk_bound, bk_prime_bound
 from test_forbidden_oracle import forced_degree
@@ -64,6 +66,29 @@ def test_bound_triple_matches_formula_and_exponent_scan(p):
         triple = BoundTriple.compute(p, d)
         assert (triple.p, triple.d) == (p, d)
         assert (triple.bk, triple.bk_prime, triple.b0) == oracle_triple(p, d), (p, d)
+
+
+def test_entry_degree_matches_the_oracle():
+    for p in small_primes(200):
+        for e in range(61):
+            assert cyclo._entry_degree(p, e) == forced_degree(p, e), (p, e)
+
+
+@pytest.mark.parametrize("d", [1, 6, 96, 5040, 2**40])
+def test_degree_thresholds_are_the_first_exponents_of_each_degree(d):
+    for p in small_primes(50):
+        thresholds = cyclo._degree_thresholds(p, d)
+        for e, degree in thresholds:
+            assert forced_degree(p, e - 1) < forced_degree(p, e) == degree, (p, e)
+        assert [g for _, g in thresholds] == sorted({g for _, g in thresholds}), p
+        assert thresholds[-1][1] > d >= ([1] + [g for _, g in thresholds])[-2], p
+
+
+def test_single_prime_boundary_builds_no_report(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cyclo, "analyze_profile", lambda *args: calls.append(args))
+    result = verify.single_prime_boundary(200, 64)
+    assert (result.ok, result.cases, calls) == (True, 2944, [])
 
 
 def test_exponent_scan_reaches_the_divisor_cases():

@@ -33,7 +33,7 @@ SABOTAGE = {
 PINS = [
     ("lambda_zero_iff_small", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 124, "p=2, m=2: lambda=0"),
     ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 120, "p=2, m=2: lambda=0 < 1"),
-    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "digits_base_p", "empty", 124,
+    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "empty", 124,
      "p=2, m=1: digits rebuild to 0"),
     ("valuation_additivity", {"p_max": 7}, "valuation", "zero", 224, "p=2, k=1, n=1"),
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
@@ -187,10 +187,10 @@ def test_shared_walk_matches_the_standalone_property(monkeypatch, func, kwargs, 
 
 
 def test_shared_walks_run_each_kernel_once_per_cell(monkeypatch):
-    counts = count_calls(monkeypatch, ("_bk", "_b0", "_lambda", "digits_base_p"))
+    counts = count_calls(monkeypatch, ("_bk", "_b0", "_lambda", "_digits"))
     assert all(result.ok for result in verify.run_all(19, 10))
     # 8 primes <= 19 times d = 1..10, and the 20,008 cases of lambda_zero_iff_below_p
-    assert counts == {"_bk": 8 * 10, "_b0": 8 * 10, "_lambda": 8 * 2501, "digits_base_p": 8 * 2501}
+    assert counts == {"_bk": 8 * 10, "_b0": 8 * 10, "_lambda": 8 * 2501, "_digits": 8 * 2501}
 
 
 def test_oracle_range_reaches_past_b0_at_large_d():
