@@ -128,8 +128,28 @@ class SharpnessWitness:
         return witness
 
 
+# The last (whole UTC second, its stamp) pair: a stamp names only the second,
+# so it is formatted once per second however many records are stamped in it.
+_last_stamp: tuple[int, str] = (-1, "")
+
+
 def _utcnow_iso() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    global _last_stamp
+    second = int(time.time())
+    last_second, stamp = _last_stamp
+    if second != last_second:
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
+        _last_stamp = (second, stamp)
+    return stamp
+
+
+def _require_int(name: str, value, minimum: int | None = None) -> int:
+    """Return value, raising ValueError unless it is an int (not a bool), and >= minimum if given."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
@@ -336,22 +356,28 @@ class OrbitDimClient:
 
     def fetch_orbit_dims(self, level: int) -> LevelQueryResult:
         """Orbit degrees at a level: fixtures, then cache, then network."""
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        record, source = self.fixtures.get(level), SOURCE_FIXTURE
-        if record is None and self.cache is not None:
-            record, source = self.cache.get(level), SOURCE_CACHE
-        if record is None:
-            if self.offline:
-                raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
-            dims, source = self._fetch_from_network(level), SOURCE_NETWORK
-            if self.cache is not None:
-                record = self.cache.put(level, dims, _utcnow_iso())
-            else:
-                record = _store_record(level, dims, _utcnow_iso())
-        return LevelQueryResult(
-            level=level, dims=tuple(sorted(record["dims"])), source=source, fetched_at=record["fetched_at"]
-        )
+        dims, source, fetched_at = self._resolve(_require_int("level", level, 1))
+        return LevelQueryResult(level=level, dims=tuple(sorted(dims)), source=source, fetched_at=fetched_at)
+
+    def _resolve(self, level: int) -> tuple[list[int], str, str]:
+        """(dims, source, fetched_at) at a level, unchecked: level must be an int >= 1.
+
+        The dims are the record's own list, in its order; callers must not mutate it.
+        """
+        record = self.fixtures.get(level)
+        if record is not None:
+            return record["dims"], SOURCE_FIXTURE, record["fetched_at"]
+        if self.cache is not None:
+            record = self.cache.get(level)
+            if record is not None:
+                return record["dims"], SOURCE_CACHE, record["fetched_at"]
+        if self.offline:
+            raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
+        dims = self._fetch_from_network(level)
+        if self.cache is None:
+            return dims, SOURCE_NETWORK, _utcnow_iso()
+        record = self.cache.put(level, dims, _utcnow_iso())
+        return record["dims"], SOURCE_NETWORK, record["fetched_at"]
 
     def _fetch_from_network(self, level: int) -> list[int]:
         url = self._url
@@ -418,6 +444,9 @@ class OrbitDimClient:
         """
         require_prime(p)
         require_dimension(d)
+        _require_int("level_budget", level_budget)
+        # Every level below is an int >= 1, so it goes to the unchecked resolver.
+        resolve = self._resolve
         cap = b0_bound(p, d)
         for exponent, status in ((cap, SHARP), (cap - 1, ALMOST_SHARP)):
             base = p**exponent
@@ -429,13 +458,13 @@ class OrbitDimClient:
                     continue
                 level = base * m
                 try:
-                    result = self.fetch_orbit_dims(level)
+                    dims = resolve(level)[0]
                 except NetworkUnavailable:
                     if strict:
                         raise
                     skipped += 1
                     continue
-                if d in result.dims:
+                if d in dims:
                     return SharpnessWitness(p=p, d=d, exponent_attained=exponent, level=level, status=status)
             if skipped:
                 logger.info(
@@ -448,8 +477,10 @@ class OrbitDimClient:
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None
     ) -> dict[tuple[int, int], SharpnessWitness]:
         """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given."""
-        if d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {d_max}")
+        _require_int("d_max", d_max, 1)
+        _require_int("level_budget", level_budget)
+        if p_max is not None:
+            _require_int("p_max", p_max)
         witnesses: dict[tuple[int, int], SharpnessWitness] = {}
         for d in range(1, d_max + 1):
             for p in primes_up_to(2 * d + 1 if p_max is None else min(2 * d + 1, p_max)):

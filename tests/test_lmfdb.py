@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
+import logging
 import re
 import threading
 import time
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from rmbounds import lmfdb
+from rmbounds.arith import primes_up_to
+from rmbounds.bounds import b0_bound
 from rmbounds.lmfdb import (
     MalformedResponse,
     NetworkFailed,
@@ -693,6 +697,180 @@ def test_annotate_table_scans_only_cells_up_to_p_max():
     calls.clear()
     assert len(client.annotate_table(10, 2000)) == 53
     assert len(calls) == 4848
+
+
+# -- checked entry points, unchecked resolver --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        (243.0, "level 243.0 is not an integer"),
+        (True, "level True is not an integer"),
+        ("243", "level '243' is not an integer"),
+        (0, "level must be >= 1, got 0"),
+    ],
+)
+def test_fetch_rejects_a_level_that_is_not_a_positive_int(offline_client, level, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        offline_client.fetch_orbit_dims(level)
+
+
+def test_float_level_sends_no_request_and_stores_nothing(tmp_path):
+    transport, calls = make_transport([(200, {"data": [{"dim": 1}]}, {})])
+    path = tmp_path / "cache.jsonl"
+    client = OrbitDimClient(cache=OrbitDimCache(path), fixtures={}, transport=transport, sleep=lambda s: None)
+    with pytest.raises(ValueError, match=r"^level 11.0 is not an integer$"):
+        client.fetch_orbit_dims(11.0)
+    assert calls == [] and not path.exists()
+
+
+@pytest.mark.parametrize("budget", [100.0, True])
+def test_scan_rejects_a_budget_that_is_not_an_int(offline_client, budget):
+    with pytest.raises(ValueError, match=rf"^level_budget {budget!r} is not an integer$"):
+        offline_client.sharpness_scan(5, 1, budget)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((True, 100), {}, "d_max True is not an integer"),
+        ((2.0, 100), {}, "d_max 2.0 is not an integer"),
+        ((0, 100), {}, "d_max must be >= 1, got 0"),
+        ((2, 100.0), {}, "level_budget 100.0 is not an integer"),
+        ((2, 100), {"p_max": 5.0}, "p_max 5.0 is not an integer"),
+        ((2, 100), {"p_max": True}, "p_max True is not an integer"),
+    ],
+)
+def test_annotate_table_rejects_what_is_not_an_int(offline_client, args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        offline_client.annotate_table(*args, **kwargs)
+
+
+# The scan resolves levels without fetch_orbit_dims; this reference walks the
+# same levels through it, as the scan did before, to pin the two together.
+
+
+def reference_scan(client, p, d, budget, strict=False):
+    cap = b0_bound(p, d)
+    for exponent, status in ((cap, "sharp"), (cap - 1, "almost_sharp")):
+        base = p**exponent
+        for m in range(1, budget // base + 1):
+            if m % p == 0:
+                continue
+            try:
+                result = client.fetch_orbit_dims(base * m)
+            except NetworkUnavailable:
+                if strict:
+                    raise
+                continue
+            if d in result.dims:
+                return SharpnessWitness(p=p, d=d, exponent_attained=exponent, level=base * m, status=status)
+    return SharpnessWitness(p=p, d=d, exponent_attained=None, level=None, status="none_found")
+
+
+def reference_table(client, d_max, budget, strict=False):
+    return {
+        (p, d): reference_scan(client, p, d, budget, strict=strict)
+        for d in range(1, d_max + 1)
+        for p in primes_up_to(2 * d + 1)
+    }
+
+
+def level_dims(level):
+    return [1 + level % 5, 1 + level % 9]
+
+
+def level_transport(calls):
+    """A fake service answering level_dims at every level; the first request at
+    every 7th level gets a 503 with a Retry-After, at every other 5th a bare 429."""
+    attempts: dict[int, int] = {}
+
+    def transport(url, params, timeout):
+        calls.append((url, dict(params)))
+        level = int(params["level"][1:])
+        attempts[level] = attempts.get(level, 0) + 1
+        if attempts[level] == 1 and level % 7 == 0:
+            return 503, "busy", {"Retry-After": "0.25"}
+        if attempts[level] == 1 and level % 5 == 0:
+            return 429, "slow down", {}
+        return 200, {"data": [{"dim": dim} for dim in level_dims(level)]}, {}
+
+    return transport
+
+
+SCAN_CASES = {
+    "no cache": dict(cached=False, offline=False, strict=False),
+    "fresh cache": dict(cached=True, offline=False, strict=False),
+    "offline with skipped levels": dict(cached=True, offline=True, strict=False),
+    "offline strict": dict(cached=True, offline=True, strict=True),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES.values(), ids=SCAN_CASES)
+def test_annotate_table_matches_a_scan_through_fetch_orbit_dims(tmp_path, monkeypatch, caplog, case):
+    monkeypatch.setattr(time, "time", lambda: 1_767_225_600.5)  # one stamp for both runs' cache lines
+    caplog.set_level(logging.INFO, logger="rmbounds.lmfdb")
+    runs = []
+    for name, scan in (("reference", reference_table), ("resolver", OrbitDimClient.annotate_table)):
+        calls, sleeps, cache = [], [], None
+        if case["cached"]:
+            cache = OrbitDimCache(tmp_path / f"{name}.jsonl")
+            if case["offline"]:  # the offline store answers levels up to 300 only
+                for level in range(1, 301):
+                    cache.put(level, level_dims(level))
+        client = OrbitDimClient(
+            cache=cache, offline=case["offline"], transport=level_transport(calls),
+            sleep=sleeps.append, clock=itertools.count().__next__,  # a second per call: no rate-limit waits
+        )
+        caplog.clear()
+        try:
+            outcome = scan(client, 4, 600, strict=case["strict"])
+        except NetworkUnavailable as exc:
+            outcome = repr(exc)
+        text = cache.path.read_bytes() if cache else None
+        runs.append((outcome, calls, sleeps, text))
+    assert runs[1] == runs[0]
+    outcome, calls, sleeps, _ = runs[1]
+    if case["strict"]:
+        assert outcome.startswith("NetworkUnavailable(")
+    else:
+        assert {witness.status for witness in outcome.values()} == {"sharp", "almost_sharp", "none_found"}
+    if case["offline"]:
+        assert calls == []
+        assert case["strict"] or "unavailable offline" in caplog.text
+    else:  # both retry branches ran: a Retry-After hint, and the exponential backoff
+        assert sorted(set(sleeps)) == [0.25, lmfdb.MIN_INTERVAL]
+
+
+# -- stamps ---------------------------------------------------------------------------
+
+
+def test_stamp_changes_exactly_at_each_second(monkeypatch):
+    start = 1_767_225_598
+    times = [start + 0.5, start + 0.999999, start + 1, start + 1.25, start + 1.999999, start + 2, start + 2, start + 3.5]
+    now = [0.0]
+    monkeypatch.setattr(time, "time", lambda: now[0])
+    stamps = []
+    for now[0] in times:
+        stamps.append(lmfdb._utcnow_iso())
+        assert stamps[-1] == time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now[0]))
+    changed = [a != b for a, b in zip(stamps, stamps[1:])]
+    assert changed == [int(a) != int(b) for a, b in zip(times, times[1:])]
+    assert stamps[2] == "2025-12-31T23:59:59Z" and stamps[5] == "2026-01-01T00:00:00Z"
+
+
+def test_stamped_cache_line_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1_767_225_600.75)
+    expected = b'{"level": 100, "weight": 2, "char_trivial": true, "dims": [1, 3], "fetched_at": "2026-01-01T00:00:00Z"}\n'
+    given, stamped = OrbitDimCache(tmp_path / "given.jsonl"), OrbitDimCache(tmp_path / "stamped.jsonl")
+    given.put(100, [3, 1], fetched_at="2026-01-01T00:00:00Z")
+    stamped.put(100, [3, 1])
+    assert given.path.read_bytes() == stamped.path.read_bytes() == expected
+    transport, _ = make_transport([(200, {"data": [{"dim": 3}, {"dim": 1}]}, {})])
+    fetched = OrbitDimCache(tmp_path / "fetched.jsonl")
+    OrbitDimClient(cache=fetched, fixtures={}, transport=transport, sleep=lambda s: None).fetch_orbit_dims(100)
+    assert fetched.path.read_bytes() == expected
 
 
 def test_scan_exponent_is_exact(offline_client):

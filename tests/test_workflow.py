@@ -68,7 +68,7 @@ PYTHON_STEPS = [
 
 def test_every_json_round_trip_step_is_checked():
     commands = [shlex.split(args)[0] for _, args, _ in PYTHON_STEPS]
-    assert sorted(commands) == ["forbidden", "genus2", "profile", "sharpness", "verify"]
+    assert sorted(commands) == ["forbidden", "genus2", "profile", "sharpness", "table", "verify"]
 
 
 @pytest.mark.parametrize("name, args, script", PYTHON_STEPS, ids=[name for name, _, _ in PYTHON_STEPS])
