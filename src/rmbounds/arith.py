@@ -50,22 +50,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """Return value, raising ValueError unless it is an int (not a bool), and >= minimum if given."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def require_prime(p: int) -> int:
     """Return p, raising ValueError unless it is an int (not a bool) and prime."""
-    if type(p) is not int:
-        raise ValueError(f"prime {p!r} is not an integer")
-    if not is_prime(p):
+    if not is_prime(require_int("prime", p)):
         raise ValueError(f"{p} is not prime")
     return p
 
 
 def require_dimension(d: int) -> int:
     """Return d, raising ValueError unless it is an int (not a bool) and at least 1."""
-    if type(d) is not int:
-        raise ValueError(f"dimension {d!r} is not an integer")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return d
+    return require_int("dimension", d, 1)
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -86,7 +89,7 @@ def valuation(p: int, n: int) -> int:
     Undefined (and rejected) for n = 0.
     """
     require_prime(p)
-    if n <= 0:
+    if require_int("n", n) <= 0:
         raise ValueError(f"valuation of {n} is undefined; need n >= 1")
     return _valuation(p, n)
 
@@ -103,7 +106,7 @@ def _valuation(p: int, n: int) -> int:
 def digits_base_p(p: int, m: int) -> list[int]:
     """Little-endian base-p digits of m; empty list for m = 0."""
     require_prime(p)
-    if m < 0:
+    if require_int("m", m) < 0:
         raise ValueError("m must be non-negative")
     return _digits(p, m)
 
@@ -124,7 +127,7 @@ def lambda_p(p: int, m: int) -> int:
     for m >= 1.  lambda_p(0) = 0 (empty sum).
     """
     require_prime(p)
-    if m < 0:
+    if require_int("m", m) < 0:
         raise ValueError("m must be non-negative")
     return _lambda(p, m)
 
@@ -151,7 +154,7 @@ def real_cyclotomic_degree(p: int, r: int) -> int:
     p = 2 with r <= 2, and for p = 3 with r <= 1.
     """
     require_prime(p)
-    if r < 0:
+    if require_int("r", r) < 0:
         raise ValueError("r must be non-negative")
     return _real_cyclotomic_degree(p, r)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _lambda, _valuation, primes_up_to, require_dimension, require_prime
+from .arith import _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
@@ -78,7 +78,7 @@ def forced_subfield_exponent(p: int, e: int) -> int:
     clamped below at 0.
     """
     require_prime(p)
-    if e < 0:
+    if require_int("exponent", e) < 0:
         raise ValueError("exponent must be non-negative")
     return _forced_exponent(p, e)
 

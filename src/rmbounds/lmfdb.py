@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .arith import primes_up_to, require_dimension, require_prime, valuation
+from .arith import primes_up_to, require_dimension, require_int, require_prime, valuation
 from .bounds import ALMOST_SHARP, SHARP, b0_bound
 
 logger = logging.getLogger(__name__)
@@ -141,15 +141,6 @@ def _utcnow_iso() -> str:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
         _last_stamp = (second, stamp)
     return stamp
-
-
-def _require_int(name: str, value, minimum: int | None = None) -> int:
-    """Return value, raising ValueError unless it is an int (not a bool), and >= minimum if given."""
-    if type(value) is not int:
-        raise ValueError(f"{name} {value!r} is not an integer")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
@@ -356,7 +347,7 @@ class OrbitDimClient:
 
     def fetch_orbit_dims(self, level: int) -> LevelQueryResult:
         """Orbit degrees at a level: fixtures, then cache, then network."""
-        dims, source, fetched_at = self._resolve(_require_int("level", level, 1))
+        dims, source, fetched_at = self._resolve(require_int("level", level, 1))
         return LevelQueryResult(level=level, dims=tuple(sorted(dims)), source=source, fetched_at=fetched_at)
 
     def _resolve(self, level: int) -> tuple[list[int], str, str]:
@@ -444,7 +435,7 @@ class OrbitDimClient:
         """
         require_prime(p)
         require_dimension(d)
-        _require_int("level_budget", level_budget)
+        require_int("level_budget", level_budget)
         # Every level below is an int >= 1, so it goes to the unchecked resolver.
         resolve = self._resolve
         cap = b0_bound(p, d)
@@ -477,10 +468,10 @@ class OrbitDimClient:
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None
     ) -> dict[tuple[int, int], SharpnessWitness]:
         """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given."""
-        _require_int("d_max", d_max, 1)
-        _require_int("level_budget", level_budget)
+        require_int("d_max", d_max, 1)
+        require_int("level_budget", level_budget)
         if p_max is not None:
-            _require_int("p_max", p_max)
+            require_int("p_max", p_max)
         witnesses: dict[tuple[int, int], SharpnessWitness] = {}
         for d in range(1, d_max + 1):
             for p in primes_up_to(2 * d + 1 if p_max is None else min(2 * d + 1, p_max)):

@@ -53,10 +53,10 @@ def test_criterion_1_table_reproduction(capsys):
 def test_criterion_2_bound_comparison(capsys):
     start = time.perf_counter()
     results = [
-        verify.b0_le_bk_prime(p_max=1000, d_max=100),
-        verify.equality_for_large_p(p_max=1000, d_max=100),
-        verify.strict_case_a(p_max=1000, d_max=100),
-        verify.strict_case_b(d_max=100),
+        verify.check("b0_le_bk_prime", p_max=1000, d_max=100),
+        verify.check("equality_when_p_ge_2d_plus_1", p_max=1000, d_max=100),
+        verify.check("strict_when_p_ge_5_nondivisor", p_max=1000, d_max=100),
+        verify.check("strict_when_p_le_3_nondivisor", d_max=100),
     ]
     elapsed = time.perf_counter() - start
     ok = all(r.ok for r in results) and elapsed < 10.0
@@ -72,8 +72,8 @@ def test_criterion_2_bound_comparison(capsys):
 def test_criterion_3_lambda_identities(capsys):
     start = time.perf_counter()
     results = [
-        verify.lambda_zero_iff_small(p_max=50, m_max=2500),
-        verify.lambda_lower_bound(p_max=50, m_max=2500),
+        verify.check("lambda_zero_iff_below_p", p_max=50, m_max=2500),
+        verify.check("lambda_lower_bound", p_max=50, m_max=2500),
     ]
     elapsed = time.perf_counter() - start
     ok = all(r.ok for r in results) and elapsed < 1.0
@@ -87,7 +87,7 @@ def test_criterion_3_lambda_identities(capsys):
 
 def test_criterion_4_oracle_equivalence(capsys):
     start = time.perf_counter()
-    result = verify.b0_matches_forced_degree_oracle(p_max=200, d_max=64, e_max=40)
+    result = verify.check("b0_equals_forced_degree_oracle", p_max=200, d_max=64, e_max=40)
     elapsed = time.perf_counter() - start
     ok = result.ok and elapsed < 5.0
     with capsys.disabled():

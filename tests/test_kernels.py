@@ -13,7 +13,7 @@ import pytest
 
 from rmbounds import cyclo, verify
 from rmbounds.arith import digits_base_p, lambda_p, real_cyclotomic_degree, valuation
-from rmbounds.bounds import BoundTriple, b0_bound, bk_bound, bk_prime_bound
+from rmbounds.bounds import BoundTriple, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
 from test_forbidden_oracle import forced_degree
 
 
@@ -87,7 +87,7 @@ def test_degree_thresholds_are_the_first_exponents_of_each_degree(d):
 def test_single_prime_boundary_builds_no_report(monkeypatch):
     calls = []
     monkeypatch.setattr(cyclo, "analyze_profile", lambda *args: calls.append(args))
-    result = verify.single_prime_boundary(200, 64)
+    result = verify.check("single_prime_boundary", p_max=200, d_max=64)
     assert (result.ok, result.cases, calls) == (True, 2944, [])
 
 
@@ -116,6 +116,15 @@ BAD_INPUTS = [
     (real_cyclotomic_degree, (4, 1), "4 is not prime"),
     (real_cyclotomic_degree, (5, -1), "r must be non-negative"),
     (real_cyclotomic_degree, (0, -1), "0 is not prime"),
+    (forced_subfield_exponent, (4, 3), "4 is not prime"),
+    (forced_subfield_exponent, (5, -1), "exponent must be non-negative"),
+    (forced_subfield_exponent, (9, -1), "9 is not prime"),
+] + [
+    # the second argument is an int only: a float or a bool once gave a wrong value
+    (entry, args, f"{name} {args[1]!r} is not an integer")
+    for entry, name in ((lambda_p, "m"), (digits_base_p, "m"), (valuation, "n"), (real_cyclotomic_degree, "r"),
+                        (forced_subfield_exponent, "exponent"))
+    for args in ((3, 10.0), (2, 5.0), (3, 1.5), (5, 3.0), (2, True))
 ] + [
     (entry, args, message)
     for entry in (bk_bound, bk_prime_bound, b0_bound, BoundTriple.compute)

@@ -1,13 +1,15 @@
-"""Pins what each verify property reports when it fails.
+"""Pins what each verify property reports when it fails, and how run_all walks the table.
 
-Each case replaces one kernel that ``rmbounds.verify`` imported by name, so
-the property fails, and checks the exact first counterexample and the case
-count.  Together they fix the iteration order of every case box and the
-text of every failure message.
+Each pin runs one property of ``verify.PROPERTIES`` alone through
+``verify.check`` with one kernel, looked up in ``rmbounds.verify`` by name,
+replaced so the property fails, and checks the exact first counterexample
+and the case count.  Together they fix the iteration order of every case
+box and the text of every failure message.
 """
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -29,9 +31,9 @@ SABOTAGE = {
     "zero_p3_from_d3": lambda p, d: 0 if p == 3 and d >= 3 else real_bk_prime(p, d),
 }
 
-# (property, keyword arguments, kernel replaced, sabotage, cases, first counterexample)
+# (property name, sizes, kernel replaced, sabotage, cases, first counterexample)
 PINS = [
-    ("lambda_zero_iff_small", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 124, "p=2, m=2: lambda=0"),
+    ("lambda_zero_iff_below_p", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 124, "p=2, m=2: lambda=0"),
     ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 120, "p=2, m=2: lambda=0 < 1"),
     ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "empty", 124,
      "p=2, m=1: digits rebuild to 0"),
@@ -39,14 +41,14 @@ PINS = [
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "b0_hundred_from_p11_or_d5", 150,
      "p=2, d=5: b0=100 > bk_prime=11"),
-    ("equality_for_large_p", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 104, "p=3, d=1: 100 != 5"),
-    ("strict_case_a", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 20, "p=5, d=3"),
-    ("strict_case_b", {"d_max": 20}, "b0_bound", "hundred", 20, "p=2, d=5"),
+    ("equality_when_p_ge_2d_plus_1", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 104, "p=3, d=1: 100 != 5"),
+    ("strict_when_p_ge_5_nondivisor", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 20, "p=5, d=3"),
+    ("strict_when_p_le_3_nondivisor", {"d_max": 20}, "b0_bound", "hundred", 20, "p=2, d=5"),
     ("bk_prime_piecewise_large_p", {"p_max": 50, "d_max": 10}, "_bk", "zero", 119,
      "p=5, d=1: bk_prime=0 != 2"),
-    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero", 40, "p=3, d=1: bk_prime=0 != 5"),
-    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p2_from_d4", 40, "p=2, d=4: bk_prime=0 < 9"),
-    ("bk_prime_small_p", {"d_max": 20}, "bk_prime_bound", "zero_p3_from_d3", 40, "p=3, d=3: bk_prime=0 < 6"),
+    ("bk_prime_small_p_values", {"d_max": 20}, "bk_prime_bound", "zero", 40, "p=3, d=1: bk_prime=0 != 5"),
+    ("bk_prime_small_p_values", {"d_max": 20}, "bk_prime_bound", "zero_p2_from_d4", 40, "p=2, d=4: bk_prime=0 < 9"),
+    ("bk_prime_small_p_values", {"d_max": 20}, "bk_prime_bound", "zero_p3_from_d3", 40, "p=3, d=3: bk_prime=0 < 6"),
     ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "_bk", "zero", 33,
      "p=2, d=1: bk_prime=0 < 8"),
     ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "_bk", "bk_prime_plus_one", 33,
@@ -56,16 +58,16 @@ PINS = [
      "p=2, e=1: r drops 0 -> -1"),
     ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, "real_cyclotomic_degree", "negate_second", 88,
      "p=2, r=1"),
-    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound", "hundred", 80,
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound", "hundred", 80,
      "p=2, d=1: oracle=8, b0=100"),
-    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound",
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound",
      "b0_hundred_from_p11_or_d5", 80, "p=2, d=5: oracle=8, b0=100"),
     ("single_prime_boundary", {"p_max": 20, "d_max": 10}, "b0_bound", "hundred", 80,
      "p=2, d=1: exponent 100 not admissible"),
     ("single_prime_boundary", {"p_max": 20, "d_max": 10}, "b0_bound", "b0_minus_one", 80,
      "p=2, d=1: exponent 8 not ruled out"),
-    ("reference_grid_check", {}, "b0_bound", "hundred", 53, "p=2, d=1: got (8, 100), expected (8, 8)"),
-    ("reference_grid_check", {}, "b0_bound", "b0_hundred_from_p11_or_d5", 53,
+    ("reference_grid_d10", {}, "b0_bound", "hundred", 53, "p=2, d=1: got (8, 100), expected (8, 8)"),
+    ("reference_grid_d10", {}, "b0_bound", "b0_hundred_from_p11_or_d5", 53,
      "p=2, d=5: got (11, 100), expected (11, 8)"),
 ]
 
@@ -97,10 +99,10 @@ RUN_ALL_2000_150 = [
     ("b0_equals_forced_degree_oracle", 2944), ("single_prime_boundary", 2944), ("reference_grid_d10", 53),
 ]
 
-# (property, keyword arguments, kernels it calls, calls of each): every kernel
+# (property name, sizes, kernels it calls, calls of each): every kernel
 # value that does not depend on d is computed once per prime (8 primes <= 20).
 KERNEL_CALLS = [
-    ("b0_matches_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20},
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20},
      ("forced_subfield_exponent", "real_cyclotomic_degree"), 8 * 20),
     ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, ("forced_subfield_exponent",), 8 * 11),
     ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, ("real_cyclotomic_degree",), 8 * 11),
@@ -108,19 +110,50 @@ KERNEL_CALLS = [
 
 
 def test_every_property_is_pinned():
-    pinned = {pin[0] for pin in PINS}
+    assert {pin[0] for pin in PINS} == {prop.name for prop in verify.PROPERTIES}
+
+
+def test_public_functions_are_the_table_entry_points():
     functions = {
         name for name, value in vars(verify).items()
         if inspect.isfunction(value) and value.__module__ == verify.__name__ and not name.startswith("_")
     }
-    assert pinned == functions - {"run_all", "format_report"}
+    assert functions == {"run_all", "check", "format_report", "b0_le_bk_prime", "single_prime_boundary"}
 
 
-@pytest.mark.parametrize("func, kwargs, kernel, sabotage, cases, counterexample", PINS,
+def test_kept_views_match_check():
+    assert verify.b0_le_bk_prime(50, 10) == verify.check("b0_le_bk_prime", p_max=50, d_max=10)
+    assert verify.single_prime_boundary(20, 6) == verify.check("single_prime_boundary", p_max=20, d_max=6)
+
+
+def test_check_rejects_an_unknown_property():
+    with pytest.raises(ValueError) as info:
+        verify.check("strict_case_a")
+    assert str(info.value).startswith("unknown property 'strict_case_a'; known: lambda_zero_iff_below_p, ")
+    assert str(info.value).endswith(", single_prime_boundary, reference_grid_d10")
+
+
+# (p_max, d_max, message): run_all takes ints >= 1 only, as the CLI's --pmax and --dmax do.
+BAD_SIZES = [
+    (2.5, 3, "p_max 2.5 is not an integer"),
+    (19, 10.0, "d_max 10.0 is not an integer"),
+    (True, 1, "p_max True is not an integer"),
+    (-3, 5, "p_max must be >= 1, got -3"),
+]
+
+
+@pytest.mark.parametrize("p_max, d_max, message", BAD_SIZES, ids=[f"{p}-{d}" for p, d, _ in BAD_SIZES])
+def test_run_all_rejects_bad_sizes(p_max, d_max, message):
+    with pytest.raises(ValueError) as info:
+        verify.run_all(p_max, d_max)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, sizes, kernel, sabotage, cases, counterexample", PINS,
                          ids=[f"{pin[0]}-{pin[3]}" for pin in PINS])
-def test_first_counterexample_is_pinned(monkeypatch, func, kwargs, kernel, sabotage, cases, counterexample):
+def test_first_counterexample_is_pinned(monkeypatch, name, sizes, kernel, sabotage, cases, counterexample):
     monkeypatch.setattr(verify, kernel, SABOTAGE[sabotage])
-    result = getattr(verify, func)(**kwargs)
+    result = verify.check(name, **sizes)
     assert (result.ok, result.cases, result.counterexample) == (False, cases, counterexample)
 
 
@@ -149,38 +182,45 @@ def count_calls(monkeypatch, kernels) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("func, kwargs, kernels, calls", KERNEL_CALLS, ids=[entry[0] for entry in KERNEL_CALLS])
-def test_kernels_run_once_per_prime_and_exponent(monkeypatch, func, kwargs, kernels, calls):
+@pytest.mark.parametrize("name, sizes, kernels, calls", KERNEL_CALLS, ids=[entry[0] for entry in KERNEL_CALLS])
+def test_kernels_run_once_per_prime_and_exponent(monkeypatch, name, sizes, kernels, calls):
     counts = count_calls(monkeypatch, kernels)
-    assert getattr(verify, func)(**kwargs).ok
+    assert verify.check(name, **sizes).ok
     assert counts == dict.fromkeys(kernels, calls)
 
 
-# The properties run_all checks in one walk per box, each with the box run_all(p_max, d_max) gives it.
+# The properties run_all checks in one walk per box, each with the sizes run_all(p_max, d_max) gives its box.
 SHARED_WALK = {
-    "lambda_zero_iff_small": {"p_max": 7},
-    "lambda_lower_bound": {"p_max": 7},
-    "digit_reconstruction": {"p_max": 7},
+    **dict.fromkeys(["lambda_zero_iff_below_p", "lambda_lower_bound", "digit_reconstruction"], {"p_max": 7}),
     **dict.fromkeys(
-        ["b0_le_bk_prime", "equality_for_large_p", "strict_case_a", "bk_prime_piecewise_large_p",
-         "bk_prime_divisor_case"],
+        ["b0_le_bk_prime", "equality_when_p_ge_2d_plus_1", "strict_when_p_ge_5_nondivisor",
+         "bk_prime_piecewise_large_p", "bk_prime_divisor_case"],
         {"p_max": 50, "d_max": 10},
+    ),
+    **dict.fromkeys(
+        ["bk_prime_floor_identity", "b0_equals_forced_degree_oracle", "single_prime_boundary"],
+        {"p_max": 20, "d_max": 10},
     ),
 }
 SHARED_PINS = [pin for pin in PINS if pin[0] in SHARED_WALK]
+
+
+def test_shared_walks_cover_every_box_with_more_than_one_property():
+    per_box = Counter(prop.box for prop in verify.PROPERTIES)
+    assert set(SHARED_WALK) == {prop.name for prop in verify.PROPERTIES if per_box[prop.box] > 1}
 
 
 def test_shared_walks_cover_their_pins():
     assert {pin[0] for pin in SHARED_PINS} == set(SHARED_WALK)
 
 
-@pytest.mark.parametrize("func, kwargs, kernel, sabotage, cases, counterexample", SHARED_PINS,
+@pytest.mark.parametrize("name, sizes, kernel, sabotage, cases, counterexample", SHARED_PINS,
                          ids=[f"{pin[0]}-{pin[3]}" for pin in SHARED_PINS])
-def test_shared_walk_matches_the_standalone_property(monkeypatch, func, kwargs, kernel, sabotage, cases,
+def test_shared_walk_matches_the_standalone_property(monkeypatch, name, sizes, kernel, sabotage, cases,
                                                      counterexample):
-    box = SHARED_WALK[func]
+    box = SHARED_WALK[name]
     monkeypatch.setattr(verify, kernel, SABOTAGE[sabotage])
-    standalone = getattr(verify, func)(**box)
+    standalone = verify.check(name, **box)
     shared = {result.name: result for result in verify.run_all(box["p_max"], box.get("d_max", 10))}
     assert not standalone.ok
     assert shared[standalone.name] == standalone
@@ -193,9 +233,24 @@ def test_shared_walks_run_each_kernel_once_per_cell(monkeypatch):
     assert counts == {"_bk": 8 * 10, "_b0": 8 * 10, "_lambda": 8 * 2501, "_digits": 8 * 2501}
 
 
+def test_checked_kernels_run_once_per_cell_or_per_prime(monkeypatch):
+    counts = count_calls(monkeypatch, ("b0_bound", "bk_prime_bound", "forced_subfield_exponent",
+                                       "real_cyclotomic_degree"))
+    assert all(result.ok for result in verify.run_all(19, 10))
+    # 8 primes <= 19: the (19, 10) oracle box lists e = 1..40 once per prime and b0 once per cell,
+    # the monotone boxes list e = 0..40 and r = 0..30 once per prime, and the strict, small-p and
+    # reference-grid properties have 8, 20 and 53 cases
+    assert counts == {
+        "b0_bound": 8 + 8 * 10 + 53,
+        "bk_prime_bound": 8 + 20 + 8 * 10 + 53,
+        "forced_subfield_exponent": 8 * 40 + 8 * 41,
+        "real_cyclotomic_degree": 8 * 40 + 8 * 31,
+    }
+
+
 def test_oracle_range_reaches_past_b0_at_large_d():
     # b0_bound(2, 2**17) = 42, so a scan of only 40 exponents would stop short of it
-    result = verify.b0_matches_forced_degree_oracle(p_max=2, d_max=2**17)
+    result = verify.check("b0_equals_forced_degree_oracle", p_max=2, d_max=2**17)
     assert (result.ok, result.cases, result.counterexample) == (True, 2**17, None)
 
 
