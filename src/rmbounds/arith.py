@@ -14,6 +14,8 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+PMAX_LIMIT = 10**7  # the largest prime bound a public entry point sieves up to: bound + 1 bytes
+
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
@@ -50,12 +52,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_int(name: str, value, minimum: int | None = None) -> int:
-    """Return value, raising ValueError unless it is an int (not a bool), and >= minimum if given."""
+def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """Return value, raising ValueError unless it is an int (not a bool), >= minimum and <= maximum if given."""
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"expected {name} >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"expected {name} <= {maximum}, got {value}")
     return value
 
 

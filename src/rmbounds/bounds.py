@@ -17,12 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
+from .arith import PMAX_LIMIT, _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
 UNKNOWN = "unknown"
 _MARKS = {SHARP: "!", ALMOST_SHARP: "*"}
+
+# The most rows x prime columns render_table builds: 10**5 rows at p_max = 19
+# (8 primes).  Each cell is held in memory, about 1 KB, until the table is printed.
+GRID_LIMIT = 800_000
 
 
 def bk_bound(p: int, d: int) -> int:
@@ -173,12 +177,14 @@ def render_table(
     """Build the bound grid, merging per-cell sharpness flags when given.
 
     ``sharpness`` is keyed by (p, d) with values sharp / almost_sharp /
-    none_found (the latter maps to an unknown cell flag).
+    none_found (the latter maps to an unknown cell flag).  p_max must be an
+    int in 2..PMAX_LIMIT, and d_max times the number of primes <= p_max at
+    most GRID_LIMIT; both are checked before any cell is built.
     """
     require_dimension(d_max)
-    if type(p_max) is not int or p_max < 2:
-        raise ValueError(f"p_max must be an integer >= 2, got {p_max!r}")
-    primes = primes_up_to(p_max)
+    primes = primes_up_to(require_int("p_max", p_max, 2, PMAX_LIMIT))
+    if d_max * len(primes) > GRID_LIMIT:
+        raise ValueError(f"a grid of {d_max} rows by {len(primes)} primes has more than {GRID_LIMIT} cells")
     cells: dict[tuple[int, int], TableCell] = {}
     for d in range(1, d_max + 1):
         for p in primes:

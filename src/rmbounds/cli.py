@@ -22,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 from . import lmfdb, verify
-from .arith import is_prime
+from .arith import PMAX_LIMIT, require_int, require_prime
 from .bounds import BoundTable, BoundTriple, render_table
 from .cyclo import (
     ExponentProfile,
@@ -41,54 +41,28 @@ ENV_BASE_URL = "RMBOUNDS_BASE_URL"
 ENV_CACHE = "RMBOUNDS_CACHE"
 
 
-PMAX_LIMIT = 10**7  # --pmax bounds a sieve of pmax + 1 bytes
-DMAX_LIMIT = 10**5  # table --dmax bounds a grid of dmax rows, built and printed in memory
+DMAX_LIMIT = 10**5  # table --dmax; render_table bounds rows x prime columns by bounds.GRID_LIMIT
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+def _int_arg(check=None):
+    """An argparse type: a positive integer that check, the library's check for the flag, accepts.
 
+    A ValueError from check becomes argparse's usage error (exit 2) with
+    check's own message.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+        try:
+            if value < 1:
+                raise ValueError(f"expected a positive integer, got {value}")
+            return check(value) if check else value
+        except ValueError as exc:  # a prime past the deterministic primality limit lands here too
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-def _prime_arg(text: str) -> int:
-    value = _int_arg(text)
-    try:
-        prime = is_prime(value)
-    except ValueError as exc:  # value is past the deterministic primality limit
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not prime:
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
-
-
-def _positive_arg(text: str) -> int:
-    value = _int_arg(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _pmax_arg(text: str) -> int:
-    value = _positive_arg(text)
-    if value > PMAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"expected a prime bound <= {PMAX_LIMIT}, got {value}")
-    return value
-
-
-def _dmax_arg(text: str) -> int:
-    value = _positive_arg(text)
-    if value > DMAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"expected a dimension bound <= {DMAX_LIMIT}, got {value}")
-    return value
-
-
-def _prime_bound_arg(text: str) -> int:
-    value = _pmax_arg(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected a prime bound >= 2, got {value}")
-    return value
+    return parse
 
 
 def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]) -> None:
@@ -293,22 +267,9 @@ def cmd_forbidden(args) -> int:
 
 
 def parse_forbidden_json(text: str) -> list[ExponentProfile]:
-    """The document's profiles, recomputed from its d, prime_bound, max_entries and include_singletons.
-
-    Those inputs are checked as the command's flags are: prime_bound an int in
-    1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
-    """
-    def recompute(doc):
-        prime_bound, max_entries, singletons = doc["prime_bound"], doc["max_entries"], doc["include_singletons"]
-        if not (type(prime_bound) is int and 1 <= prime_bound <= PMAX_LIMIT):
-            raise ValueError(f"prime_bound must be an integer in 1..{PMAX_LIMIT}, got {prime_bound!r}")
-        if not (type(max_entries) is int and max_entries >= 1):
-            raise ValueError(f"max_entries must be an integer >= 1, got {max_entries!r}")
-        if type(singletons) is not bool:
-            raise ValueError(f"include_singletons must be true or false, got {singletons!r}")
-        return _ForbiddenProfiles.compute(doc["d"], prime_bound, max_entries, singletons)
-
-    return _recomputed(text, recompute).profiles
+    """The document's profiles, recomputed from its d, prime_bound, max_entries and include_singletons."""
+    keys = ("d", "prime_bound", "max_entries", "include_singletons")
+    return _recomputed(text, lambda doc: _ForbiddenProfiles.compute(*(doc[key] for key in keys))).profiles
 
 
 # -- genus2 ------------------------------------------------------------------
@@ -407,6 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    positive = _int_arg()
+    prime = _int_arg(require_prime)
+    prime_bound = _int_arg(functools.partial(require_int, "a prime bound", maximum=PMAX_LIMIT))
+    table_prime_bound = _int_arg(functools.partial(require_int, "a prime bound", minimum=2, maximum=PMAX_LIMIT))
+    dimension_bound = _int_arg(functools.partial(require_int, "a dimension bound", maximum=DMAX_LIMIT))
+
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="plain")
 
@@ -417,28 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true", help="fail instead of skipping unavailable levels")
 
     p_bound = sub.add_parser("bound", help="the three bounds for one (p, d)")
-    p_bound.add_argument("--p", type=_prime_arg, required=True)
-    p_bound.add_argument("--d", type=_positive_arg, required=True)
+    p_bound.add_argument("--p", type=prime, required=True)
+    p_bound.add_argument("--d", type=positive, required=True)
     add_format(p_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
-    p_table.add_argument("--dmax", type=_dmax_arg, required=True)
-    p_table.add_argument("--pmax", type=_prime_bound_arg, default=19)
+    p_table.add_argument("--dmax", type=dimension_bound, required=True)
+    p_table.add_argument("--pmax", type=table_prime_bound, default=19)
     p_table.add_argument("--full", action="store_true", help="include the trivial cells with p > 2d + 1")
     p_table.add_argument("--annotate", action="store_true", help="merge sharpness flags from orbit data")
-    p_table.add_argument("--budget", type=_positive_arg, default=10000, help="largest level scanned")
+    p_table.add_argument("--budget", type=positive, default=10000, help="largest level scanned")
     add_network(p_table)
     add_format(p_table)
 
     p_profile = sub.add_parser("profile", help="admissibility analysis of a factored level")
-    p_profile.add_argument("--d", type=_positive_arg, required=True)
+    p_profile.add_argument("--d", type=positive, required=True)
     p_profile.add_argument("profile", help='prime-power profile, e.g. "2^9,5^3"')
     add_format(p_profile)
 
     p_forbidden = sub.add_parser("forbidden", help="minimal inadmissible exponent combinations")
-    p_forbidden.add_argument("--d", type=_positive_arg, required=True)
-    p_forbidden.add_argument("--pmax", type=_pmax_arg, default=19)
-    p_forbidden.add_argument("--max-entries", type=_positive_arg, default=2)
+    p_forbidden.add_argument("--d", type=positive, required=True)
+    p_forbidden.add_argument("--pmax", type=prime_bound, default=19)
+    p_forbidden.add_argument("--max-entries", type=positive, default=2)
     p_forbidden.add_argument("--include-singletons", action="store_true")
     add_format(p_forbidden)
 
@@ -447,15 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_genus2)
 
     p_sharp = sub.add_parser("sharpness", help="search orbit data for a bound-attaining newform")
-    p_sharp.add_argument("--p", type=_prime_arg, required=True)
-    p_sharp.add_argument("--d", type=_positive_arg, required=True)
-    p_sharp.add_argument("--budget", type=_positive_arg, required=True)
+    p_sharp.add_argument("--p", type=prime, required=True)
+    p_sharp.add_argument("--d", type=positive, required=True)
+    p_sharp.add_argument("--budget", type=positive, required=True)
     add_network(p_sharp)
     add_format(p_sharp)
 
     p_verify = sub.add_parser("verify", help="exhaustively check the bound inequalities")
-    p_verify.add_argument("--pmax", type=_pmax_arg, default=1000)
-    p_verify.add_argument("--dmax", type=_positive_arg, default=100)
+    p_verify.add_argument("--pmax", type=prime_bound, default=1000)
+    p_verify.add_argument("--dmax", type=positive, default=100)
     add_format(p_verify)
 
     return parser

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_prime
+from .arith import PMAX_LIMIT, _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_int, require_prime
 from .bounds import _b0, _forced_exponent, b0_bound, forced_subfield_exponent
 
 
@@ -349,11 +349,14 @@ def enumerate_forbidden(
     closed, so all proper sub-profiles are admissible too.  Singleton
     profiles (a lone prime exceeding its own cap, already captured by
     b0_bound) are omitted unless include_singletons is set.  Output is
-    deterministically sorted by size, then entries.
+    deterministically sorted by size, then entries.  prime_bound must be an
+    int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
     """
     require_dimension(d)
-    if max_entries < 1:
-        return []
+    require_int("prime_bound", prime_bound, 1, PMAX_LIMIT)
+    require_int("max_entries", max_entries, 1)
+    if type(include_singletons) is not bool:
+        raise ValueError(f"include_singletons must be True or False, got {include_singletons!r}")
     results: list[ExponentProfile] = []
     # Multi-prime profiles use only thresholds whose degree divides d, each
     # with the degree one threshold step lower (1 for the first step):

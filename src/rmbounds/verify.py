@@ -18,7 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .arith import _digits, _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation
+from .arith import (
+    PMAX_LIMIT, _digits, _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation,
+)
 from .bounds import _b0, _bk, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
 from .cyclo import _entry_degree
 
@@ -325,10 +327,10 @@ def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
     """Every property, in PROPERTIES order, each box at the sizes it gives for (p_max, d_max).
 
-    p_max and d_max must be ints >= 1.  Each box is walked once for all of
-    its properties, so each cell's kernels run once.
+    p_max must be an int in 1..PMAX_LIMIT and d_max an int >= 1.  Each box
+    is walked once for all of its properties, so each cell's kernels run once.
     """
-    require_int("p_max", p_max, 1)
+    require_int("p_max", p_max, 1, PMAX_LIMIT)
     require_int("d_max", d_max, 1)
     boxes: dict[_Box, list[_Property]] = {}
     for prop in PROPERTIES:

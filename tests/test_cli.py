@@ -5,12 +5,14 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import rmbounds
 from rmbounds import cli, verify
+from rmbounds.arith import PMAX_LIMIT
 from rmbounds.bounds import BoundTriple, render_table
 from rmbounds.cyclo import Determination, analyze_profile, enumerate_forbidden, genus2_rm_analysis
 from rmbounds.lmfdb import OrbitDimClient
@@ -246,6 +248,36 @@ def test_table_dmax_limit_is_checked_at_the_parser(capsys):
         parser.parse_args(["table", "--dmax", str(cli.DMAX_LIMIT + 1)])
     assert info.value.code == 2
     assert "argument --dmax: expected a dimension bound <= 100000, got 100001" in capsys.readouterr().err
+
+
+# Calls with an input past a library limit: each must raise ValueError before it allocates.
+PAST_A_LIMIT = {
+    "render_table-pmax": lambda: render_table(1, PMAX_LIMIT + 1),
+    "render_table-grid": lambda: render_table(10**5, 23),  # 9 primes: 900,000 cells
+    "enumerate_forbidden-pmax": lambda: enumerate_forbidden(6, PMAX_LIMIT + 1, 2),
+    "run_all-pmax": lambda: verify.run_all(PMAX_LIMIT + 1, 1),
+    "parse_table_json-dmax": lambda: cli.parse_table_json('{"d_max": 200000, "p_max": 19, "annotated": false, "cells": []}'),
+    "parse_forbidden_json-pmax": lambda: cli.parse_forbidden_json(
+        '{"d": 6, "prime_bound": 100000000000, "max_entries": 2, "include_singletons": false, "profiles": []}'
+    ),
+}
+
+
+@pytest.mark.parametrize("call", PAST_A_LIMIT.values(), ids=PAST_A_LIMIT.keys())
+def test_input_past_a_limit_is_rejected_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_table_grid_past_the_limit_is_an_error(capsys):
+    assert cli.main(["table", "--dmax", "100000", "--pmax", "23"]) == 1
+    assert capsys.readouterr().err == "error: a grid of 100000 rows by 9 primes has more than 800000 cells\n"
 
 
 def test_table_smallest_pmax(capsys):

@@ -320,6 +320,24 @@ def test_enumerate_forbidden_huge_max_entries_returns_promptly():
     assert result.returncode == 0, result.stderr
 
 
+# (arguments, message): prime_bound and max_entries are ints, not floats or bools,
+# and include_singletons is a bool.
+BAD_FORBIDDEN_ARGUMENTS = [
+    ((6, 19.0, 2), "prime_bound 19.0 is not an integer"),
+    ((6, True, 2), "prime_bound True is not an integer"),
+    ((6, 19, 2.5), "max_entries 2.5 is not an integer"),
+    ((6, 19, 2, "yes"), "include_singletons must be True or False, got 'yes'"),
+    ((6, 19, 0), "expected max_entries >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_FORBIDDEN_ARGUMENTS, ids=[repr(args) for args, _ in BAD_FORBIDDEN_ARGUMENTS])
+def test_enumerate_forbidden_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError) as info:
+        enumerate_forbidden(*args)
+    assert str(info.value) == message
+
+
 def test_enumerate_forbidden_deterministic():
     runs = [enumerate_forbidden(6, 19, 2) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]

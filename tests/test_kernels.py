@@ -130,9 +130,9 @@ BAD_INPUTS = [
     for entry in (bk_bound, bk_prime_bound, b0_bound, BoundTriple.compute)
     for args, message in [
         ((4, 1), "4 is not prime"),
-        ((5, 0), "dimension must be >= 1, got 0"),
+        ((5, 0), "expected dimension >= 1, got 0"),
         ((4, 0), "4 is not prime"),
-        ((7, -3), "dimension must be >= 1, got -3"),
+        ((7, -3), "expected dimension >= 1, got -3"),
         ((-7, 2), "-7 is not prime"),
         ((2.0, 8), "prime 2.0 is not an integer"),
         ((True, 8), "prime True is not an integer"),

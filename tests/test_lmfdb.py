@@ -708,7 +708,7 @@ def test_annotate_table_scans_only_cells_up_to_p_max():
         (243.0, "level 243.0 is not an integer"),
         (True, "level True is not an integer"),
         ("243", "level '243' is not an integer"),
-        (0, "level must be >= 1, got 0"),
+        (0, "expected level >= 1, got 0"),
     ],
 )
 def test_fetch_rejects_a_level_that_is_not_a_positive_int(offline_client, level, message):
@@ -736,7 +736,7 @@ def test_scan_rejects_a_budget_that_is_not_an_int(offline_client, budget):
     [
         ((True, 100), {}, "d_max True is not an integer"),
         ((2.0, 100), {}, "d_max 2.0 is not an integer"),
-        ((0, 100), {}, "d_max must be >= 1, got 0"),
+        ((0, 100), {}, "expected d_max >= 1, got 0"),
         ((2, 100.0), {}, "level_budget 100.0 is not an integer"),
         ((2, 100), {"p_max": 5.0}, "p_max 5.0 is not an integer"),
         ((2, 100), {"p_max": True}, "p_max True is not an integer"),

@@ -138,7 +138,7 @@ BAD_SIZES = [
     (2.5, 3, "p_max 2.5 is not an integer"),
     (19, 10.0, "d_max 10.0 is not an integer"),
     (True, 1, "p_max True is not an integer"),
-    (-3, 5, "p_max must be >= 1, got -3"),
+    (-3, 5, "expected p_max >= 1, got -3"),
 ]
 
 
