@@ -6,6 +6,7 @@ All functions operate on Python ints (arbitrary precision) and never wrap.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3,317,044,064,679,887,385,961,981
 # (Sorenson & Webster 2015).
@@ -77,14 +78,19 @@ def require_dimension(d: int) -> int:
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending (sieve of Eratosthenes)."""
+    return list(compress(range(bound + 1), _sieve(bound)))
+
+
+def _sieve(bound: int) -> bytearray:
+    """Byte i is 1 exactly when i is prime, for 0 <= i <= bound."""
     if bound < 2:
-        return []
+        return bytearray()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, int(bound**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    return sieve
 
 
 def valuation(p: int, n: int) -> int:
@@ -119,8 +125,8 @@ def _digits(p: int, m: int) -> list[int]:
     """digits_base_p without the checks: p prime and m >= 0 are the caller's to ensure."""
     digits = []
     while m:
-        m, c = divmod(m, p)
-        digits.append(c)
+        digits.append(m % p)  # cheaper than divmod and unpacking its tuple
+        m //= p
     return digits
 
 
@@ -137,17 +143,18 @@ def lambda_p(p: int, m: int) -> int:
 
 
 def _lambda(p: int, m: int) -> int:
-    """lambda_p without the checks, in one divmod loop that keeps no digit list.
+    """lambda_p without the checks, as the sum of floors sum_{j >= 1} p^j * floor(m / p^j).
 
+    For m = sum c_i p^i, p^j * floor(m / p^j) = sum_{i >= j} c_i p^i, so each
+    c_i p^i is counted once for each j = 1..i, i times in all.
     p prime and m >= 0 are the caller's to ensure.
     """
-    total, i, power = 0, 1, p
-    m //= p  # the units digit has weight 0
-    while m:
-        m, c = divmod(m, p)
-        total += i * c * power
-        i += 1
+    total, power = 0, p
+    q = m // p
+    while q:
+        total += power * q
         power *= p
+        q = m // power
     return total
 
 

@@ -168,6 +168,16 @@ class BoundTable:
         return {"d_max": self.d_max, "p_max": self.p_max, "annotated": self.annotated, "cells": cells}
 
 
+def table_primes(d_max: int, p_max: int) -> list[int]:
+    """The primes of a table's columns, checked: ValueError unless d_max is an int >= 1, p_max
+    an int in 2..PMAX_LIMIT, and d_max times the number of primes <= p_max at most GRID_LIMIT."""
+    require_dimension(d_max)
+    primes = primes_up_to(require_int("p_max", p_max, 2, PMAX_LIMIT))
+    if d_max * len(primes) > GRID_LIMIT:
+        raise ValueError(f"a grid of {d_max} rows by {len(primes)} primes has more than {GRID_LIMIT} cells")
+    return primes
+
+
 def render_table(
     d_max: int,
     p_max: int,
@@ -177,14 +187,10 @@ def render_table(
     """Build the bound grid, merging per-cell sharpness flags when given.
 
     ``sharpness`` is keyed by (p, d) with values sharp / almost_sharp /
-    none_found (the latter maps to an unknown cell flag).  p_max must be an
-    int in 2..PMAX_LIMIT, and d_max times the number of primes <= p_max at
-    most GRID_LIMIT; both are checked before any cell is built.
+    none_found (the latter maps to an unknown cell flag).  The grid is
+    checked by table_primes before any cell is built.
     """
-    require_dimension(d_max)
-    primes = primes_up_to(require_int("p_max", p_max, 2, PMAX_LIMIT))
-    if d_max * len(primes) > GRID_LIMIT:
-        raise ValueError(f"a grid of {d_max} rows by {len(primes)} primes has more than {GRID_LIMIT} cells")
+    primes = table_primes(d_max, p_max)
     cells: dict[tuple[int, int], TableCell] = {}
     for d in range(1, d_max + 1):
         for p in primes:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
-from .bounds import BoundTable, BoundTriple, render_table
+from .bounds import BoundTable, BoundTriple, render_table, table_primes
 from .cyclo import (
     ExponentProfile,
     Genus2Report,
@@ -153,6 +153,7 @@ def parse_bound_json(text: str) -> BoundTriple:
 def _annotations(args) -> dict[tuple[int, int], str] | None:
     if not args.annotate:
         return None
+    table_primes(args.dmax, args.pmax)  # a grid render_table refuses is refused before any scan
     with _command_client(args) as client:
         witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
     return {key: witness.status for key, witness in witnesses.items()}

@@ -1,28 +1,41 @@
 """Exhaustive verification of the bound inequalities over finite ranges.
 
-The module is one table.  A ``_Box`` is a generator of cells, such as
+The module is one table.  A ``_Box`` generates rows of cells, such as
 (p, d) or (p, m) with the kernel values its properties share, plus the
-sizes ``run_all(p_max, d_max)`` checks it at.  ``PROPERTIES`` lists every
-``_Property`` -- its box, a case filter, a predicate and an explanation --
-in ``run_all``'s output order.  ``run_all`` walks each box once for all of
-its properties, so each cell's kernel values are computed once, and
-``check(name, **sizes)`` runs one property alone over its box.  Each walk
-counts a property's cases and reports its first counterexample.  Cells and
-predicates look kernels up by name when they run, never at import.
+sizes ``run_all(p_max, d_max)`` checks it at.  A row is a list of at most
+``_ROW`` cells, one prime's (several primes' in the bound box when d_max is
+small), so a walk holds one row at a time and never a whole box.
+``PROPERTIES`` lists every ``_Property`` -- its box, a case filter, a
+predicate and an explanation -- in ``run_all``'s output order.
+``run_all`` walks each box once for all of its properties, so each cell's
+kernel values are computed once, and ``check(name, **sizes)`` runs one
+property alone over its box.  For each row and property, the walk picks
+the cases and checks them in C-level iterators; it counts a property's
+cases and reports its first counterexample.  Cells and predicates look
+kernels up by name when they run, never at import.  ``run_all`` refuses
+to check more than ``BOX_LIMIT`` (p, d) cells.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress, product, starmap
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import (
-    PMAX_LIMIT, _digits, _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation,
+    PMAX_LIMIT, _digits, _lambda, _sieve, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation,
 )
 from .bounds import _b0, _bk, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
 from .cyclo import _entry_degree
+
+# The most (p, d) cells run_all checks: (the number of primes <= p_max, plus 4)
+# times d_max, the bound box plus the small-p boxes, which hold about 4 d_max
+# cells at p = 2 and 3 whatever p_max is.  On a 2-core Xeon, (10000, 300) is
+# 369,900 cells in about 0.5 s, and a run at the limit takes about 1.5 s at
+# p_max = 10000 and 3.5 s at p_max = 2.
+BOX_LIMIT = 1_000_000
+_ROW = 1024  # the most cells a row holds, so a walk's memory does not grow with d_max
 
 # Known (bk_prime, b0) values for d = 1..10 and the primes p <= 2d + 1.
 REFERENCE_GRID_D10: dict[tuple[int, int], tuple[int, int]] = {
@@ -57,10 +70,11 @@ class PropertyResult:
 
 
 class _Box(NamedTuple):
-    """cells(**sizes) yields a box's cells, each size defaulting to its value at run_all's
-    defaults; sizes(p_max, d_max) is what run_all gives it (None: run_all skips the box)."""
+    """cells(**sizes) yields a box's cells in rows, lists of at most _ROW cells in the box's order,
+    each size defaulting to its value at run_all's defaults; sizes(p_max, d_max) is what run_all
+    gives it (None: run_all skips the box)."""
 
-    cells: Callable[..., Iterable[tuple]]
+    cells: Callable[..., Iterable[list[tuple]]]
     sizes: Callable[[int, int], dict | None]
 
 
@@ -75,21 +89,22 @@ class _Property(NamedTuple):
     explain: Callable[..., str]
 
 
-def _walk(cells, properties) -> list[PropertyResult]:
-    """Check every property on each cell in one pass, counting each property's cases.
+def _walk(rows, properties) -> list[PropertyResult]:
+    """Check every property on each row of cells in one pass, counting each property's cases.
 
-    The explanation is built only for a property's first failing case, so
-    passing runs never format text.
+    A row's cases are picked with compress and checked with all, so the loop
+    over cells runs in C.  Only a property's first failing row is scanned
+    again, to explain its first failing case, so passing runs never format text.
     """
     counts = [0] * len(properties)
     found: list[str | None] = [None] * len(properties)
-    checks = [(i, prop.applies, prop.holds, prop.explain) for i, prop in enumerate(properties)]
-    for cell in cells:
-        for i, applies, holds, explain in checks:
-            if applies is None or applies(*cell):
-                counts[i] += 1
-                if not holds(*cell) and found[i] is None:
-                    found[i] = explain(*cell)
+    checks = [(i, prop.applies, prop.holds) for i, prop in enumerate(properties)]
+    for row in rows:
+        for i, applies, holds in checks:
+            cases = row if applies is None else list(compress(row, starmap(applies, row)))
+            counts[i] += len(cases)
+            if found[i] is None and not all(starmap(holds, cases)):
+                found[i] = properties[i].explain(*next(cell for cell in cases if not holds(*cell)))
     return [PropertyResult(prop.name, text is None, count, text) for prop, count, text in zip(properties, counts, found)]
 
 
@@ -98,46 +113,58 @@ def _meets(got: int, value: int, exact: bool) -> bool:
     return got == value if exact else got >= value
 
 
-def _box(p_max: int, n_max: int, start: int = 1):
-    """Cases (p, n) for primes p <= p_max and start <= n <= n_max, p outermost."""
-    return itertools.product(primes_up_to(p_max), range(start, n_max + 1))
+def _spans(start: int, stop: int):
+    """range(start, stop) in consecutive pieces of at most _ROW numbers: the n of one row each."""
+    return (range(lo, min(lo + _ROW, stop)) for lo in range(start, stop, _ROW))
+
+
+def _rebuild(p: int, digits: list[int]) -> int:
+    """The number whose little-endian base-p digits are digits, by Horner's rule, which reads every digit."""
+    m = 0
+    for c in reversed(digits):
+        m = m * p + c
+    return m
 
 
 def _digit_cells(p_max: int = 50, m_max: int = 2500):
-    """Cells (p, m, lambda_p(m), m rebuilt from its base-p digits) over _box(p_max, m_max, start=0)."""
+    """Rows of cells (p, m, lambda_p(m), m rebuilt from its base-p digits), p prime <= p_max, 0 <= m <= m_max."""
     for p in primes_up_to(p_max):
-        for m in range(m_max + 1):
-            rebuilt = 0
-            for c in reversed(_digits(p, m)):  # Horner's rule
-                rebuilt = rebuilt * p + c
-            yield p, m, _lambda(p, m), rebuilt
+        for ms in _spans(0, m_max + 1):
+            yield [(p, m, _lambda(p, m), _rebuild(p, _digits(p, m))) for m in ms]
 
 
 def _bound_cells(p_max: int = 1000, d_max: int = 100):
-    """Cells (p, d, bk_prime, b0) over _box(p_max, d_max), each bound computed once."""
-    for p in primes_up_to(p_max):
-        for d in range(1, d_max + 1):
-            yield p, d, _bk(p, d) // d, _b0(p, d)
+    """Rows of cells (p, d, bk_prime, b0), p prime <= p_max, 1 <= d <= d_max, each bound computed once.
+
+    A row holds as many whole primes as fit in _ROW cells, so a box of many
+    primes and a small d_max is not walked one short row per prime.
+    """
+    primes = primes_up_to(p_max)
+    per_row = max(1, _ROW // max(1, d_max))  # whole primes per row; d_max < 1 gives no cells
+    for i in range(0, len(primes), per_row):
+        for ds in _spans(1, d_max + 1):
+            yield [(p, d, _bk(p, d) // d, _b0(p, d)) for p in primes[i : i + per_row] for d in ds]
 
 
 def _small_p_cells(d_max: int = 100):
-    """Cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors."""
-    yield from ((p, d, value, True) for p, d, value in [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)])
-    yield from ((2, d, 9, False) for d in range(4, d_max + 1))
-    yield from ((3, d, 6, False) for d in range(3, d_max + 1))
+    """Rows of cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors."""
+    yield [(p, d, value, True) for p, d, value in [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)]]
+    for p, start, floor in ((2, 4, 9), (3, 3, 6)):
+        for ds in _spans(start, d_max + 1):
+            yield [(p, d, floor, False) for d in ds]
 
 
 def _rows(kernel, p_max: int, n_max: int):
-    """Cells (p, n, row) for primes p <= p_max and 0 <= n <= n_max: row[n + 1] is kernel(p, n)
-    and row[0] = 0 stands for n = -1.  Each row is built once per prime."""
+    """Rows of cells (p, n, values) for primes p <= p_max and 0 <= n <= n_max: values[n + 1] is
+    kernel(p, n) and values[0] = 0 stands for n = -1.  The values are listed once per prime."""
     for p in primes_up_to(p_max):
-        row = [0, *(kernel(p, n) for n in range(n_max + 1))]
-        for n in range(n_max + 1):
-            yield p, n, row
+        values = [0, *(kernel(p, n) for n in range(n_max + 1))]
+        for ns in _spans(0, n_max + 1):
+            yield [(p, n, values) for n in ns]
 
 
 def _oracle_cells(p_max: int = 200, d_max: int = 64, e_max: int | None = None):
-    """Cells (p, d, forced degrees at e = 1..e_max, b0_bound(p, d)) over _box(p_max, d_max).
+    """Rows of cells (p, d, forced degrees at e = 1..e_max, b0_bound(p, d)), p prime <= p_max, 1 <= d <= d_max.
 
     The forced degrees do not depend on d, so they are listed once per prime.
     The default e_max, max(40, 2 * d_max.bit_length() + 10), runs at least two
@@ -148,8 +175,8 @@ def _oracle_cells(p_max: int = 200, d_max: int = 64, e_max: int | None = None):
         e_max = max(40, 2 * d_max.bit_length() + 10)
     for p in primes_up_to(p_max):
         degrees = [real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) for e in range(1, e_max + 1)]
-        for d in range(1, d_max + 1):
-            yield p, d, degrees, b0_bound(p, d)
+        for ds in _spans(1, d_max + 1):
+            yield [(p, d, degrees, b0_bound(p, d)) for d in ds]
 
 
 def _piecewise_value(p: int, d: int) -> int:
@@ -194,11 +221,14 @@ def _grid_cell(p: int, d: int) -> tuple[int, int]:
 
 _DIGITS = _Box(_digit_cells, lambda p_max, d_max: {"p_max": min(p_max, 50), "m_max": 2500})
 _VALUATIONS = _Box(
-    lambda p_max=50: itertools.product(primes_up_to(p_max), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11)),
+    lambda p_max=50: [[*product(primes_up_to(p_max), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11))]],
     lambda p_max, d_max: {"p_max": min(p_max, 50)},
 )
 _BOUNDS = _Box(_bound_cells, lambda p_max, d_max: {"p_max": p_max, "d_max": d_max})
-_SMALL_P = _Box(lambda d_max=100: _box(3, d_max, start=4), lambda p_max, d_max: {"d_max": d_max})
+_SMALL_P = _Box(
+    lambda d_max=100: ([(p, d) for d in ds] for p in (2, 3) for ds in _spans(4, d_max + 1)),
+    lambda p_max, d_max: {"d_max": d_max},
+)
 _SMALL_P_VALUES = _Box(_small_p_cells, lambda p_max, d_max: {"d_max": max(d_max, 4)})
 _ORACLE = _Box(_oracle_cells, lambda p_max, d_max: {"p_max": min(p_max, 200), "d_max": min(d_max, 64)})
 # The kernels are named inside the lambdas, so they are looked up when a walk starts.
@@ -211,7 +241,7 @@ _CYCLOTOMIC_DEGREES = _Box(
     lambda p_max, d_max: {"p_max": min(p_max, 200)},
 )
 _REFERENCE_GRID = _Box(
-    lambda: ((p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())),
+    lambda: [[(p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())]],
     lambda p_max, d_max: {} if p_max >= 19 and d_max >= 10 else None,
 )
 
@@ -327,11 +357,16 @@ def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
     """Every property, in PROPERTIES order, each box at the sizes it gives for (p_max, d_max).
 
-    p_max must be an int in 1..PMAX_LIMIT and d_max an int >= 1.  Each box
-    is walked once for all of its properties, so each cell's kernels run once.
+    p_max must be an int in 1..PMAX_LIMIT and d_max an int >= 1, with at
+    most BOX_LIMIT cells to check.  Each box is walked once for all of its
+    properties, so each cell's kernels run once.
     """
     require_int("p_max", p_max, 1, PMAX_LIMIT)
     require_int("d_max", d_max, 1)
+    prime_count = _sieve(p_max).count(1)
+    if (prime_count + 4) * d_max > BOX_LIMIT:
+        raise ValueError(f"verify over {prime_count} primes and d <= {d_max} checks {(prime_count + 4) * d_max} "
+                         f"cells, more than {BOX_LIMIT}")
     boxes: dict[_Box, list[_Property]] = {}
     for prop in PROPERTIES:
         boxes.setdefault(prop.box, []).append(prop)

@@ -280,6 +280,16 @@ def test_table_grid_past_the_limit_is_an_error(capsys):
     assert capsys.readouterr().err == "error: a grid of 100000 rows by 9 primes has more than 800000 cells\n"
 
 
+@pytest.mark.parametrize("offline", [[], ["--offline"]], ids=["online", "offline"])
+def test_table_annotate_checks_the_grid_before_any_scan(capsys, monkeypatch, offline):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    asked = count_requests(monkeypatch)
+    argv = ["table", "--dmax", "100000", "--pmax", "23", "--annotate", "--budget", "100", *offline]
+    assert cli.main(argv) == 1
+    assert asked == []
+    assert capsys.readouterr().err == "error: a grid of 100000 rows by 9 primes has more than 800000 cells\n"
+
+
 def test_table_smallest_pmax(capsys):
     code, out = run(capsys, ["table", "--dmax", "1", "--pmax", "2", "--format", "csv"])
     assert (code, out) == (0, "d,p2\n1,8\n")
@@ -596,6 +606,13 @@ def test_verify_empty_box_is_not_a_pass(capsys):
     assert lines[-1] == "1/1 properties hold; 15 checked no case"
     assert [line for line in lines if line.startswith("PASS")] == ["PASS bk_prime_small_p_values (8 cases)"]
     assert sum(line.startswith("EMPTY") and line.endswith(" (0 cases)") for line in lines) == 15
+
+
+def test_verify_box_past_the_limit_is_an_error(capsys):
+    assert cli.main(["verify", "--pmax", "1000", "--dmax", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify over 168 primes and d <= 100000 checks 17200000 cells, more than 1000000\n"
 
 
 def test_verify_json(capsys):

@@ -9,11 +9,14 @@ box and the text of every failure message.
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
-from rmbounds import bounds, verify
+from rmbounds import arith, bounds, verify
+from rmbounds.arith import primes_up_to
 
 real_bk = bounds.bk_bound
 real_bk_prime = bounds.bk_prime_bound
@@ -23,6 +26,7 @@ SABOTAGE = {
     "zero": lambda *args: 0,
     "hundred": lambda *args: 100,
     "empty": lambda *args: [],
+    "stray_high_digit": lambda p, m: [*arith._digits(p, m), 1],  # must show: every digit is read
     "negate_second": lambda p, n: -n,
     "bk_prime_plus_one": lambda p, d: real_bk(p, d) + d,  # replaces _bk: bk_prime = bk // d rises by one
     "b0_minus_one": lambda p, d: real_b0(p, d) - 1,
@@ -37,6 +41,8 @@ PINS = [
     ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 120, "p=2, m=2: lambda=0 < 1"),
     ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "empty", 124,
      "p=2, m=1: digits rebuild to 0"),
+    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "stray_high_digit", 124,
+     "p=2, m=0: digits rebuild to 1"),
     ("valuation_additivity", {"p_max": 7}, "valuation", "zero", 224, "p=2, k=1, n=1"),
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "b0_hundred_from_p11_or_d5", 150,
@@ -133,12 +139,14 @@ def test_check_rejects_an_unknown_property():
     assert str(info.value).endswith(", single_prime_boundary, reference_grid_d10")
 
 
-# (p_max, d_max, message): run_all takes ints >= 1 only, as the CLI's --pmax and --dmax do.
+# (p_max, d_max, message): run_all takes ints >= 1 only, as the CLI's --pmax and --dmax do,
+# and at most BOX_LIMIT cells.
 BAD_SIZES = [
     (2.5, 3, "p_max 2.5 is not an integer"),
     (19, 10.0, "d_max 10.0 is not an integer"),
     (True, 1, "p_max True is not an integer"),
     (-3, 5, "expected p_max >= 1, got -3"),
+    (1000, 100000, "verify over 168 primes and d <= 100000 checks 17200000 cells, more than 1000000"),
 ]
 
 
@@ -268,3 +276,61 @@ def test_report_of_a_box_with_cases_everywhere_has_no_empty_count():
     report = verify.format_report(verify.run_all(19, 10)).splitlines()
     assert all(line.startswith("PASS") for line in report[:-1])
     assert report[-1] == "17/17 properties hold"
+
+
+BOUND_PROPERTIES = [prop for prop in verify.PROPERTIES if prop.box is verify._BOUNDS]
+
+
+def test_walk_does_not_depend_on_how_cells_split_into_rows(monkeypatch):
+    monkeypatch.setattr(verify, "_b0", lambda p, d: 100 if p >= 11 else real_b0(p, d))
+    cells = [cell for row in verify._BOUNDS.cells(p_max=50, d_max=10) for cell in row]
+    assert len(cells) == 150
+    splits = {
+        "cells": [[cell] for cell in cells],
+        "primes": [list(row) for _, row in groupby(cells, key=lambda cell: cell[0])],
+        "box": [cells],
+    }
+    results = {name: verify._walk(split, BOUND_PROPERTIES) for name, split in splits.items()}
+    assert results["cells"] == results["primes"] == results["box"]
+    first = {result.name: result.counterexample for result in results["box"]}
+    assert first["b0_le_bk_prime"] == "p=11, d=1: b0=100 > bk_prime=2"  # in the fifth prime's row
+
+
+def test_a_row_holds_at_most_row_cells():
+    row = verify._ROW
+    long_rows = list(verify._BOUNDS.cells(p_max=3, d_max=2 * row + 1))  # one prime's d in pieces
+    assert [(r[0][:2], len(r)) for r in long_rows] == [
+        ((2, 1), row), ((2, row + 1), row), ((2, 2 * row + 1), 1),
+        ((3, 1), row), ((3, row + 1), row), ((3, 2 * row + 1), 1),
+    ]
+    short_rows = list(verify._BOUNDS.cells(p_max=20000, d_max=2))  # as many whole primes as fit
+    full, rest = divmod(2262, row // 2)  # 2,262 primes <= 20000
+    assert [len(r) for r in short_rows] == [row] * full + [2 * rest]
+    assert [cell[:2] for r in short_rows for cell in r] == [(p, d) for p in primes_up_to(20000) for d in (1, 2)]
+    assert list(verify._BOUNDS.cells(p_max=50, d_max=0)) == []
+
+
+# A box is never held whole: at (10000, 300) the bound box alone is 368,700
+# cells, about 33 MB as tuples, while a walk peaks at about 0.2 MB.
+PEAK_LIMIT_MB = 2
+
+
+def test_run_all_holds_one_row_at_a_time():
+    tracemalloc.start()
+    try:
+        results = verify.run_all(10000, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(result.ok for result in results)
+    assert peak < PEAK_LIMIT_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_box_limit_counts_the_small_p_boxes(monkeypatch):
+    # 8 primes <= 19, and the small-p boxes take about 4 cells per d whatever p_max is
+    monkeypatch.setattr(verify, "BOX_LIMIT", (8 + 4) * 10)
+    assert all(result.ok for result in verify.run_all(19, 10))
+    with pytest.raises(ValueError, match="checks 132 cells, more than 120"):
+        verify.run_all(19, 11)
+    with pytest.raises(ValueError, match="verify over 0 primes and d <= 31 checks 124 cells"):
+        verify.run_all(1, 31)

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,30 @@ def test_json_round_trip_step_passes_from_the_checkout(capsys, tmp_path, name, a
         input=capsys.readouterr().out, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# CI steps that expect rmbounds ARGS to fail at once, as (step name, seconds allowed, ARGS, TEXT on stderr).
+REFUSAL_STEP = re.compile(
+    r'status=0; timeout (\d+) rmbounds (.+) 2>stderr\.txt \|\| status=\$\?\n'
+    r'test "\$status" -eq 1 && grep -F "([^"]+)" stderr\.txt'
+)
+REFUSAL_STEPS = [
+    (step["name"], int(match.group(1)), *match.group(2, 3))
+    for step in load_job()["steps"]
+    if (match := REFUSAL_STEP.fullmatch(step.get("run", "").strip()))
+]
+
+
+def test_every_refusal_step_is_checked():
+    commands = [shlex.split(args)[0] for _, _, args, _ in REFUSAL_STEPS]
+    assert sorted(commands) == ["table", "verify"]
+
+
+@pytest.mark.parametrize("name, seconds, args, text", REFUSAL_STEPS, ids=[name for name, *_ in REFUSAL_STEPS])
+def test_refusal_step_passes_from_the_checkout(capsys, monkeypatch, name, seconds, args, text):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
+    start = time.perf_counter()
+    assert cli.main(shlex.split(args)) == 1
+    assert time.perf_counter() - start < seconds
+    assert capsys.readouterr().err == text + "\n"
