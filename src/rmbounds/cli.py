@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
-from .bounds import BoundTable, BoundTriple, render_table, table_primes
+from .bounds import BoundTable, BoundTriple, render_table
 from .cyclo import (
     ExponentProfile,
     Genus2Report,
@@ -153,7 +153,6 @@ def parse_bound_json(text: str) -> BoundTriple:
 def _annotations(args) -> dict[tuple[int, int], str] | None:
     if not args.annotate:
         return None
-    table_primes(args.dmax, args.pmax)  # a grid render_table refuses is refused before any scan
     with _command_client(args) as client:
         witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
     return {key: witness.status for key, witness in witnesses.items()}
@@ -456,7 +455,13 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* takes effect
     with _stderr_logging(args.verbose):
         try:
-            return command(args)
+            status = command(args)
+            sys.stdout.flush()  # a reader that closed the pipe is found here, not at interpreter exit
+            return status
+        except BrokenPipeError:
+            # The interpreter flushes stdout again at exit; pointed at devnull, that flush cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except (lmfdb.LmfdbError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error

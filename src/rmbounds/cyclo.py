@@ -221,6 +221,7 @@ class Determination(str, Enum):
     EXACT_FIELD = "exact_field"
     CONTAINS_SUBFIELD = "contains_subfield"
     NO_CONSTRAINT = "no_constraint"
+    INADMISSIBLE = "inadmissible"  # the forced compositum cannot lie in a degree-d field
 
 
 def forced_field(p: int, e: int) -> RealCyclotomicField | None:
@@ -293,7 +294,9 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     own = [(p, _entry_degree(p, e)) for p, e in profile]
     degree = math.prod(g for _, g in own)
     admissible = d % degree == 0
-    if degree == 1:
+    if not admissible:
+        determination = Determination.INADMISSIBLE
+    elif degree == 1:
         determination = Determination.NO_CONSTRAINT
     elif degree == d:
         determination = Determination.EXACT_FIELD
@@ -315,26 +318,6 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     )
 
 
-def _degree_thresholds(p: int, d: int) -> list[tuple[int, int]]:
-    """(smallest exponent, forced degree) per distinct nontrivial forced degree at p.
-
-    Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3), the
-    inverse of forced_subfield_exponent, so the walk takes those exponents,
-    r = 1, 2, ..., and reads each one's degree from _entry_degree.  The list
-    runs up to and including the first degree above d, however large d is.
-    Degrees at one prime form a divisibility chain, so the list is strictly
-    increasing in both coordinates.
-    """
-    thresholds: list[tuple[int, int]] = []
-    e = 3 + (2 if p == 2 else 0) + (1 if p == 3 else 0)  # r = 1
-    while not thresholds or thresholds[-1][1] <= d:
-        degree = _entry_degree(p, e)
-        if degree > 1:
-            thresholds.append((e, degree))
-        e += 2
-    return thresholds
-
-
 def enumerate_forbidden(
     d: int,
     prime_bound: int,
@@ -345,10 +328,9 @@ def enumerate_forbidden(
 
     Each entry sits at the smallest exponent forcing its degree, profiles
     are inadmissible, and every immediate predecessor (one prime lowered a
-    threshold step or dropped) is admissible; admissibility is downward
-    closed, so all proper sub-profiles are admissible too.  Singleton
-    profiles (a lone prime exceeding its own cap, already captured by
-    b0_bound) are omitted unless include_singletons is set.  Output is
+    step or dropped) is admissible; admissibility is downward closed, so all
+    proper sub-profiles are admissible too.  Singleton profiles, p^(B0(p, d) + 1)
+    for each prime, are omitted unless include_singletons is set.  Output is
     deterministically sorted by size, then entries.  prime_bound must be an
     int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
     """
@@ -358,20 +340,18 @@ def enumerate_forbidden(
     if type(include_singletons) is not bool:
         raise ValueError(f"include_singletons must be True or False, got {include_singletons!r}")
     results: list[ExponentProfile] = []
-    # Multi-prime profiles use only thresholds whose degree divides d, each
-    # with the degree one threshold step lower (1 for the first step):
-    # lowering that entry turns a profile's degree D into D // g * lower.
+    # Up to B0(p, d), Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3)
+    # and each such step's degree divides d.  Each is usable with the degree one
+    # step lower (1 for the first step): lowering that entry turns a profile's
+    # degree D into D // g * lower.
     usable: dict[int, list[tuple[int, int, int]]] = {}
     for p in primes_up_to(prime_bound):
+        cap = _b0(p, d)
+        if include_singletons:
+            results.append(ExponentProfile.of({p: cap + 1}))
         lower = 1
-        for e, g in _degree_thresholds(p, d):
-            if d % g != 0:
-                # Inadmissibility is upward-absorbing along the divisibility
-                # chain, so this is p's minimal singleton and no profile that
-                # holds a higher step at p is minimal.
-                if include_singletons:
-                    results.append(ExponentProfile.of({p: e}))
-                break
+        for e in range({2: 9, 3: 6}.get(p, 3), cap + 1, 2):
+            g = _entry_degree(p, e)
             usable.setdefault(p, []).append((e, g, lower))
             lower = g
     for k in range(2, min(max_entries, len(usable)) + 1):  # no combination holds more primes than are usable

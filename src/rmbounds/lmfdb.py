@@ -23,8 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .arith import primes_up_to, require_dimension, require_int, require_prime, valuation
-from .bounds import ALMOST_SHARP, SHARP, b0_bound
+from .arith import PMAX_LIMIT, require_dimension, require_int, require_prime, valuation
+from .bounds import ALMOST_SHARP, SHARP, b0_bound, table_primes
 
 logger = logging.getLogger(__name__)
 
@@ -467,13 +467,19 @@ class OrbitDimClient:
     def annotate_table(
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None
     ) -> dict[tuple[int, int], SharpnessWitness]:
-        """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given."""
+        """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given.
+
+        The grid, d_max rows by the primes up to p_max (or up to 2 d_max + 1),
+        is checked by bounds.table_primes before any scan, so it has at most
+        GRID_LIMIT cells and p_max, if given, is an int in 2..PMAX_LIMIT.
+        """
         require_int("d_max", d_max, 1)
         require_int("level_budget", level_budget)
-        if p_max is not None:
-            require_int("p_max", p_max)
+        primes = table_primes(d_max, min(2 * d_max + 1, PMAX_LIMIT) if p_max is None else p_max)
         witnesses: dict[tuple[int, int], SharpnessWitness] = {}
         for d in range(1, d_max + 1):
-            for p in primes_up_to(2 * d + 1 if p_max is None else min(2 * d + 1, p_max)):
+            for p in primes:
+                if p > 2 * d + 1:
+                    break
                 witnesses[(p, d)] = self.sharpness_scan(p, d, level_budget, strict=strict)
         return witnesses

@@ -323,6 +323,43 @@ def test_profile_inadmissible_is_not_an_error(capsys):
     assert "admissible: no" in out
 
 
+PROFILE_INADMISSIBLE_D6_PLAIN = """\
+d = 6, profile 5^3,13^3
+admissible: no
+forced subfield: Q(sqrt(5)) * Q(zeta_13)^+ (degree 12)
+determination: inadmissible
+refined bound: v_5(N) <= 2 given 13^3
+refined bound: v_13(N) <= 2 given 5^3
+"""
+
+PROFILE_INADMISSIBLE_D6_JSON = {
+    "command": "profile",
+    "d": 6,
+    "profile": [{"p": 5, "e": 3}, {"p": 13, "e": 3}],
+    "admissible": False,
+    "forced": {
+        "degree": 12,
+        "components": [
+            {"p": 5, "r": 1, "degree": 2, "name": "Q(sqrt(5))"},
+            {"p": 13, "r": 1, "degree": 6, "name": "Q(zeta_13)^+"},
+        ],
+    },
+    "determination": "inadmissible",
+    "residual_degree": None,
+    "refined_bounds": {"5": 2, "13": 2},
+}
+
+
+def test_inadmissible_profile_reports_inadmissible(capsys):
+    # A degree-12 compositum cannot lie in a degree-6 field, so it neither is nor contains the field.
+    argv = ["profile", "--d", "6", "5^3,13^3"]
+    assert run(capsys, argv) == (0, PROFILE_INADMISSIBLE_D6_PLAIN)
+    code, out = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == PROFILE_INADMISSIBLE_D6_JSON
+    assert cli.parse_profile_json(out).determination is Determination.INADMISSIBLE
+
+
 def test_profile_parse_error(capsys):
     code = cli.main(["profile", "--d", "2", "2^9,bogus"])
     assert code == 2
@@ -350,6 +387,19 @@ def test_out_of_range_profile_is_an_error_line(argv, code):
     assert result.returncode == code
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
+def test_closed_stdout_ends_with_status_1_and_no_traceback():
+    # As `rmbounds table --dmax 5000 --pmax 19 | head -1`: the table is far
+    # longer than a pipe's buffer, so the reader closes the pipe mid-write.
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    argv = [sys.executable, "-m", "rmbounds.cli", "table", "--dmax", "5000", "--pmax", "19"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith(b"d\\p  p=2")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=10) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -448,6 +498,16 @@ def test_genus2_unknown(capsys):
     code, out = run(capsys, ["genus2", "2^16"])
     assert code == 0
     assert "simple: unknown" in out
+
+
+def test_genus2_inadmissible_halved_profile(capsys):
+    code, out = run(capsys, ["genus2", "5^6,13^6"])
+    assert code == 0
+    assert "warning: halved profile is inadmissible in dimension 2; no such surface exists" in out
+    code, out = run(capsys, ["genus2", "5^6,13^6", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["analysis"]["determination"] == "inadmissible"
+    assert cli.parse_genus2_json(out).analysis.determination is Determination.INADMISSIBLE
 
 
 def test_genus2_rejects_odd_exponent(capsys):

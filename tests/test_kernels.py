@@ -75,13 +75,14 @@ def test_entry_degree_matches_the_oracle():
 
 
 @pytest.mark.parametrize("d", [1, 6, 96, 5040, 2**40])
-def test_degree_thresholds_are_the_first_exponents_of_each_degree(d):
-    for p in small_primes(50):
-        thresholds = cyclo._degree_thresholds(p, d)
-        for e, degree in thresholds:
-            assert forced_degree(p, e - 1) < forced_degree(p, e) == degree, (p, e)
-        assert [g for _, g in thresholds] == sorted({g for _, g in thresholds}), p
-        assert thresholds[-1][1] > d >= ([1] + [g for _, g in thresholds])[-2], p
+def test_forbidden_profiles_sit_at_b0_and_at_the_first_exponent_of_each_degree(d):
+    profiles = cyclo.enumerate_forbidden(d, 50, 2, include_singletons=True)
+    singletons = [profile.entries[0] for profile in profiles if len(profile) == 1]
+    assert singletons == [(p, b0_bound(p, d) + 1) for p in small_primes(50)]
+    for profile in profiles:
+        if len(profile) > 1:
+            for p, e in profile:
+                assert forced_degree(p, e - 1) < forced_degree(p, e), (d, profile)
 
 
 def test_single_prime_boundary_builds_no_report(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 from rmbounds import lmfdb
 from rmbounds.arith import primes_up_to
-from rmbounds.bounds import b0_bound
+from rmbounds.bounds import GRID_LIMIT, b0_bound
 from rmbounds.lmfdb import (
     MalformedResponse,
     NetworkFailed,
@@ -697,6 +697,21 @@ def test_annotate_table_scans_only_cells_up_to_p_max():
     calls.clear()
     assert len(client.annotate_table(10, 2000)) == 53
     assert len(calls) == 4848
+
+
+def test_annotate_table_refuses_a_grid_past_the_limit_before_any_request():
+    # p_max defaults to 2 d_max + 1: 1,800 rows by the 503 primes up to 3,601
+    transport, calls = make_transport([(200, {"data": []}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
+    message = f"a grid of 1800 rows by 503 primes has more than {GRID_LIMIT} cells"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        client.annotate_table(1800, 10000)
+    assert calls == []
+
+
+def test_annotate_table_refuses_p_max_below_2(offline_client):
+    with pytest.raises(ValueError, match=r"^expected p_max >= 2, got 1$"):
+        offline_client.annotate_table(3, 100, p_max=1)
 
 
 # -- checked entry points, unchecked resolver --------------------------------------
