@@ -5,9 +5,6 @@ Every command states its result once, as a json object, a csv table and
 plain lines, and _emit prints the one --format names; results go to stdout,
 logs to stderr.  The parse_* helpers read json output back: computed results
 are recomputed from their inputs and checked, scan and verify results decoded.
-
-RMBOUNDS_BASE_URL and RMBOUNDS_CACHE override the --base-url and --cache
-flags when set; all mathematical parameters are flags only.
 """
 from __future__ import annotations
 
@@ -36,12 +33,6 @@ from .cyclo import (
 from .lmfdb import OrbitDimCache, OrbitDimClient, SharpnessWitness
 
 FORMATS = ("plain", "csv", "json")
-
-ENV_BASE_URL = "RMBOUNDS_BASE_URL"
-ENV_CACHE = "RMBOUNDS_CACHE"
-
-
-DMAX_LIMIT = 10**5  # table --dmax; render_table bounds rows x prime columns by bounds.GRID_LIMIT
 
 
 def _int_arg(check=None):
@@ -107,22 +98,15 @@ def _recomputed(text: str, compute):
     return result
 
 
-def _client_from_args(args) -> OrbitDimClient:
-    base_url = os.environ.get(ENV_BASE_URL) or args.base_url or lmfdb.BASE_URL
-    cache_path = os.environ.get(ENV_CACHE) or args.cache
-    cache = OrbitDimCache(cache_path) if cache_path else None
-    return OrbitDimClient(base_url=base_url, cache=cache, offline=args.offline)
-
-
 @contextlib.contextmanager
 def _command_client(args):
-    """The command's client; its cache, if any, is closed when the command ends."""
-    client = _client_from_args(args)
+    """The client --base-url, --cache and --offline describe; its cache, if any, is closed when the command ends."""
+    cache = OrbitDimCache(args.cache) if args.cache else None
     try:
-        yield client
+        yield OrbitDimClient(base_url=args.base_url, cache=cache, offline=args.offline)
     finally:
-        if client.cache is not None:
-            client.cache.close()
+        if cache is not None:
+            cache.close()
 
 
 # -- bound -----------------------------------------------------------------
@@ -372,14 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     prime = _int_arg(require_prime)
     prime_bound = _int_arg(functools.partial(require_int, "a prime bound", maximum=PMAX_LIMIT))
     table_prime_bound = _int_arg(functools.partial(require_int, "a prime bound", minimum=2, maximum=PMAX_LIMIT))
-    dimension_bound = _int_arg(functools.partial(require_int, "a dimension bound", maximum=DMAX_LIMIT))
 
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="plain")
 
     def add_network(p):
         p.add_argument("--cache", default=None, help="path to the JSON-lines cache file")
-        p.add_argument("--base-url", default=None, help="database API base URL")
+        p.add_argument("--base-url", default=lmfdb.BASE_URL, help="database API base URL")
         p.add_argument("--offline", action="store_true", help="never touch the network")
         p.add_argument("--strict", action="store_true", help="fail instead of skipping unavailable levels")
 
@@ -389,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
-    p_table.add_argument("--dmax", type=dimension_bound, required=True)
+    p_table.add_argument("--dmax", type=positive, required=True)
     p_table.add_argument("--pmax", type=table_prime_bound, default=19)
     p_table.add_argument("--full", action="store_true", help="include the trivial cells with p > 2d + 1")
     p_table.add_argument("--annotate", action="store_true", help="merge sharpness flags from orbit data")

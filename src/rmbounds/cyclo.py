@@ -78,11 +78,16 @@ class ExponentProfile:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, int], ...]) -> "ExponentProfile":
+        """A profile of entries already known to pass the rules, at ascending distinct primes; nothing is checked."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "entries", entries)
+        return profile
+
+    @classmethod
     def of(cls, mapping) -> "ExponentProfile":
         """Coerce a {prime: exponent} mapping (or an ExponentProfile) to a profile."""
-        if isinstance(mapping, ExponentProfile):
-            return mapping
-        return cls(entries=tuple(mapping.items()))
+        return mapping if isinstance(mapping, ExponentProfile) else cls(entries=tuple(mapping.items()))
 
     @classmethod
     def parse(cls, text: str) -> "ExponentProfile":
@@ -92,7 +97,7 @@ class ExponentProfile:
         character position on malformed input.
         """
         if text.strip() == "":
-            return cls(entries=())
+            return cls._unchecked(())
         entries: dict[int, int] = {}
         pos = 0
         for token in text.split(","):
@@ -103,18 +108,17 @@ class ExponentProfile:
             for group in (_PRIME, _EXPONENT):
                 if m.group(group) and len(m.group(group)) > _MAX_DIGITS:
                     raise ProfileParseError(f"number has more than {_MAX_DIGITS} digits", pos + m.start(group))
-            p = int(m.group(1))
-            e = int(m.group(2)) if m.group(2) else 1
+            p, e = int(m.group(_PRIME)), int(m.group(_EXPONENT) or 1)
             fault = _entry_fault(p, e, entries)
             if fault:
                 message, part = fault
                 raise ProfileParseError(message, pos + m.start(part))
             entries[p] = e
             pos += len(token) + 1  # past this token and the comma
-        return cls.of(entries)
+        return cls._unchecked(tuple(sorted(entries.items())))
 
     def without(self, p: int) -> "ExponentProfile":
-        return ExponentProfile(entries=tuple((q, e) for q, e in self.entries if q != p))
+        return ExponentProfile._unchecked(tuple((q, e) for q, e in self.entries if q != p))
 
     def __iter__(self):
         return iter(self.entries)
@@ -348,7 +352,7 @@ def enumerate_forbidden(
     for p in primes_up_to(prime_bound):
         cap = _b0(p, d)
         if include_singletons:
-            results.append(ExponentProfile.of({p: cap + 1}))
+            results.append(ExponentProfile._unchecked(((p, cap + 1),)))
         lower = 1
         for e in range({2: 9, 3: 6}.get(p, 3), cap + 1, 2):
             g = _entry_degree(p, e)
@@ -359,7 +363,7 @@ def enumerate_forbidden(
             for choice in itertools.product(*(usable[p] for p in combo)):
                 degree = math.prod(g for _, g, _ in choice)
                 if d % degree != 0 and all(d % (degree // g * lower) == 0 for _, g, lower in choice):
-                    results.append(ExponentProfile.of({p: e for p, (e, _, _) in zip(combo, choice)}))
+                    results.append(ExponentProfile._unchecked(tuple(zip(combo, (e for e, _, _ in choice)))))
     return sorted(results, key=lambda pr: (len(pr), pr.entries))
 
 

@@ -12,8 +12,8 @@ kernel values are computed once, and ``check(name, **sizes)`` runs one
 property alone over its box.  For each row and property, the walk picks
 the cases and checks them in C-level iterators; it counts a property's
 cases and reports its first counterexample.  Cells and predicates look
-kernels up by name when they run, never at import.  ``run_all`` refuses
-to check more than ``BOX_LIMIT`` (p, d) cells.
+kernels up by name when they run, never at import.  ``run_all`` and
+``check`` refuse to check more than ``BOX_LIMIT`` (p, d) cells.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
@@ -24,7 +24,7 @@ from itertools import compress, product, starmap
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import (
-    PMAX_LIMIT, _digits, _lambda, _sieve, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation,
+    PMAX_LIMIT, _digits, _lambda, _valuation, primes_up_to, real_cyclotomic_degree, require_int, valuation,
 )
 from .bounds import _b0, _bk, b0_bound, bk_bound, bk_prime_bound, forced_subfield_exponent
 from .cyclo import _entry_degree
@@ -133,13 +133,13 @@ def _digit_cells(p_max: int = 50, m_max: int = 2500):
             yield [(p, m, _lambda(p, m), _rebuild(p, _digits(p, m))) for m in ms]
 
 
-def _bound_cells(p_max: int = 1000, d_max: int = 100):
-    """Rows of cells (p, d, bk_prime, b0), p prime <= p_max, 1 <= d <= d_max, each bound computed once.
+def _bound_cells(p_max: int = 1000, d_max: int = 100, primes: list[int] | None = None):
+    """Rows of cells (p, d, bk_prime, b0), p in primes or prime <= p_max, 1 <= d <= d_max, each bound computed once.
 
     A row holds as many whole primes as fit in _ROW cells, so a box of many
     primes and a small d_max is not walked one short row per prime.
     """
-    primes = primes_up_to(p_max)
+    primes = primes_up_to(p_max) if primes is None else primes
     per_row = max(1, _ROW // max(1, d_max))  # whole primes per row; d_max < 1 gives no cells
     for i in range(0, len(primes), per_row):
         for ds in _spans(1, d_max + 1):
@@ -336,12 +336,29 @@ PROPERTIES: tuple[_Property, ...] = (
 _BY_NAME = {prop.name: prop for prop in PROPERTIES}
 
 
+def _checked_primes(p_max: int, d_max: int) -> list[int]:
+    """The primes <= p_max, once p_max and d_max pass run_all's checks and their box is within BOX_LIMIT."""
+    require_int("p_max", p_max, 1, PMAX_LIMIT)
+    require_int("d_max", d_max, 1)
+    primes = primes_up_to(p_max)
+    if (cells := (len(primes) + 4) * d_max) > BOX_LIMIT:
+        raise ValueError(f"verify over {len(primes)} primes and d <= {d_max} checks {cells} cells, more than {BOX_LIMIT}")
+    return primes
+
+
+def _cells(box: _Box, sizes: dict, primes: list[int]):
+    """box's rows at sizes; the bound box walks primes, listed by _checked_primes, instead of sieving again."""
+    return box.cells(**sizes, primes=primes) if box is _BOUNDS else box.cells(**sizes)
+
+
 def check(name: str, **sizes) -> PropertyResult:
-    """The property called name alone over its box; each size not given takes its box's default."""
+    """The property called name alone over its box; each size not given takes its box's default.
+    p_max and d_max, at run_all's defaults when not given, are checked as run_all checks them."""
     prop = _BY_NAME.get(name)
     if prop is None:
         raise ValueError(f"unknown property {name!r}; known: {', '.join(_BY_NAME)}")
-    return _walk(prop.box.cells(**sizes), [prop])[0]
+    primes = _checked_primes(sizes.get("p_max", 1000), sizes.get("d_max", 100))
+    return _walk(_cells(prop.box, sizes, primes), [prop])[0]
 
 
 def b0_le_bk_prime(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
@@ -361,12 +378,7 @@ def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
     most BOX_LIMIT cells to check.  Each box is walked once for all of its
     properties, so each cell's kernels run once.
     """
-    require_int("p_max", p_max, 1, PMAX_LIMIT)
-    require_int("d_max", d_max, 1)
-    prime_count = _sieve(p_max).count(1)
-    if (prime_count + 4) * d_max > BOX_LIMIT:
-        raise ValueError(f"verify over {prime_count} primes and d <= {d_max} checks {(prime_count + 4) * d_max} "
-                         f"cells, more than {BOX_LIMIT}")
+    primes = _checked_primes(p_max, d_max)
     boxes: dict[_Box, list[_Property]] = {}
     for prop in PROPERTIES:
         boxes.setdefault(prop.box, []).append(prop)
@@ -374,7 +386,7 @@ def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
     for box, properties in boxes.items():
         sizes = box.sizes(p_max, d_max)
         if sizes is not None:
-            results.update((result.name, result) for result in _walk(box.cells(**sizes), properties))
+            results.update((result.name, result) for result in _walk(_cells(box, sizes, primes), properties))
     return [results[prop.name] for prop in PROPERTIES if prop.name in results]
 
 

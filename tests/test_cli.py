@@ -48,7 +48,8 @@ reference_grid_d10,True,53,
 """
 
 
-@pytest.mark.parametrize(
+# Commands whose whole stdout is pinned, as (argv, stdout).
+EXACT_STDOUT = pytest.mark.parametrize(
     "argv, expected",
     [
         (
@@ -85,8 +86,20 @@ reference_grid_d10,True,53,
         "table-annotated-csv", "sharpness-none-found-plain",
     ],
 )
-def test_exact_stdout(capsys, monkeypatch, argv, expected):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+
+
+@EXACT_STDOUT
+def test_exact_stdout(capsys, argv, expected):
+    code, out = run(capsys, argv)
+    assert (code, out) == (0, expected)
+
+
+@EXACT_STDOUT
+def test_exact_stdout_ignores_the_environment(capsys, monkeypatch, tmp_path, argv, expected):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("garbage\n")  # read as a cache, it would stop a scan with an error line
+    monkeypatch.setenv("RMBOUNDS_CACHE", str(bad))
+    monkeypatch.setenv("RMBOUNDS_BASE_URL", "http://bogus.invalid")
     code, out = run(capsys, argv)
     assert (code, out) == (0, expected)
 
@@ -197,15 +210,13 @@ def count_requests(monkeypatch):
 
 
 def test_table_annotate_scans_only_printed_columns(capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
     asked = count_requests(monkeypatch)
     code, _ = run(capsys, ["table", "--dmax", "10", "--pmax", "5", "--annotate", "--budget", "2000"])
     assert code == 0
     assert len(asked) == 1762  # the full p <= 2d + 1 grid sends 4,848
 
 
-def test_table_annotate_strict_ignores_unprinted_columns(capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_table_annotate_strict_ignores_unprinted_columns(capsys):
     argv = ["table", "--dmax", "1", "--pmax", "2", "--annotate", "--offline", "--budget", "100"]
     assert run(capsys, argv) == (0, "d\\p  p=2\n1    8\n")
     assert run(capsys, [*argv, "--strict"]) == (0, "d\\p  p=2\n1    8\n")
@@ -241,15 +252,6 @@ def test_pmax_above_limit_is_rejected_before_any_sieve(capsys, monkeypatch, argv
     assert cli.build_parser().parse_args([*argv, "--pmax", str(cli.PMAX_LIMIT)]).pmax == cli.PMAX_LIMIT
 
 
-def test_table_dmax_limit_is_checked_at_the_parser(capsys):
-    parser = cli.build_parser()
-    assert parser.parse_args(["table", "--dmax", str(cli.DMAX_LIMIT)]).dmax == cli.DMAX_LIMIT
-    with pytest.raises(SystemExit) as info:
-        parser.parse_args(["table", "--dmax", str(cli.DMAX_LIMIT + 1)])
-    assert info.value.code == 2
-    assert "argument --dmax: expected a dimension bound <= 100000, got 100001" in capsys.readouterr().err
-
-
 # Calls with an input past a library limit: each must raise ValueError before it allocates.
 PAST_A_LIMIT = {
     "render_table-pmax": lambda: render_table(1, PMAX_LIMIT + 1),
@@ -280,9 +282,14 @@ def test_table_grid_past_the_limit_is_an_error(capsys):
     assert capsys.readouterr().err == "error: a grid of 100000 rows by 9 primes has more than 800000 cells\n"
 
 
+def test_table_dmax_is_limited_by_the_grid_alone(capsys):
+    assert cli.main(["table", "--dmax", "100001"]) == 1
+    assert capsys.readouterr() == ("", "error: a grid of 100001 rows by 8 primes has more than 800000 cells\n")
+    assert cli.build_parser().parse_args(["table", "--dmax", "100001", "--pmax", "2"]).dmax == 100001
+
+
 @pytest.mark.parametrize("offline", [[], ["--offline"]], ids=["online", "offline"])
 def test_table_annotate_checks_the_grid_before_any_scan(capsys, monkeypatch, offline):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
     asked = count_requests(monkeypatch)
     argv = ["table", "--dmax", "100000", "--pmax", "23", "--annotate", "--budget", "100", *offline]
     assert cli.main(argv) == 1
@@ -547,7 +554,6 @@ def test_sharpness_json_round_trip(capsys):
 def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
     from test_lmfdb import refuse_connections
 
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
     tried = refuse_connections(monkeypatch)
     code = cli.main(["sharpness", "--p", "13", "--d", "6", "--budget", "20000"])
     captured = capsys.readouterr()
@@ -565,8 +571,7 @@ def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
     ],
     ids=["sharpness", "table-annotate"],
 )
-def test_corrupt_cache_is_an_error_line(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_corrupt_cache_is_an_error_line(capsys, tmp_path, argv):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("garbage\n")
     code = cli.main([*argv, "--cache", str(bad)])
@@ -576,32 +581,13 @@ def test_corrupt_cache_is_an_error_line(capsys, monkeypatch, tmp_path, argv):
     assert captured.err.startswith(f"error: {bad}:1: not valid JSON: ")
 
 
-def test_cache_with_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_cache_with_invalid_utf8_is_an_error_line(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     good = b'{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}\n'
     bad.write_bytes(good + good.replace(b'"x"', b'"\xff"'))
     code = cli.main(["sharpness", "--p", "3", "--d", "9", "--budget", "100", "--offline", "--cache", str(bad)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {bad}:2: not valid UTF-8\n")
-
-
-def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
-    from rmbounds.lmfdb import OrbitDimCache
-
-    env_cache = tmp_path / "env-cache.jsonl"
-    flag_cache = tmp_path / "flag-cache.jsonl"
-    OrbitDimCache(env_cache).put(49, [1])  # 49 = 7^2 witnesses (p=7, d=1) at b0(7,1) = 2
-    OrbitDimCache(flag_cache)  # exists but empty
-    args = ["sharpness", "--p", "7", "--d", "1", "--budget", "49", "--offline", "--cache", str(flag_cache)]
-
-    code, out = run(capsys, args)
-    assert "no witness found" in out  # flag cache alone cannot answer
-
-    monkeypatch.setenv(cli.ENV_CACHE, str(env_cache))
-    code, out = run(capsys, args)
-    assert code == 0
-    assert "sharp at level 49" in out  # env var took precedence over the flag
 
 
 @pytest.mark.parametrize(
@@ -615,7 +601,6 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
 def test_scan_commands_close_their_cache(capsys, monkeypatch, tmp_path, argv):
     from rmbounds import lmfdb
 
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
     asked = count_requests(monkeypatch)
     closed = []
     real_close = lmfdb.OrbitDimCache.close
@@ -629,18 +614,6 @@ def test_scan_commands_close_their_cache(capsys, monkeypatch, tmp_path, argv):
     code, _ = run(capsys, [*argv, "--cache", str(path)])
     assert code == 0 and asked  # the scan wrote records, so the cache had a handle open
     assert closed == [path]
-
-
-def test_base_url_env_var_overrides_flag(monkeypatch):
-    import argparse
-
-    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
-    args = argparse.Namespace(base_url=None, cache=None, offline=True)
-    assert cli._client_from_args(args).base_url == "https://www.lmfdb.org"
-    args = argparse.Namespace(base_url="https://flag.example", cache=None, offline=True)
-    assert cli._client_from_args(args).base_url == "https://flag.example"
-    monkeypatch.setenv(cli.ENV_BASE_URL, "https://env.example")
-    assert cli._client_from_args(args).base_url == "https://env.example"
 
 
 # -- verify ---------------------------------------------------------------------
@@ -741,8 +714,7 @@ ROUND_TRIPS = [
 
 
 @pytest.mark.parametrize("argv, expected", ROUND_TRIPS, ids=[" ".join(argv) for argv, _ in ROUND_TRIPS])
-def test_json_parses_back_to_the_in_process_result(capsys, monkeypatch, argv, expected):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_json_parses_back_to_the_in_process_result(capsys, argv, expected):
     code, out = run(capsys, [*argv, "--format", "json"])
     assert code == 0
     assert getattr(cli, f"parse_{argv[0]}_json")(out) == expected()
@@ -820,8 +792,7 @@ TAMPERED = [
 @pytest.mark.parametrize(
     "argv, path, value", TAMPERED, ids=[f"{argv[0]}-{'.'.join(map(str, path))}={value!r}" for argv, path, value in TAMPERED]
 )
-def test_json_with_one_changed_field_is_rejected(capsys, monkeypatch, argv, path, value):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_json_with_one_changed_field_is_rejected(capsys, argv, path, value):
     code, out = run(capsys, [*argv, "--format", "json"])
     doc = json.loads(out)
     set_path(doc, path, value)
@@ -896,8 +867,7 @@ def test_main_calls_the_command_bound_when_it_runs(capsys, monkeypatch):
     ],
     ids=["format", "annotate"],
 )
-def test_main_calls_share_no_parse_state(capsys, monkeypatch, first, second):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+def test_main_calls_share_no_parse_state(capsys, first, second):
     alone = run(capsys, second)
     flagged = run(capsys, first)
     assert flagged[1] != alone[1]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmbounds
-from rmbounds import cli
+from rmbounds import cli, cyclo
 from rmbounds.bounds import b0_bound
 from rmbounds.cyclo import (
     Compositum,
@@ -294,6 +294,17 @@ def test_enumerate_forbidden_singletons():
         assert analyze_profile({p: e - 1}, 2).admissible
     # default excludes them
     assert enumerate_forbidden(2, 19, 1) == []
+
+
+def test_profiles_built_from_checked_entries_are_not_checked_again(monkeypatch):
+    tested = []
+    real_is_prime = cyclo.is_prime
+    monkeypatch.setattr(cyclo, "is_prime", lambda n: tested.append(n) or real_is_prime(n))
+    assert enumerate_forbidden(6, 1000, 3, include_singletons=True)
+    assert tested == []  # the sieve found the primes
+    profile = ExponentProfile.parse("5^3,2^9")
+    assert (profile.entries, tested) == (((2, 9), (5, 3)), [5, 2])  # parse checks each entry once
+    assert profile.without(5).entries == ((2, 9),) and tested == [5, 2]
 
 
 def test_enumerate_forbidden_singleton_beyond_exponent_64():

@@ -157,6 +157,33 @@ def test_run_all_rejects_bad_sizes(p_max, d_max, message):
     assert str(info.value) == message
 
 
+# (sizes, message): check applies run_all's rules to p_max and d_max, at run_all's defaults when not given.
+CHECK_BAD_SIZES = [
+    ({"p_max": 10**7 + 1, "d_max": 0}, "expected p_max <= 10000000, got 10000001"),
+    ({"p_max": 50, "d_max": True}, "d_max True is not an integer"),
+    ({"p_max": 2.5}, "p_max 2.5 is not an integer"),
+    ({"d_max": 100000}, "verify over 168 primes and d <= 100000 checks 17200000 cells, more than 1000000"),
+]
+
+
+@pytest.mark.parametrize("sizes, message", CHECK_BAD_SIZES, ids=[str(sizes) for sizes, _ in CHECK_BAD_SIZES])
+def test_check_rejects_bad_sizes_before_any_walk(monkeypatch, sizes, message):
+    monkeypatch.setattr(verify, "_walk", lambda *args: pytest.fail("a box was walked"))
+    with pytest.raises(ValueError) as info:
+        verify.check("b0_le_bk_prime", **sizes)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [lambda: verify.run_all(1000, 10), lambda: [verify.check("b0_le_bk_prime", d_max=10)]],
+                         ids=["run_all", "check"])
+def test_p_max_is_sieved_once(monkeypatch, call):
+    sieved = []
+    real_sieve = arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda bound: sieved.append(bound) or real_sieve(bound))
+    assert all(result.ok for result in call())
+    assert sieved.count(1000) == 1  # the bound box walks the primes the BOX_LIMIT count listed
+
+
 @pytest.mark.parametrize("name, sizes, kernel, sabotage, cases, counterexample", PINS,
                          ids=[f"{pin[0]}-{pin[3]}" for pin in PINS])
 def test_first_counterexample_is_pinned(monkeypatch, name, sizes, kernel, sabotage, cases, counterexample):

@@ -6,6 +6,7 @@ shows no failing run; this check lives in the suite for that reason.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import shlex
@@ -65,9 +66,7 @@ def test_every_cli_smoke_step_is_checked():
 
 
 @pytest.mark.parametrize("name, args, text", GREP_STEPS, ids=[name for name, _, _ in GREP_STEPS])
-def test_cli_smoke_step_passes_from_the_checkout(capsys, monkeypatch, name, args, text):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
-    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
+def test_cli_smoke_step_passes_from_the_checkout(capsys, name, args, text):
     assert cli.main(shlex.split(args)) == 0
     assert text in capsys.readouterr().out
 
@@ -115,10 +114,20 @@ def test_every_refusal_step_is_checked():
 
 
 @pytest.mark.parametrize("name, seconds, args, text", REFUSAL_STEPS, ids=[name for name, *_ in REFUSAL_STEPS])
-def test_refusal_step_passes_from_the_checkout(capsys, monkeypatch, name, seconds, args, text):
-    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
-    monkeypatch.delenv(cli.ENV_BASE_URL, raising=False)
+def test_refusal_step_passes_from_the_checkout(capsys, name, seconds, args, text):
     start = time.perf_counter()
     assert cli.main(shlex.split(args)) == 1
     assert time.perf_counter() - start < seconds
     assert capsys.readouterr().err == text + "\n"
+
+
+# README's statements of a limit, such as `arith.PMAX_LIMIT` = 10**7 or `bounds.GRID_LIMIT` = 800,000.
+README_LIMIT = re.compile(r"`(\w+)\.([A-Z_]+)`\s*=\s*(\d(?:,?\d)*)(?:\*\*(\d+))?")
+
+
+def test_readme_states_the_limits_the_code_has():
+    stated = README_LIMIT.findall((ROOT / "README.md").read_text())
+    assert len(stated) >= 3
+    for module, name, base, exponent in stated:
+        value = int(base.replace(",", "")) ** int(exponent or 1)
+        assert getattr(importlib.import_module(f"rmbounds.{module}"), name, None) == value, f"{module}.{name}"
