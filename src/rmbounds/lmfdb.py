@@ -374,6 +374,7 @@ class OrbitDimClient:
         url = self._url
         params = {"level": f"i{level}", "weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}
         dims: list[int] = []
+        followed = None  # the next URLs requested so far; made at the first next, so one page makes no set
         while True:
             body = self._request_with_backoff(url, params)
             if not isinstance(body, dict) or "data" not in body:
@@ -394,6 +395,11 @@ class OrbitDimClient:
             url, params = str(next_url), {}
             if url.startswith("/"):
                 url = self.base_url + url
+            if followed is None:
+                followed = set()
+            elif url in followed:
+                raise MalformedResponse(f"'next' repeats {url} for level {level}")
+            followed.add(url)
 
     def _request_with_backoff(self, url: str, params: dict[str, str]):
         with self._net_lock:

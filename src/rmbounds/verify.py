@@ -1,19 +1,20 @@
 """Exhaustive verification of the bound inequalities over finite ranges.
 
-The module is one table.  A ``_Box`` generates rows of cells, such as
-(p, d) or (p, m) with the kernel values its properties share, plus the
-sizes ``run_all(p_max, d_max)`` checks it at.  A row is a list of at most
+The module is one table.  A box is a callable ``(p_max, d_max, primes)``
+that yields rows of cells, such as (p, d) or (p, m) with the kernel values
+its properties share, at the sizes ``run_all(p_max, d_max)`` checks it at,
+or returns None where ``run_all`` skips it.  A row is a list of at most
 ``_ROW`` cells, one prime's (several primes' in the bound box when d_max is
 small), so a walk holds one row at a time and never a whole box.
 ``PROPERTIES`` lists every ``_Property`` -- its box, a case filter, a
 predicate and an explanation -- in ``run_all``'s output order.
 ``run_all`` walks each box once for all of its properties, so each cell's
-kernel values are computed once, and ``check(name, **sizes)`` runs one
-property alone over its box.  For each row and property, the walk picks
-the cases and checks them in C-level iterators; it counts a property's
-cases and reports its first counterexample.  Cells and predicates look
-kernels up by name when they run, never at import.  ``run_all`` and
-``check`` refuse to check more than ``BOX_LIMIT`` (p, d) cells.
+kernel values are computed once.  ``check(name, p_max, d_max)`` is
+``run_all(p_max, d_max)``'s result for one property: the same box, clamps,
+checks and ``BOX_LIMIT``, through the same walk.  For each row and
+property, the walk picks the cases and checks them in C-level iterators;
+it counts a property's cases and reports its first counterexample.  Cells
+and predicates look kernels up by name when they run, never at import.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
@@ -69,21 +70,13 @@ class PropertyResult:
         return {"name": self.name, "ok": self.ok, "cases": self.cases, "counterexample": self.counterexample}
 
 
-class _Box(NamedTuple):
-    """cells(**sizes) yields a box's cells in rows, lists of at most _ROW cells in the box's order,
-    each size defaulting to its value at run_all's defaults; sizes(p_max, d_max) is what run_all
-    gives it (None: run_all skips the box)."""
-
-    cells: Callable[..., Iterable[list[tuple]]]
-    sizes: Callable[[int, int], dict | None]
-
-
 class _Property(NamedTuple):
-    """A property of its box's cells: applies(*cell) picks its cases (None: every cell),
-    holds(*cell) checks one and explain(*cell) describes the first that fails."""
+    """A property of its box's cells: box(p_max, d_max, primes) yields them in rows (None: run_all
+    skips the box), applies(*cell) picks its cases (None: every cell), holds(*cell) checks one and
+    explain(*cell) describes the first that fails."""
 
     name: str
-    box: _Box
+    box: Callable[[int, int, list[int]], Iterable[list[tuple]] | None]
     applies: Callable[..., bool] | None
     holds: Callable[..., bool]
     explain: Callable[..., str]
@@ -126,31 +119,30 @@ def _rebuild(p: int, digits: list[int]) -> int:
     return m
 
 
-def _digit_cells(p_max: int = 50, m_max: int = 2500):
-    """Rows of cells (p, m, lambda_p(m), m rebuilt from its base-p digits), p prime <= p_max, 0 <= m <= m_max."""
-    for p in primes_up_to(p_max):
-        for ms in _spans(0, m_max + 1):
+def _digit_cells(p_max: int, d_max: int, primes: list[int]):
+    """Rows of cells (p, m, lambda_p(m), m rebuilt from its base-p digits), p prime <= min(p_max, 50), 0 <= m <= 2500."""
+    for p in primes_up_to(min(p_max, 50)):
+        for ms in _spans(0, 2501):
             yield [(p, m, _lambda(p, m), _rebuild(p, _digits(p, m))) for m in ms]
 
 
-def _bound_cells(p_max: int = 1000, d_max: int = 100, primes: list[int] | None = None):
-    """Rows of cells (p, d, bk_prime, b0), p in primes or prime <= p_max, 1 <= d <= d_max, each bound computed once.
+def _bound_cells(primes: list[int], d_max: int):
+    """Rows of cells (p, d, bk_prime, b0), p in primes, 1 <= d <= d_max, each bound computed once.
 
     A row holds as many whole primes as fit in _ROW cells, so a box of many
     primes and a small d_max is not walked one short row per prime.
     """
-    primes = primes_up_to(p_max) if primes is None else primes
     per_row = max(1, _ROW // max(1, d_max))  # whole primes per row; d_max < 1 gives no cells
     for i in range(0, len(primes), per_row):
         for ds in _spans(1, d_max + 1):
             yield [(p, d, _bk(p, d) // d, _b0(p, d)) for p in primes[i : i + per_row] for d in ds]
 
 
-def _small_p_cells(d_max: int = 100):
-    """Rows of cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors."""
+def _small_p_cells(p_max: int, d_max: int, primes: list[int]):
+    """Rows of cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors to max(d_max, 4)."""
     yield [(p, d, value, True) for p, d, value in [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)]]
     for p, start, floor in ((2, 4, 9), (3, 3, 6)):
-        for ds in _spans(start, d_max + 1):
+        for ds in _spans(start, max(d_max, 4) + 1):
             yield [(p, d, floor, False) for d in ds]
 
 
@@ -163,19 +155,17 @@ def _rows(kernel, p_max: int, n_max: int):
             yield [(p, n, values) for n in ns]
 
 
-def _oracle_cells(p_max: int = 200, d_max: int = 64, e_max: int | None = None):
-    """Rows of cells (p, d, forced degrees at e = 1..e_max, b0_bound(p, d)), p prime <= p_max, 1 <= d <= d_max.
+def _oracle_cells(p_max: int, d_max: int, primes: list[int]):
+    """Rows of cells (p, d, forced degrees at e = 1..40, b0_bound(p, d)), p prime <= min(p_max, 200) and
+    1 <= d <= min(d_max, 64).
 
     The forced degrees do not depend on d, so they are listed once per prime.
-    The default e_max, max(40, 2 * d_max.bit_length() + 10), runs at least two
-    exponents past the box's largest b0_bound, b0_bound(2, d) = 8 + 2 v_2(d), so
-    the exponent scan never stops short of the closed form.
+    The box's largest b0_bound is b0_bound(2, 64) = 20, so the scan of 40
+    exponents never stops short of the closed form.
     """
-    if e_max is None:
-        e_max = max(40, 2 * d_max.bit_length() + 10)
-    for p in primes_up_to(p_max):
-        degrees = [real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) for e in range(1, e_max + 1)]
-        for ds in _spans(1, d_max + 1):
+    for p in primes_up_to(min(p_max, 200)):
+        degrees = [real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) for e in range(1, 41)]
+        for ds in _spans(1, min(d_max, 64) + 1):
             yield [(p, d, degrees, b0_bound(p, d)) for d in ds]
 
 
@@ -219,46 +209,34 @@ def _grid_cell(p: int, d: int) -> tuple[int, int]:
     return bk_prime_bound(p, d), b0_bound(p, d)
 
 
-_DIGITS = _Box(_digit_cells, lambda p_max, d_max: {"p_max": min(p_max, 50), "m_max": 2500})
-_VALUATIONS = _Box(
-    lambda p_max=50: [[*product(primes_up_to(p_max), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11))]],
-    lambda p_max, d_max: {"p_max": min(p_max, 50)},
-)
-_BOUNDS = _Box(_bound_cells, lambda p_max, d_max: {"p_max": p_max, "d_max": d_max})
-_SMALL_P = _Box(
-    lambda d_max=100: ([(p, d) for d in ds] for p in (2, 3) for ds in _spans(4, d_max + 1)),
-    lambda p_max, d_max: {"d_max": d_max},
-)
-_SMALL_P_VALUES = _Box(_small_p_cells, lambda p_max, d_max: {"d_max": max(d_max, 4)})
-_ORACLE = _Box(_oracle_cells, lambda p_max, d_max: {"p_max": min(p_max, 200), "d_max": min(d_max, 64)})
-# The kernels are named inside the lambdas, so they are looked up when a walk starts.
-_FORCED_EXPONENTS = _Box(
-    lambda p_max=200, e_max=40: _rows(forced_subfield_exponent, p_max, e_max),
-    lambda p_max, d_max: {"p_max": min(p_max, 200)},
-)
-_CYCLOTOMIC_DEGREES = _Box(
-    lambda p_max=200, r_max=30: _rows(real_cyclotomic_degree, p_max, r_max),
-    lambda p_max, d_max: {"p_max": min(p_max, 200)},
-)
-_REFERENCE_GRID = _Box(
-    lambda: [[(p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())]],
-    lambda p_max, d_max: {} if p_max >= 19 and d_max >= 10 else None,
+# The boxes that need no generator of their own.  The kernels are named inside the lambdas,
+# so they are looked up when a walk starts.
+_VALUATIONS = lambda p_max, d_max, primes: [
+    [*product(primes_up_to(min(p_max, 50)), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11))]
+]
+_BOUNDS = lambda p_max, d_max, primes: _bound_cells(primes, d_max)  # the primes _checked_primes listed
+_SMALL_P = lambda p_max, d_max, primes: ([(p, d) for d in ds] for p in (2, 3) for ds in _spans(4, d_max + 1))
+_FORCED_EXPONENTS = lambda p_max, d_max, primes: _rows(forced_subfield_exponent, min(p_max, 200), 40)
+_CYCLOTOMIC_DEGREES = lambda p_max, d_max, primes: _rows(real_cyclotomic_degree, min(p_max, 200), 30)
+_REFERENCE_GRID = lambda p_max, d_max, primes: (  # run_all checks the grid only from (19, 10) up
+    [[(p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())]]
+    if p_max >= 19 and d_max >= 10 else None
 )
 
 # Every property, in run_all's output order.
 PROPERTIES: tuple[_Property, ...] = (
     _Property(
-        "lambda_zero_iff_below_p", _DIGITS, None,
+        "lambda_zero_iff_below_p", _digit_cells, None,
         lambda p, m, lam, rebuilt: (lam == 0) == (m < p),
         lambda p, m, lam, rebuilt: f"p={p}, m={m}: lambda={lam}",
     ),
     _Property(
-        "lambda_lower_bound", _DIGITS, lambda p, m, lam, rebuilt: m >= 1,
+        "lambda_lower_bound", _digit_cells, lambda p, m, lam, rebuilt: m >= 1,
         lambda p, m, lam, rebuilt: lam >= m - p + 1,
         lambda p, m, lam, rebuilt: f"p={p}, m={m}: lambda={lam} < {m - p + 1}",
     ),
     _Property(  # the base-p digits of m sum back to m
-        "digit_reconstruction", _DIGITS, None,
+        "digit_reconstruction", _digit_cells, None,
         lambda p, m, lam, rebuilt: rebuilt == m,
         lambda p, m, lam, rebuilt: f"p={p}, m={m}: digits rebuild to {rebuilt}",
     ),
@@ -294,7 +272,7 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, d, bk_prime, b0: f"p={p}, d={d}: bk_prime={bk_prime} != {_piecewise_value(p, d)}",
     ),
     _Property(
-        "bk_prime_small_p_values", _SMALL_P_VALUES, None,
+        "bk_prime_small_p_values", _small_p_cells, None,
         lambda p, d, value, exact: _meets(bk_prime_bound(p, d), value, exact),
         lambda p, d, value, exact: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} {'!=' if exact else '<'} {value}",
     ),
@@ -303,7 +281,7 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, d, bk_prime, b0: _meets(bk_prime, *_divisor_floor(p, d)), _divisor_explain,
     ),
     _Property(
-        "bk_prime_floor_identity", _ORACLE, None,
+        "bk_prime_floor_identity", _oracle_cells, None,
         lambda p, d, degrees, b0: bk_prime_bound(p, d) == bk_bound(p, d) // d,
         lambda p, d, degrees, b0: f"p={p}, d={d}",
     ),
@@ -318,12 +296,12 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, r, degrees: f"p={p}, r={r}",
     ),
     _Property(  # the closed form against a direct scan of every exponent
-        "b0_equals_forced_degree_oracle", _ORACLE, None,
+        "b0_equals_forced_degree_oracle", _oracle_cells, None,
         lambda p, d, degrees, b0: _oracle(d, degrees) == b0,
         lambda p, d, degrees, b0: f"p={p}, d={d}: oracle={_oracle(d, degrees)}, b0={b0}",
     ),
     _Property(  # a lone prime at b0 is admissible, one exponent higher is not
-        "single_prime_boundary", _ORACLE, None,
+        "single_prime_boundary", _oracle_cells, None,
         lambda p, d, degrees, cap: _admissible(p, d, cap) and not _admissible(p, d, cap + 1),
         _boundary_explain,
     ),
@@ -346,48 +324,52 @@ def _checked_primes(p_max: int, d_max: int) -> list[int]:
     return primes
 
 
-def _cells(box: _Box, sizes: dict, primes: list[int]):
-    """box's rows at sizes; the bound box walks primes, listed by _checked_primes, instead of sieving again."""
-    return box.cells(**sizes, primes=primes) if box is _BOUNDS else box.cells(**sizes)
+def _run(properties, p_max: int, d_max: int) -> list[PropertyResult]:
+    """The properties, in their order, each box walked once for all of its properties at (p_max, d_max);
+    a property whose box returns None is left out."""
+    primes = _checked_primes(p_max, d_max)
+    boxes: dict[Callable, list[_Property]] = {}
+    for prop in properties:
+        boxes.setdefault(prop.box, []).append(prop)
+    results = {}
+    for box, shared in boxes.items():
+        if (rows := box(p_max, d_max, primes)) is not None:
+            results.update((result.name, result) for result in _walk(rows, shared))
+    return [results[prop.name] for prop in properties if prop.name in results]
 
 
-def check(name: str, **sizes) -> PropertyResult:
-    """The property called name alone over its box; each size not given takes its box's default.
-    p_max and d_max, at run_all's defaults when not given, are checked as run_all checks them."""
+def check(name: str, p_max: int = 1000, d_max: int = 100) -> PropertyResult:
+    """run_all(p_max, d_max)'s result for the property called name: the same box, checks and BOX_LIMIT.
+
+    Raises ValueError for an unknown name, and where run_all does not report the property.
+    """
     prop = _BY_NAME.get(name)
     if prop is None:
         raise ValueError(f"unknown property {name!r}; known: {', '.join(_BY_NAME)}")
-    primes = _checked_primes(sizes.get("p_max", 1000), sizes.get("d_max", 100))
-    return _walk(_cells(prop.box, sizes, primes), [prop])[0]
+    results = _run([prop], p_max, d_max)
+    if not results:
+        raise ValueError(f"run_all({p_max}, {d_max}) does not check {name}")
+    return results[0]
 
 
 def b0_le_bk_prime(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     """A view over check, kept because bench/workloads.py (VerifyBox.warm_up) calls it by position."""
-    return check("b0_le_bk_prime", p_max=p_max, d_max=d_max)
+    return check("b0_le_bk_prime", p_max, d_max)
 
 
 def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
     """A view over check, kept because bench/workloads.py (VerifyBox.warm_up) calls it by position."""
-    return check("single_prime_boundary", p_max=p_max, d_max=d_max)
+    return check("single_prime_boundary", p_max, d_max)
 
 
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:
-    """Every property, in PROPERTIES order, each box at the sizes it gives for (p_max, d_max).
+    """Every property, in PROPERTIES order, each box at the sizes it takes for (p_max, d_max).
 
     p_max must be an int in 1..PMAX_LIMIT and d_max an int >= 1, with at
     most BOX_LIMIT cells to check.  Each box is walked once for all of its
     properties, so each cell's kernels run once.
     """
-    primes = _checked_primes(p_max, d_max)
-    boxes: dict[_Box, list[_Property]] = {}
-    for prop in PROPERTIES:
-        boxes.setdefault(prop.box, []).append(prop)
-    results = {}
-    for box, properties in boxes.items():
-        sizes = box.sizes(p_max, d_max)
-        if sizes is not None:
-            results.update((result.name, result) for result in _walk(_cells(box, sizes, primes), properties))
-    return [results[prop.name] for prop in PROPERTIES if prop.name in results]
+    return _run(PROPERTIES, p_max, d_max)
 
 
 def format_report(results: list[PropertyResult]) -> str:

@@ -72,8 +72,8 @@ def test_criterion_2_bound_comparison(capsys):
 def test_criterion_3_lambda_identities(capsys):
     start = time.perf_counter()
     results = [
-        verify.check("lambda_zero_iff_below_p", p_max=50, m_max=2500),
-        verify.check("lambda_lower_bound", p_max=50, m_max=2500),
+        verify.check("lambda_zero_iff_below_p", p_max=50),
+        verify.check("lambda_lower_bound", p_max=50),
     ]
     elapsed = time.perf_counter() - start
     ok = all(r.ok for r in results) and elapsed < 1.0
@@ -87,7 +87,7 @@ def test_criterion_3_lambda_identities(capsys):
 
 def test_criterion_4_oracle_equivalence(capsys):
     start = time.perf_counter()
-    result = verify.check("b0_equals_forced_degree_oracle", p_max=200, d_max=64, e_max=40)
+    result = verify.check("b0_equals_forced_degree_oracle", p_max=200, d_max=64)
     elapsed = time.perf_counter() - start
     ok = result.ok and elapsed < 5.0
     with capsys.disabled():

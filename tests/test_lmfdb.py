@@ -484,6 +484,26 @@ def test_pagination_follows_next():
     assert calls[1][0].endswith("offset=1")
 
 
+@pytest.mark.parametrize("loop", [["/api/mf_newforms/?offset=1"], ["/api/mf_newforms/?offset=1", "/api/mf_newforms/?offset=2"]],
+                         ids=["self", "cycle"])
+def test_pagination_refuses_a_next_it_has_followed(tmp_path, loop):
+    # each page points to the next in a loop; the transport stops an endless fetch after 10 calls
+    calls = []
+
+    def transport(url, params, timeout):
+        calls.append(url)
+        assert len(calls) <= 10, "paged past a repeated next"
+        return 200, {"data": [{"dim": 1}], "next": loop[(len(calls) - 1) % len(loop)]}, {}
+
+    path = tmp_path / "cache.jsonl"
+    client = OrbitDimClient(cache=OrbitDimCache(path), fixtures={}, transport=transport, sleep=lambda s: None)
+    with pytest.raises(MalformedResponse, match=f"^'next' repeats {re.escape(lmfdb.BASE_URL + loop[0])} for level 77$"):
+        client.fetch_orbit_dims(77)
+    client.cache.close()
+    assert len(calls) == len(loop) + 1  # the first page, then each next once
+    assert not path.exists()  # nothing of the level is stored
+
+
 def test_backoff_then_success():
     sleeps = []
     pages = [

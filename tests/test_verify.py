@@ -37,11 +37,11 @@ SABOTAGE = {
 
 # (property name, sizes, kernel replaced, sabotage, cases, first counterexample)
 PINS = [
-    ("lambda_zero_iff_below_p", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 124, "p=2, m=2: lambda=0"),
-    ("lambda_lower_bound", {"p_max": 7, "m_max": 30}, "_lambda", "zero", 120, "p=2, m=2: lambda=0 < 1"),
-    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "empty", 124,
+    ("lambda_zero_iff_below_p", {"p_max": 7}, "_lambda", "zero", 10004, "p=2, m=2: lambda=0"),
+    ("lambda_lower_bound", {"p_max": 7}, "_lambda", "zero", 10000, "p=2, m=2: lambda=0 < 1"),
+    ("digit_reconstruction", {"p_max": 7}, "_digits", "empty", 10004,
      "p=2, m=1: digits rebuild to 0"),
-    ("digit_reconstruction", {"p_max": 7, "m_max": 30}, "_digits", "stray_high_digit", 124,
+    ("digit_reconstruction", {"p_max": 7}, "_digits", "stray_high_digit", 10004,
      "p=2, m=0: digits rebuild to 1"),
     ("valuation_additivity", {"p_max": 7}, "valuation", "zero", 224, "p=2, k=1, n=1"),
     ("b0_le_bk_prime", {"p_max": 50, "d_max": 10}, "_b0", "hundred", 150, "p=2, d=1: b0=100 > bk_prime=8"),
@@ -60,13 +60,13 @@ PINS = [
     ("bk_prime_divisor_case", {"p_max": 50, "d_max": 10}, "_bk", "bk_prime_plus_one", 33,
      "p=2, d=1: equality expected, bk_prime=9 != 8"),
     ("bk_prime_floor_identity", {"p_max": 50, "d_max": 10}, "bk_prime_bound", "zero", 150, "p=2, d=1"),
-    ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, "forced_subfield_exponent", "negate_second", 88,
+    ("forced_exponent_monotone", {"p_max": 20}, "forced_subfield_exponent", "negate_second", 328,
      "p=2, e=1: r drops 0 -> -1"),
-    ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, "real_cyclotomic_degree", "negate_second", 88,
+    ("cyclotomic_degree_monotone", {"p_max": 20}, "real_cyclotomic_degree", "negate_second", 248,
      "p=2, r=1"),
-    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound", "hundred", 80,
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10}, "b0_bound", "hundred", 80,
      "p=2, d=1: oracle=8, b0=100"),
-    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20}, "b0_bound",
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10}, "b0_bound",
      "b0_hundred_from_p11_or_d5", 80, "p=2, d=5: oracle=8, b0=100"),
     ("single_prime_boundary", {"p_max": 20, "d_max": 10}, "b0_bound", "hundred", 80,
      "p=2, d=1: exponent 100 not admissible"),
@@ -108,10 +108,10 @@ RUN_ALL_2000_150 = [
 # (property name, sizes, kernels it calls, calls of each): every kernel
 # value that does not depend on d is computed once per prime (8 primes <= 20).
 KERNEL_CALLS = [
-    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10, "e_max": 20},
-     ("forced_subfield_exponent", "real_cyclotomic_degree"), 8 * 20),
-    ("forced_exponent_monotone", {"p_max": 20, "e_max": 10}, ("forced_subfield_exponent",), 8 * 11),
-    ("cyclotomic_degree_monotone", {"p_max": 20, "r_max": 10}, ("real_cyclotomic_degree",), 8 * 11),
+    ("b0_equals_forced_degree_oracle", {"p_max": 20, "d_max": 10},
+     ("forced_subfield_exponent", "real_cyclotomic_degree"), 8 * 40),
+    ("forced_exponent_monotone", {"p_max": 20}, ("forced_subfield_exponent",), 8 * 41),
+    ("cyclotomic_degree_monotone", {"p_max": 20}, ("real_cyclotomic_degree",), 8 * 31),
 ]
 
 
@@ -137,6 +137,39 @@ def test_check_rejects_an_unknown_property():
         verify.check("strict_case_a")
     assert str(info.value).startswith("unknown property 'strict_case_a'; known: lambda_zero_iff_below_p, ")
     assert str(info.value).endswith(", single_prime_boundary, reference_grid_d10")
+
+
+def test_check_takes_run_all_sizes_only():
+    parameters = inspect.signature(verify.check).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [("name", inspect.Parameter.empty), ("p_max", 1000),
+                                                         ("d_max", 100)]
+    with pytest.raises(TypeError):
+        verify.check("lambda_zero_iff_below_p", p_max=2, m_max=10**6)
+
+
+# Boxes where run_all reports every property, skips the reference grid (below (19, 10)),
+# holds no prime (p_max 1) or clamps the digit, valuation, oracle and monotone boxes.
+MATCH_BOXES = [(19, 10), (2, 1), (1, 31), (50, 10), (20, 6)]
+
+
+@pytest.mark.parametrize("p_max, d_max", MATCH_BOXES, ids=[f"{p}-{d}" for p, d in MATCH_BOXES])
+def test_check_is_run_all_for_one_property(p_max, d_max):
+    reported = {result.name: result for result in verify.run_all(p_max, d_max)}
+    assert ("reference_grid_d10" in reported) == (p_max >= 19 and d_max >= 10)
+    for prop in verify.PROPERTIES:
+        if prop.name in reported:
+            assert verify.check(prop.name, p_max, d_max) == reported[prop.name]
+        else:
+            with pytest.raises(ValueError, match=rf"^run_all\({p_max}, {d_max}\) does not check {prop.name}$"):
+                verify.check(prop.name, p_max, d_max)
+
+
+def test_check_answers_a_box_whose_cells_ignore_p_max():
+    # the small-p values hold 5 exact cases and the floors at p = 2 (d >= 4) and p = 3 (d >= 3)
+    result = verify.check("bk_prime_small_p_values", p_max=1, d_max=10**5)
+    assert (result.ok, result.cases, result.counterexample) == (True, 200_000, None)
+    with pytest.raises(ValueError, match=r"^run_all\(2, 1\) does not check reference_grid_d10$"):
+        verify.check("reference_grid_d10", p_max=2, d_max=1)
 
 
 # (p_max, d_max, message): run_all takes ints >= 1 only, as the CLI's --pmax and --dmax do,
@@ -283,12 +316,6 @@ def test_checked_kernels_run_once_per_cell_or_per_prime(monkeypatch):
     }
 
 
-def test_oracle_range_reaches_past_b0_at_large_d():
-    # b0_bound(2, 2**17) = 42, so a scan of only 40 exponents would stop short of it
-    result = verify.check("b0_equals_forced_degree_oracle", p_max=2, d_max=2**17)
-    assert (result.ok, result.cases, result.counterexample) == (True, 2**17, None)
-
-
 def test_report_marks_empty_properties():
     report = verify.format_report(verify.run_all(2, 1)).splitlines()
     empty = ["equality_when_p_ge_2d_plus_1", "strict_when_p_ge_5_nondivisor",
@@ -310,7 +337,7 @@ BOUND_PROPERTIES = [prop for prop in verify.PROPERTIES if prop.box is verify._BO
 
 def test_walk_does_not_depend_on_how_cells_split_into_rows(monkeypatch):
     monkeypatch.setattr(verify, "_b0", lambda p, d: 100 if p >= 11 else real_b0(p, d))
-    cells = [cell for row in verify._BOUNDS.cells(p_max=50, d_max=10) for cell in row]
+    cells = [cell for row in verify._bound_cells(primes_up_to(50), 10) for cell in row]
     assert len(cells) == 150
     splits = {
         "cells": [[cell] for cell in cells],
@@ -325,16 +352,16 @@ def test_walk_does_not_depend_on_how_cells_split_into_rows(monkeypatch):
 
 def test_a_row_holds_at_most_row_cells():
     row = verify._ROW
-    long_rows = list(verify._BOUNDS.cells(p_max=3, d_max=2 * row + 1))  # one prime's d in pieces
+    long_rows = list(verify._bound_cells(primes_up_to(3), 2 * row + 1))  # one prime's d in pieces
     assert [(r[0][:2], len(r)) for r in long_rows] == [
         ((2, 1), row), ((2, row + 1), row), ((2, 2 * row + 1), 1),
         ((3, 1), row), ((3, row + 1), row), ((3, 2 * row + 1), 1),
     ]
-    short_rows = list(verify._BOUNDS.cells(p_max=20000, d_max=2))  # as many whole primes as fit
+    short_rows = list(verify._bound_cells(primes_up_to(20000), 2))  # as many whole primes as fit
     full, rest = divmod(2262, row // 2)  # 2,262 primes <= 20000
     assert [len(r) for r in short_rows] == [row] * full + [2 * rest]
     assert [cell[:2] for r in short_rows for cell in r] == [(p, d) for p in primes_up_to(20000) for d in (1, 2)]
-    assert list(verify._BOUNDS.cells(p_max=50, d_max=0)) == []
+    assert list(verify._bound_cells(primes_up_to(50), 0)) == []
 
 
 # A box is never held whole: at (10000, 300) the bound box alone is 368,700
