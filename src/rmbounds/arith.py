@@ -13,8 +13,6 @@ from itertools import compress
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 PMAX_LIMIT = 10**7  # the largest prime bound a public entry point sieves up to: bound + 1 bytes
 
 
@@ -22,13 +20,14 @@ PMAX_LIMIT = 10**7  # the largest prime bound a public entry point sieves up to:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Uses trial division by a few small primes, then strong pseudoprime tests
-    with a fixed witness set that is proven correct below ~3.3e24.  Inputs at
-    or above that limit are rejected rather than answered probabilistically.
+    Uses trial division by the witnesses (the primes up to 37), then strong
+    pseudoprime tests to those bases, a set proven correct below ~3.3e24.
+    Inputs at or above that limit are rejected rather than answered
+    probabilistically.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

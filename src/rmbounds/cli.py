@@ -3,8 +3,8 @@
 Subcommands: bound, table, profile, forbidden, genus2, sharpness, verify.
 Every command states its result once, as a json object, a csv table and
 plain lines, and _emit prints the one --format names; results go to stdout,
-logs to stderr.  The parse_* helpers read json output back: computed results
-are recomputed from their inputs and checked, scan and verify results decoded.
+logs to stderr.  The parse_* helpers read json output back: each document is
+rebuilt from its inputs and compared field by field.
 """
 from __future__ import annotations
 
@@ -72,24 +72,17 @@ def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]
             print("\n".join(plain))
 
 
-@contextlib.contextmanager
-def _document_shape():
-    """Raise the errors of reading a json document of the wrong shape as ValueError."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
-        raise ValueError(f"not a command's json output: {exc!r}") from exc
-
-
 def _recomputed(text: str, compute):
     """compute(doc) for a command's json output doc, returned only if its to_json_dict() is doc.
 
     compute reads only doc's inputs.  Every field is then compared as json text,
     so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
     """
-    with _document_shape():
+    try:
         doc = {key: value for key, value in json.loads(text).items() if key != "command"}
         result = compute(doc)
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
+        raise ValueError(f"not a command's json output: {exc!r}") from exc
     obj = result.to_json_dict()
     for key in sorted(doc.keys() | obj.keys()):
         given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
@@ -303,40 +296,43 @@ def cmd_sharpness(args) -> int:
 
 
 def parse_sharpness_json(text: str) -> SharpnessWitness:
-    return SharpnessWitness.from_json_dict(json.loads(text))
+    return _recomputed(text, lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]))
 
 
 # -- verify ------------------------------------------------------------------
 
 
+class _VerifyRun(NamedTuple):
+    """run_all's box and its results: the verify command's result."""
+
+    p_max: int
+    d_max: int
+    results: list[verify.PropertyResult]
+
+    @classmethod
+    def compute(cls, p_max: int, d_max: int) -> "_VerifyRun":
+        return cls(p_max, d_max, verify.run_all(p_max=p_max, d_max=d_max))
+
+    @property
+    def ok(self) -> bool:
+        return all(result.ok for result in self.results)
+
+    def to_json_dict(self) -> dict:
+        results = [result.to_json_dict() for result in self.results]
+        return {"p_max": self.p_max, "d_max": self.d_max, "ok": self.ok, "results": results}
+
+
 def cmd_verify(args) -> int:
-    results = verify.run_all(p_max=args.pmax, d_max=args.dmax)
-    ok = all(result.ok for result in results)
-    obj = {"p_max": args.pmax, "d_max": args.dmax, "ok": ok, "results": [r.to_json_dict() for r in results]}
+    run = _VerifyRun.compute(args.pmax, args.dmax)
+    results = run.results
     rows = [[r.name, r.ok, r.cases, r.counterexample] for r in results]
-    _emit(args, obj, ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(results)])
-    return 0 if ok else 1
+    _emit(args, run.to_json_dict(), ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(results)])
+    return 0 if run.ok else 1
 
 
 def parse_verify_json(text: str) -> list[verify.PropertyResult]:
-    """The document's results; ValueError unless each has exactly the four fields, a str name,
-    an int cases >= 0 and a bool ok that is true exactly when counterexample is null, and the
-    document's ok is true exactly when every result is."""
-    with _document_shape():
-        doc = json.loads(text)
-        items = doc["results"]
-        if any(item.keys() != {"name", "ok", "cases", "counterexample"} for item in items):
-            raise ValueError("a verify result needs exactly name, ok, cases and counterexample")
-        results = [verify.PropertyResult(**item) for item in items]
-        all_ok = doc["ok"]
-    for r in results:
-        if not (isinstance(r.name, str) and type(r.cases) is int and r.cases >= 0
-                and (r.counterexample is None or isinstance(r.counterexample, str))
-                and r.ok is (r.counterexample is None)):
-            raise ValueError(f"inconsistent verify result: {r}")
-    if all_ok is not all(r.ok for r in results):
-        raise ValueError("field 'ok' does not say whether every result holds")
-    return results
+    """The document's results, recomputed by run_all from its p_max and d_max."""
+    return _recomputed(text, lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"])).results
 
 
 # -- parser ------------------------------------------------------------------
@@ -445,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
             # The interpreter flushes stdout again at exit; pointed at devnull, that flush cannot fail.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
-        except (lmfdb.LmfdbError, ValueError) as exc:
+        except (lmfdb.LmfdbError, OSError, ValueError) as exc:  # OSError: a --cache path that cannot be opened
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, ProfileParseError) else 1  # a malformed profile is a usage error
 

@@ -101,31 +101,20 @@ class SharpnessWitness:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "SharpnessWitness":
-        """The witness obj records, or a ValueError unless it is consistent with B0(p, d).
+    def at_level(cls, p: int, d: int, level: int | None) -> "SharpnessWitness":
+        """The witness that level gives the (p, d) cell: sharp if v_p(level) = B0(p, d), almost_sharp
+        if it is B0(p, d) - 1, none_found if level is None; any other level raises ValueError.
 
-        Which level attains the exponent is database data and is taken as given;
-        the status, the exponent and the level's p-adic valuation are checked.
+        Which level attains the exponent is database data and is taken as given.
         """
-        try:
-            witness = cls(**{key: obj[key] for key in ("p", "d", "exponent_attained", "level", "status")})
-        except (KeyError, TypeError) as exc:  # not an object, or a field missing
-            raise ValueError(f"not a sharpness witness: {exc!r}") from exc
-        p, d = require_prime(witness.p), require_dimension(witness.d)
-        exponent, level, status = witness.exponent_attained, witness.level, witness.status
-        if status == NONE_FOUND:
-            if exponent is not None or level is not None:
-                raise ValueError(f"a {NONE_FOUND} witness has no exponent or level, got {exponent!r} at {level!r}")
-            return witness
-        if status not in (SHARP, ALMOST_SHARP):
-            raise ValueError(f"status must be {SHARP}, {ALMOST_SHARP} or {NONE_FOUND}, got {status!r}")
-        cap = b0_bound(p, d)
-        target = cap if status == SHARP else cap - 1
-        if type(exponent) is not int or exponent != target:
-            raise ValueError(f"a {status} witness for B0({p},{d}) = {cap} attains {target}, got {exponent!r}")
-        if type(level) is not int or level < 1 or valuation(p, level) != exponent:
-            raise ValueError(f"level must be a positive integer with v_{p}(level) = {exponent}, got {level!r}")
-        return witness
+        require_prime(p)
+        require_dimension(d)
+        if level is None:
+            return cls(p=p, d=d, exponent_attained=None, level=None, status=NONE_FOUND)
+        cap, exponent = b0_bound(p, d), valuation(p, level)
+        if exponent not in (cap, cap - 1):
+            raise ValueError(f"v_{p}({level}) = {exponent} attains neither B0({p},{d}) = {cap} nor {cap - 1}")
+        return cls(p=p, d=d, exponent_attained=exponent, level=level, status=SHARP if exponent == cap else ALMOST_SHARP)
 
 
 # The last (whole UTC second, its stamp) pair: a stamp names only the second,

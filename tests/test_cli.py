@@ -590,6 +590,13 @@ def test_cache_with_invalid_utf8_is_an_error_line(capsys, tmp_path):
     assert (code, captured.out, captured.err) == (1, "", f"error: {bad}:2: not valid UTF-8\n")
 
 
+def test_cache_path_that_cannot_be_opened_is_an_error_line(capsys, tmp_path):
+    code = cli.main(["sharpness", "--p", "3", "--d", "9", "--budget", "100", "--offline", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -786,6 +793,11 @@ TAMPERED = [
             (["results", 0, "name"], 3), (["results", 0, "extra"], 1), (["ok"], False),
         ]
     ),
+    # verify results are recomputed by run_all from the document's p_max and d_max
+    *(
+        (["verify", "--pmax", "19", "--dmax", "10"], path, value)
+        for path, value in [(["p_max"], 7), (["results", 0, "cases"], 5), (["results", 4, "name"], "made_up")]
+    ),
 ]
 
 
@@ -797,6 +809,26 @@ def test_json_with_one_changed_field_is_rejected(capsys, argv, path, value):
     doc = json.loads(out)
     set_path(doc, path, value)
     with pytest.raises(ValueError):
+        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
+
+
+# one document of each command, argv without --format json
+DOCUMENTS = [
+    ["bound", "--p", "2", "--d", "8"],
+    ["table", "--dmax", "3", "--pmax", "7"],
+    ["profile", "--d", "4", "2^9,5^3"],
+    ["forbidden", "--d", "6"],
+    ["genus2", "5^6"],
+    ["sharpness", "--p", "2", "--d", "7", "--budget", "16384", "--offline"],
+    ["verify", "--pmax", "2", "--dmax", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
+def test_json_with_an_extra_field_is_rejected(capsys, argv):
+    code, out = run(capsys, [*argv, "--format", "json"])
+    doc = {**json.loads(out), "extra": None}
+    with pytest.raises(ValueError, match="^field 'extra' does not match"):
         getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
 
 
@@ -813,6 +845,7 @@ def test_json_with_one_changed_field_is_rejected(capsys, argv, path, value):
         (cli.parse_verify_json, '{"ok": true, "results": [5]}'),
         (cli.parse_forbidden_json, "{}"),
         (cli.parse_forbidden_json, '{"profiles": [5]}'),
+        *((cli.parse_sharpness_json, text) for text in ['{"p": 2}', "[2, 7]", "null", '"sharp"']),
     ],
 )
 def test_malformed_json_is_a_value_error(parse, text):
@@ -820,15 +853,9 @@ def test_malformed_json_is_a_value_error(parse, text):
         parse(text)
 
 
-@pytest.mark.parametrize("text", ['{"p": 2}', "[2, 7]", "null", '"sharp"'])
-def test_malformed_sharpness_json_is_a_value_error(text):
-    with pytest.raises(ValueError, match="^not a sharpness witness: "):
-        cli.parse_sharpness_json(text)
-
-
 def test_sharpness_json_contradicting_its_bound_is_rejected():
     text = '{"p": 2, "d": 7, "exponent_attained": 3, "level": 5, "status": "sharp"}'
-    with pytest.raises(ValueError, match=r"^a sharp witness for B0\(2,7\) = 8 attains 8, got 3$"):
+    with pytest.raises(ValueError, match=r"^v_2\(5\) = 0 attains neither B0\(2,7\) = 8 nor 7$"):
         cli.parse_sharpness_json(text)
 
 

