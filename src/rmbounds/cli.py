@@ -72,18 +72,18 @@ def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]
             print("\n".join(plain))
 
 
-def _recomputed(text: str, compute):
-    """compute(doc) for a command's json output doc, returned only if its to_json_dict() is doc.
+def _recomputed(text: str, command: str, compute):
+    """compute(doc) for command's json output doc, returned only if doc is what _emit prints for it.
 
-    compute reads only doc's inputs.  Every field is then compared as json text,
-    so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
+    compute reads only doc's inputs.  Every field, command included, is then compared
+    as json text, so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
     """
     try:
-        doc = {key: value for key, value in json.loads(text).items() if key != "command"}
+        doc = json.loads(text)
         result = compute(doc)
     except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
         raise ValueError(f"not a command's json output: {exc!r}") from exc
-    obj = result.to_json_dict()
+    obj = {"command": command, **result.to_json_dict()}
     for key in sorted(doc.keys() | obj.keys()):
         given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
         if given != recomputed:
@@ -121,7 +121,7 @@ def cmd_bound(args) -> int:
 
 
 def parse_bound_json(text: str) -> BoundTriple:
-    return _recomputed(text, lambda doc: BoundTriple.compute(doc["p"], doc["d"]))
+    return _recomputed(text, "bound", lambda doc: BoundTriple.compute(doc["p"], doc["d"]))
 
 
 # -- table -----------------------------------------------------------------
@@ -170,7 +170,7 @@ def parse_table_json(text: str) -> BoundTable:
         full = any(p > 2 * d + 1 for p, d in sharpness)
         return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
 
-    return _recomputed(text, rerender)
+    return _recomputed(text, "table", rerender)
 
 
 # -- profile ---------------------------------------------------------------
@@ -207,7 +207,7 @@ def cmd_profile(args) -> int:
 
 
 def parse_profile_json(text: str) -> RmConstraintReport:
-    return _recomputed(text, lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]))
+    return _recomputed(text, "profile", lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]))
 
 
 # -- forbidden ---------------------------------------------------------------
@@ -246,7 +246,7 @@ def cmd_forbidden(args) -> int:
 def parse_forbidden_json(text: str) -> list[ExponentProfile]:
     """The document's profiles, recomputed from its d, prime_bound, max_entries and include_singletons."""
     keys = ("d", "prime_bound", "max_entries", "include_singletons")
-    return _recomputed(text, lambda doc: _ForbiddenProfiles.compute(*(doc[key] for key in keys))).profiles
+    return _recomputed(text, "forbidden", lambda doc: _ForbiddenProfiles.compute(*(doc[key] for key in keys))).profiles
 
 
 # -- genus2 ------------------------------------------------------------------
@@ -275,7 +275,7 @@ def cmd_genus2(args) -> int:
 
 
 def parse_genus2_json(text: str) -> Genus2Report:
-    return _recomputed(text, lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])))
+    return _recomputed(text, "genus2", lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])))
 
 
 # -- sharpness ---------------------------------------------------------------
@@ -296,7 +296,7 @@ def cmd_sharpness(args) -> int:
 
 
 def parse_sharpness_json(text: str) -> SharpnessWitness:
-    return _recomputed(text, lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]))
+    return _recomputed(text, "sharpness", lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]))
 
 
 # -- verify ------------------------------------------------------------------
@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
 
 def parse_verify_json(text: str) -> list[verify.PropertyResult]:
     """The document's results, recomputed by run_all from its p_max and d_max."""
-    return _recomputed(text, lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"])).results
+    return _recomputed(text, "verify", lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"])).results
 
 
 # -- parser ------------------------------------------------------------------

@@ -287,19 +287,27 @@ def _parse_retry_after(headers: dict) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _requests_transport(url: str, params: dict[str, str], timeout: float):
-    """Default transport: GET returning (status, parsed-or-raw body, headers)."""
-    import requests
+def _urllib_transport(url: str, params: dict[str, str], timeout: float):
+    """Default transport: an http(s) GET returning (status, parsed-or-raw body, headers); a 4xx or 5xx is an answer."""
+    import http.client
+    from urllib import error, parse, request
 
+    target = url + "?" + parse.urlencode(params) if params else url  # a next URL carries its own query
     try:
-        response = requests.get(url, params=params, timeout=timeout)
-    except requests.RequestException as exc:
+        if parse.urlsplit(target).scheme not in ("http", "https"):  # urlopen also reads file:, ftp: and data:
+            raise ValueError("only http and https URLs are fetched")
+        try:
+            response = request.urlopen(target, timeout=timeout)
+        except error.HTTPError as answer:
+            response = answer
+        with response:
+            status, raw, headers = response.status, response.read(), dict(response.headers)
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise NetworkFailed(f"request to {url} failed: {exc}") from exc
     try:
-        body = response.json()
-    except ValueError:
-        body = response.text
-    return response.status_code, body, dict(response.headers)
+        return status, json.loads(raw), headers
+    except ValueError:  # not JSON, so a 200 is a MalformedResponse
+        return status, raw.decode("utf-8", errors="replace"), headers
 
 
 class OrbitDimClient:
@@ -326,7 +334,7 @@ class OrbitDimClient:
         self.cache = cache
         self.fixtures = load_fixture_store() if fixtures is None else fixtures
         self.offline = offline
-        self._transport = transport or _requests_transport
+        self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._clock = clock
         self._net_lock = threading.Lock()
@@ -381,7 +389,9 @@ class OrbitDimClient:
             next_url = body.get("next")
             if not next_url:
                 return dims
-            url, params = str(next_url), {}
+            if not isinstance(next_url, str):
+                raise MalformedResponse(f"'next' is not a URL: {next_url!r}")
+            url, params = next_url, {}
             if url.startswith("/"):
                 url = self.base_url + url
             if followed is None:

@@ -204,7 +204,7 @@ def count_requests(monkeypatch):
         asked.append(params["level"])
         return 200, {"data": []}, {}
 
-    monkeypatch.setattr(lmfdb, "_requests_transport", transport)
+    monkeypatch.setattr(lmfdb, "_urllib_transport", transport)
     monkeypatch.setattr(lmfdb, "MIN_INTERVAL", 0.0)
     return asked
 
@@ -552,15 +552,17 @@ def test_sharpness_json_round_trip(capsys):
 
 
 def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
-    from test_lmfdb import refuse_connections
+    from test_lmfdb import refusing_url, spy_urlopen
 
-    tried = refuse_connections(monkeypatch)
-    code = cli.main(["sharpness", "--p", "13", "--d", "6", "--budget", "20000"])
+    opened = spy_urlopen(monkeypatch)
+    with refusing_url() as base:
+        code = cli.main(["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--base-url", base])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: request to ") and "connection refused" in captured.err
-    assert len(tried) == 1
+    assert captured.err.startswith(f"error: request to {base}/api/mf_newforms/ failed: ")
+    assert "connection refused" in captured.err.lower()
+    assert len(opened) == 1
 
 
 @pytest.mark.parametrize(
@@ -829,6 +831,19 @@ def test_json_with_an_extra_field_is_rejected(capsys, argv):
     code, out = run(capsys, [*argv, "--format", "json"])
     doc = {**json.loads(out), "extra": None}
     with pytest.raises(ValueError, match="^field 'extra' does not match"):
+        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", ["relabelled", "missing"])
+@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
+def test_json_with_another_command_or_none_is_rejected(capsys, argv, command):
+    code, out = run(capsys, [*argv, "--format", "json"])
+    doc = json.loads(out)
+    if command == "missing":
+        del doc["command"]
+    else:
+        doc["command"] = "bound" if argv[0] == "verify" else "verify"
+    with pytest.raises(ValueError, match="^field 'command' does not match"):
         getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
 
 

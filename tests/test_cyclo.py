@@ -395,6 +395,6 @@ def test_genus2_inconsistent_profile_surfaces_in_analysis():
 
 def test_json_round_trips():
     report = analyze_profile({2: 9, 5: 3}, 4)
-    assert cli.parse_profile_json(json.dumps(report.to_json_dict())) == report
+    assert cli.parse_profile_json(json.dumps({"command": "profile", **report.to_json_dict()})) == report
     g2 = genus2_rm_analysis({5: 6})
-    assert cli.parse_genus2_json(json.dumps(g2.to_json_dict())) == g2
+    assert cli.parse_genus2_json(json.dumps({"command": "genus2", **g2.to_json_dict()})) == g2

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import http.server
 import itertools
 import json
 import logging
+import os
 import re
+import socket
 import threading
 import time
+import urllib.parse
+import urllib.request
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -504,6 +511,15 @@ def test_pagination_refuses_a_next_it_has_followed(tmp_path, loop):
     assert not path.exists()  # nothing of the level is stored
 
 
+@pytest.mark.parametrize("next_url", [5, {"page": 2}, ["x"]], ids=["int", "object", "list"])
+def test_next_that_is_not_a_string_is_malformed(next_url):
+    transport, calls = make_transport([(200, {"data": [{"dim": 1}], "next": next_url}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
+    with pytest.raises(MalformedResponse, match=f"^'next' is not a URL: {re.escape(repr(next_url))}$"):
+        client.fetch_orbit_dims(31)
+    assert len(calls) == 1
+
+
 def test_backoff_then_success():
     sleeps = []
     pages = [
@@ -636,76 +652,165 @@ def test_scan_strict_propagates(offline_client):
         offline_client.sharpness_scan(2, 7, 16384, strict=True)
 
 
-def refuse_connections(monkeypatch):
-    """Make every requests.get raise ConnectionError, so no request leaves the process; returns the URLs tried."""
-    import requests
+# -- the default transport, against a stand-in server on loopback ---------------------
 
-    tried = []
-
-    def get(url, params=None, timeout=None):
-        tried.append(url)
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(requests, "get", get)
-    return tried
+DROP = None  # an answer that closes the connection without a response
+JSON = {"Content-Type": "application/json"}
+NO_PROXY = {"no_proxy": "*"}  # so a proxy setting in the environment cannot route a loopback request elsewhere
 
 
-class FakeResponse:
-    """The part of requests.Response the default transport reads."""
+class StandIn(http.server.BaseHTTPRequestHandler):
+    """Answers the n-th GET with the server's n-th (status, text, headers) answer, the last one from then on."""
 
-    def __init__(self, status_code, text, headers=None):
-        self.status_code, self.text, self.headers = status_code, text, headers or {}
+    def do_GET(self):
+        asked, answers = self.server.asked, self.server.answers
+        asked.append(self.path)
+        answer = answers[min(len(asked), len(answers)) - 1]
+        if answer is DROP:
+            return  # HTTP/1.0 closes the connection after each request, here unanswered
+        status, text, headers = answer
+        data = text.encode()
+        self.send_response(status)
+        for name, value in {"Content-Length": str(len(data)), **headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
 
-    def json(self):
-        return json.loads(self.text)  # JSONDecodeError is a ValueError, as requests' own is
-
-
-def serve(monkeypatch, responses):
-    """Make requests.get answer with the given FakeResponses in turn; returns the URLs asked."""
-    import requests
-
-    asked = []
-
-    def get(url, params=None, timeout=None):
-        asked.append(url)
-        return responses[len(asked) - 1]
-
-    monkeypatch.setattr(requests, "get", get)
-    return asked
+    def log_message(self, format, *args):
+        pass
 
 
-def test_default_transport_returns_a_json_body_as_a_dict(monkeypatch):
-    asked = serve(monkeypatch, [FakeResponse(200, '{"data": [{"dim": 3}]}', {"Content-Type": "application/json"})])
-    status, body, headers = lmfdb._requests_transport("https://example.invalid/api", {}, 1.0)
-    assert (status, body, headers) == (200, {"data": [{"dim": 3}]}, {"Content-Type": "application/json"})
-    assert asked == ["https://example.invalid/api"]
+@contextlib.contextmanager
+def stand_in(answers):
+    """A threaded http.server on 127.0.0.1 giving answers in turn; yields (base URL, paths asked)."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), StandIn)
+    server.answers, server.asked = answers, []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        with mock.patch.dict(os.environ, NO_PROXY):
+            yield f"http://127.0.0.1:{server.server_port}", server.asked
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
-def test_default_transport_returns_a_non_json_body_as_text(monkeypatch):
-    serve(monkeypatch, [FakeResponse(200, "<html>busy</html>")] * 2)
-    assert lmfdb._requests_transport("https://example.invalid/api", {}, 1.0) == (200, "<html>busy</html>", {})
-    client = OrbitDimClient(fixtures={}, sleep=lambda seconds: None)
+@pytest.fixture
+def loopback():
+    """serve(answers) starts a stand-in server and returns (base URL, paths asked); each is closed after the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda answers: stack.enter_context(stand_in(answers))
+
+
+@contextlib.contextmanager
+def refusing_url():
+    """The http URL of a loopback port that is bound but not listening, so every connection to it is refused."""
+    with socket.socket() as sock, mock.patch.dict(os.environ, NO_PROXY):
+        sock.bind(("127.0.0.1", 0))
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+def spy_urlopen(monkeypatch):
+    """Record every URL the default transport opens; returns the list."""
+    real, opened = urllib.request.urlopen, []
+
+    def urlopen(url, *args, **kwargs):
+        opened.append(url)
+        return real(url, *args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return opened
+
+
+def test_default_transport_returns_a_json_body_as_a_dict(loopback):
+    base, asked = loopback([(200, '{"data": [{"dim": 3}]}', JSON)])
+    status, body, headers = lmfdb._urllib_transport(base + "/api", {"level": "i77", "_format": "json"}, 5.0)
+    assert (status, body, headers["Content-Type"]) == (200, {"data": [{"dim": 3}]}, "application/json")
+    lmfdb._urllib_transport(base + "/api?level=i77&_offset=1", {}, 5.0)  # a next URL, sent as given
+    assert asked == ["/api?level=i77&_format=json", "/api?level=i77&_offset=1"]
+
+
+def test_default_transport_returns_a_non_json_body_as_text(loopback):
+    base, asked = loopback([(200, "<html>busy</html>", {})])
+    assert lmfdb._urllib_transport(base + "/api", {}, 5.0)[:2] == (200, "<html>busy</html>")
+    client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
     with pytest.raises(MalformedResponse, match="^response was not JSON$"):
         client.fetch_orbit_dims(31)
+    assert len(asked) == 2
 
 
-def test_default_transport_retries_a_503_after_its_retry_after_hint(monkeypatch):
-    busy, answer = FakeResponse(503, "busy", {"Retry-After": "0"}), FakeResponse(200, '{"data": [{"dim": 3}]}')
-    asked = serve(monkeypatch, [busy, answer])
+def test_default_transport_retries_a_503_after_its_retry_after_hint(loopback):
+    base, asked = loopback([(503, "busy", {"Retry-After": "0"}), (200, '{"data": [{"dim": 3}]}', JSON)])
     sleeps = []
-    client = OrbitDimClient(fixtures={}, sleep=sleeps.append, clock=lambda: 0.0)
+    client = OrbitDimClient(base_url=base, fixtures={}, sleep=sleeps.append, clock=lambda: 0.0)
     assert client.fetch_orbit_dims(31).dims == (3,)
     assert len(asked) == 2
     assert sleeps == [0.0, lmfdb.MIN_INTERVAL]  # the hint, then the rate-limit spacing
 
 
-def test_failed_request_is_not_an_offline_miss(monkeypatch):
-    tried = refuse_connections(monkeypatch)
-    client = OrbitDimClient(fixtures={}, sleep=lambda seconds: None)
-    with pytest.raises(NetworkFailed) as info:
+def test_default_transport_returns_a_404_as_an_answer(loopback):
+    base, asked = loopback([(404, "no such page", {})])
+    assert lmfdb._urllib_transport(base + "/api", {}, 5.0)[:2] == (404, "no such page")
+    client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(ServiceError, match=f"^unexpected status 404 from {re.escape(base)}/api/mf_newforms/$"):
+        client.fetch_orbit_dims(31)
+    assert len(asked) == 2
+
+
+def test_default_transport_follows_a_relative_next(loopback):
+    first = '{"data": [{"dim": 1}], "next": "/api/mf_newforms/?level=i55&_offset=1"}'
+    base, asked = loopback([(200, first, JSON), (200, '{"data": [{"dim": 4}]}', JSON)])
+    client = OrbitDimClient(base_url=base + "/", fixtures={}, sleep=lambda seconds: None)
+    assert client.fetch_orbit_dims(55).dims == (1, 4)
+    assert asked == [
+        "/api/mf_newforms/?level=i55&weight=i2&char_order=i1&_fields=dim&_format=json",
+        "/api/mf_newforms/?level=i55&_offset=1",
+    ]
+
+
+def test_failed_request_is_not_an_offline_miss(loopback):
+    base, asked = loopback([DROP])
+    client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(NetworkFailed, match=f"^request to {re.escape(base)}/api/mf_newforms/ failed: ") as info:
         client.sharpness_scan(2, 7, 16384)
     assert not isinstance(info.value, NetworkUnavailable)
-    assert len(tried) == 1
+    assert len(asked) == 1
+
+
+def test_refused_connection_is_a_failed_request(monkeypatch):
+    opened = spy_urlopen(monkeypatch)
+    with refusing_url() as base:
+        client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
+        with pytest.raises(NetworkFailed, match="(?i)connection refused") as info:
+            client.sharpness_scan(2, 7, 16384)
+    assert not isinstance(info.value, NetworkUnavailable)
+    assert len(opened) == 1
+
+
+@pytest.mark.parametrize("base_url", ["", "http://", "http://[::1"], ids=["empty", "no-host", "bad-host"])
+def test_base_url_that_is_not_a_url_is_a_failed_request(base_url):
+    client = OrbitDimClient(base_url=base_url, fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(NetworkFailed, match=f"^request to {re.escape(client._url)} failed: "):
+        client.fetch_orbit_dims(31)
+
+
+@pytest.mark.parametrize("where", ["base_url", "next"])
+@pytest.mark.parametrize("scheme", ["file", "data"])
+def test_only_http_and_https_urls_are_fetched(loopback, tmp_path, monkeypatch, where, scheme):
+    page = '{"data": [{"dim": 6}]}'
+    if scheme == "file":
+        planted = tmp_path / "planted.json"
+        planted.write_text(page)
+        url = planted.as_uri()
+    else:
+        url = "data:application/json," + urllib.parse.quote(page)
+    base, asked = loopback([(200, json.dumps({"data": [{"dim": 1}], "next": url}), JSON)])
+    opened = spy_urlopen(monkeypatch)
+    client = OrbitDimClient(base_url=url if where == "base_url" else base, fixtures={}, sleep=lambda seconds: None)
+    with pytest.raises(NetworkFailed, match="failed: only http and https URLs are fetched$"):
+        client.fetch_orbit_dims(31)
+    assert len(opened) == len(asked) == (where == "next")  # the loopback page only, if any; never the planted URL
 
 
 def test_annotate_table_scans_only_cells_up_to_p_max():

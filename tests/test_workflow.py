@@ -34,6 +34,16 @@ def test_tier1_step_runs_the_roadmap_command_verbatim():
     assert steps["Tier-1 tests"]["run"] == command
 
 
+def test_no_dependency_step_runs_right_after_the_install():
+    steps = load_job()["steps"]
+    names = [step.get("name") for step in steps]
+    at = names.index("Install the package with its test extras") + 1
+    assert names[at] == "Installed package declares no runtime dependency"
+    python, flag, script = shlex.split(steps[at]["run"])
+    assert (python, flag) == ("python", "-c") and "requires('rmbounds')" in script
+    compile(script, names[at], "exec")
+
+
 def test_matrix_is_python_3_10_and_3_11():
     assert load_job()["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
 
