@@ -1,10 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: one COMMANDS row per subcommand (bound, table, profile, forbidden, genus2, sharpness, verify).
 
-Subcommands: bound, table, profile, forbidden, genus2, sharpness, verify.
-Every command states its result once, as a json object, a csv table and
-plain lines, and _emit prints the one --format names; results go to stdout,
-logs to stderr.  The parse_* helpers read json output back: each document is
-rebuilt from its inputs and compared field by field.
+main prints a row's result in the one format --format names; results go to stdout, logs to stderr.
+parse_json reads json output back: each document is rebuilt from its inputs and compared field by field.
 """
 from __future__ import annotations
 
@@ -16,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
@@ -56,41 +53,6 @@ def _int_arg(check=None):
     return parse
 
 
-def _emit(args, obj: dict, header: list[str], rows: list[list], plain: list[str]) -> None:
-    """Print a command's result in the chosen format: its json object, csv table or plain lines.
-
-    csv writes None as an empty field.
-    """
-    match args.format:
-        case "json":
-            print(json.dumps({"command": args.command, **obj}, indent=2))
-        case "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        case _:
-            print("\n".join(plain))
-
-
-def _recomputed(text: str, command: str, compute):
-    """compute(doc) for command's json output doc, returned only if doc is what _emit prints for it.
-
-    compute reads only doc's inputs.  Every field, command included, is then compared
-    as json text, so a changed derived field, or 14.0 or true for 14 or 1, raises ValueError.
-    """
-    try:
-        doc = json.loads(text)
-        result = compute(doc)
-    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
-        raise ValueError(f"not a command's json output: {exc!r}") from exc
-    obj = {"command": command, **result.to_json_dict()}
-    for key in sorted(doc.keys() | obj.keys()):
-        given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
-        if given != recomputed:
-            raise ValueError(f"field {key!r} does not match the result recomputed from the document's inputs")
-    return result
-
-
 @contextlib.contextmanager
 def _command_client(args):
     """The client --base-url, --cache and --offline describe; its cache, if any, is closed when the command ends."""
@@ -102,11 +64,7 @@ def _command_client(args):
             cache.close()
 
 
-# -- bound -----------------------------------------------------------------
-
-
-def cmd_bound(args) -> int:
-    triple = BoundTriple.compute(args.p, args.d)
+def _bound_lines(triple: BoundTriple, args):
     p, d = triple.p, triple.d
     header = ["p", "d", "bk", "bk_prime", "b0"]
     row = [p, d, triple.bk, triple.bk_prime, triple.b0]
@@ -116,28 +74,25 @@ def cmd_bound(args) -> int:
         f"B'({p},{d}) = {triple.bk_prime}    the same bound per dimension: floor(B/d)",
         f"B0({p},{d}) = {triple.b0}    bound on v_p(N) under maximal real multiplication",
     ]
-    _emit(args, triple.to_json_dict(), header, [row], plain)
-    return 0
+    return header, [row], plain
 
 
-def parse_bound_json(text: str) -> BoundTriple:
-    return _recomputed(text, "bound", lambda doc: BoundTriple.compute(doc["p"], doc["d"]))
+def _run_table(args) -> BoundTable:
+    sharpness = None
+    if args.annotate:
+        with _command_client(args) as client:
+            witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
+        sharpness = {key: witness.status for key, witness in witnesses.items()}
+    return render_table(args.dmax, args.pmax, sharpness=sharpness, include_trivial=args.full)
 
 
-# -- table -----------------------------------------------------------------
+def _rebuild_table(doc) -> BoundTable:  # a trivial cell (p > 2d + 1) means the table was rendered with --full
+    sharpness = {(cell["p"], cell["d"]): cell["sharpness"] for cell in doc["cells"]}
+    full = any(p > 2 * d + 1 for p, d in sharpness)
+    return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
 
 
-def _annotations(args) -> dict[tuple[int, int], str] | None:
-    if not args.annotate:
-        return None
-    with _command_client(args) as client:
-        witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
-    return {key: witness.status for key, witness in witnesses.items()}
-
-
-def cmd_table(args) -> int:
-    sharpness = _annotations(args)
-    table = render_table(args.dmax, args.pmax, sharpness=sharpness, include_trivial=args.full)
+def _table_lines(table: BoundTable, args):
     dims = range(1, table.d_max + 1)
     header = ["d"]
     for p in table.primes:
@@ -160,24 +115,10 @@ def cmd_table(args) -> int:
     for d in dims:
         texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes]
         plain.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
-    _emit(args, table.to_json_dict(), header, rows, plain)
-    return 0
+    return header, rows, plain
 
 
-def parse_table_json(text: str) -> BoundTable:
-    def rerender(doc):  # a trivial cell (p > 2d + 1) means the table was rendered with --full
-        sharpness = {(cell["p"], cell["d"]): cell["sharpness"] for cell in doc["cells"]}
-        full = any(p > 2 * d + 1 for p, d in sharpness)
-        return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
-
-    return _recomputed(text, "table", rerender)
-
-
-# -- profile ---------------------------------------------------------------
-
-
-def cmd_profile(args) -> int:
-    report = analyze_profile(ExponentProfile.parse(args.profile), args.d)
+def _profile_lines(report: RmConstraintReport, args):
     refined = sorted(report.refined_bounds.items())
     header = ["d", "profile", "admissible", "determination", "forced", "forced_degree", "residual_degree", "refined_bounds"]
     row = [
@@ -202,15 +143,7 @@ def cmd_profile(args) -> int:
         rest = report.profile.without(p)
         given = f" given {rest}" if len(rest) else ""
         plain.append(f"refined bound: v_{p}(N) <= {cap}{given}")
-    _emit(args, report.to_json_dict(), header, [row], plain)
-    return 0
-
-
-def parse_profile_json(text: str) -> RmConstraintReport:
-    return _recomputed(text, "profile", lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]))
-
-
-# -- forbidden ---------------------------------------------------------------
+    return header, [row], plain
 
 
 class _ForbiddenProfiles(NamedTuple):
@@ -231,29 +164,17 @@ class _ForbiddenProfiles(NamedTuple):
         return {**self._asdict(), "profiles": [profile.to_json_list() for profile in self.profiles]}
 
 
-def cmd_forbidden(args) -> int:
-    result = _ForbiddenProfiles.compute(args.d, args.pmax, args.max_entries, args.include_singletons)
+def _forbidden_lines(result: _ForbiddenProfiles, args):
     profiles = result.profiles
     if profiles:
         plain = [f"minimal forbidden exponent combinations for d = {args.d}:"]
         plain += [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
     else:
         plain = [f"no forbidden combinations for d = {args.d} (primes <= {args.pmax}, <= {args.max_entries} primes)"]
-    _emit(args, result.to_json_dict(), ["profile"], [[str(profile)] for profile in profiles], plain)
-    return 0
+    return ["profile"], [[str(profile)] for profile in profiles], plain
 
 
-def parse_forbidden_json(text: str) -> list[ExponentProfile]:
-    """The document's profiles, recomputed from its d, prime_bound, max_entries and include_singletons."""
-    keys = ("d", "prime_bound", "max_entries", "include_singletons")
-    return _recomputed(text, "forbidden", lambda doc: _ForbiddenProfiles.compute(*(doc[key] for key in keys))).profiles
-
-
-# -- genus2 ------------------------------------------------------------------
-
-
-def cmd_genus2(args) -> int:
-    report = genus2_rm_analysis(ExponentProfile.parse(args.profile))
+def _genus2_lines(report: Genus2Report, args):
     row = [
         str(report.profile),
         "unknown" if report.simple is None else report.simple,
@@ -270,20 +191,15 @@ def cmd_genus2(args) -> int:
             plain.append(f"endomorphism algebra: {report.field.name}")
         elif report.analysis is not None and report.analysis.admissible:
             plain.append("endomorphism algebra: not determined by exponent data")
-    _emit(args, report.to_json_dict(), ["profile", "simple", "field"], [row], plain)
-    return 0
+    return ["profile", "simple", "field"], [row], plain
 
 
-def parse_genus2_json(text: str) -> Genus2Report:
-    return _recomputed(text, "genus2", lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])))
-
-
-# -- sharpness ---------------------------------------------------------------
-
-
-def cmd_sharpness(args) -> int:
+def _run_sharpness(args) -> SharpnessWitness:
     with _command_client(args) as client:
-        witness = client.sharpness_scan(args.p, args.d, args.budget, strict=args.strict)
+        return client.sharpness_scan(args.p, args.d, args.budget, strict=args.strict)
+
+
+def _sharpness_lines(witness: SharpnessWitness, args):
     p, d = witness.p, witness.d
     if witness.status == lmfdb.NONE_FOUND:
         line = f"p = {p}, d = {d}: no witness found up to level {args.budget} (existence is not ruled out)"
@@ -291,15 +207,7 @@ def cmd_sharpness(args) -> int:
         line = f"p = {p}, d = {d}: {witness.status} at level {witness.level} (v_{p} = {witness.exponent_attained})"
     header = ["p", "d", "status", "exponent_attained", "level"]
     row = [p, d, witness.status, witness.exponent_attained, witness.level]
-    _emit(args, witness.to_json_dict(), header, [row], [line])
-    return 0
-
-
-def parse_sharpness_json(text: str) -> SharpnessWitness:
-    return _recomputed(text, "sharpness", lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]))
-
-
-# -- verify ------------------------------------------------------------------
+    return header, [row], [line]
 
 
 class _VerifyRun(NamedTuple):
@@ -322,17 +230,95 @@ class _VerifyRun(NamedTuple):
         return {"p_max": self.p_max, "d_max": self.d_max, "ok": self.ok, "results": results}
 
 
-def cmd_verify(args) -> int:
-    run = _VerifyRun.compute(args.pmax, args.dmax)
-    results = run.results
-    rows = [[r.name, r.ok, r.cases, r.counterexample] for r in results]
-    _emit(args, run.to_json_dict(), ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(results)])
-    return 0 if run.ok else 1
+def _verify_lines(run: _VerifyRun, args):
+    rows = [[r.name, r.ok, r.cases, r.counterexample] for r in run.results]
+    return ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(run.results)]
+
+
+class _Command(NamedTuple):
+    run: Callable  # args -> the command's result, computed from the flags
+    rebuild: Callable  # a json document -> the same result, computed from the document's inputs
+    lines: Callable  # (result, args) -> (csv header, csv rows, plain lines)
+
+
+# Every subcommand, as one row; main looks the row up on each call.
+COMMANDS: dict[str, _Command] = {
+    "bound": _Command(
+        lambda args: BoundTriple.compute(args.p, args.d), lambda doc: BoundTriple.compute(doc["p"], doc["d"]), _bound_lines
+    ),
+    "table": _Command(_run_table, _rebuild_table, _table_lines),
+    "profile": _Command(
+        lambda args: analyze_profile(ExponentProfile.parse(args.profile), args.d),
+        lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]), _profile_lines
+    ),
+    "forbidden": _Command(
+        lambda args: _ForbiddenProfiles.compute(args.d, args.pmax, args.max_entries, args.include_singletons),
+        lambda doc: _ForbiddenProfiles.compute(doc["d"], doc["prime_bound"], doc["max_entries"], doc["include_singletons"]),
+        _forbidden_lines,
+    ),
+    "genus2": _Command(
+        lambda args: genus2_rm_analysis(ExponentProfile.parse(args.profile)),
+        lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])), _genus2_lines
+    ),
+    "sharpness": _Command(
+        _run_sharpness, lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]), _sharpness_lines
+    ),
+    "verify": _Command(
+        lambda args: _VerifyRun.compute(args.pmax, args.dmax), lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"]),
+        _verify_lines,
+    ),
+}
+
+
+def parse_json(text: str, command: str | None = None):
+    """The result a command's json output doc was printed from, rebuilt by its COMMANDS row from doc's inputs.
+
+    The row is doc's "command", or command if given.  Every field, command included,
+    is then compared as json text, so a document of another command, a changed derived
+    field, or 14.0 or true for 14 or 1, raises ValueError.
+    """
+    doc = json.loads(text)
+    name = command or (doc.get("command") if isinstance(doc, dict) else None)
+    if not isinstance(name, str) or name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}: expected one of {', '.join(COMMANDS)}")
+    try:
+        result = COMMANDS[name].rebuild(doc)
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing, a value of another type
+        raise ValueError(f"not a command's json output: {exc!r}") from exc
+    obj = {"command": name, **result.to_json_dict()}
+    for key in sorted(doc.keys() | obj.keys()):
+        given, recomputed = (json.dumps(o[key], sort_keys=True) if key in o else None for o in (doc, obj))
+        if given != recomputed:
+            raise ValueError(f"field {key!r} does not match the result recomputed from the document's inputs")
+    return result
+
+
+def parse_bound_json(text: str) -> BoundTriple:
+    return parse_json(text, "bound")
+
+
+def parse_table_json(text: str) -> BoundTable:
+    return parse_json(text, "table")
+
+
+def parse_profile_json(text: str) -> RmConstraintReport:
+    return parse_json(text, "profile")
+
+
+def parse_forbidden_json(text: str) -> list[ExponentProfile]:
+    return parse_json(text, "forbidden").profiles
+
+
+def parse_genus2_json(text: str) -> Genus2Report:
+    return parse_json(text, "genus2")
+
+
+def parse_sharpness_json(text: str) -> SharpnessWitness:
+    return parse_json(text, "sharpness")
 
 
 def parse_verify_json(text: str) -> list[verify.PropertyResult]:
-    """The document's results, recomputed by run_all from its p_max and d_max."""
-    return _recomputed(text, "verify", lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"])).results
+    return parse_json(text, "verify").results
 
 
 # -- parser ------------------------------------------------------------------
@@ -431,12 +417,19 @@ def _stderr_logging(verbose: bool):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* takes effect
+    command = COMMANDS[args.command]  # looked up per call, so a swapped row takes effect
     with _stderr_logging(args.verbose):
         try:
-            status = command(args)
+            result = command.run(args)
+            if args.format == "json":  # the one format that needs no lines
+                print(json.dumps({"command": args.command, **result.to_json_dict()}, indent=2))
+            elif args.format == "csv":
+                header, rows, _ = command.lines(result, args)
+                csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])  # None becomes an empty field
+            else:
+                print("\n".join(command.lines(result, args)[2]))
             sys.stdout.flush()  # a reader that closed the pipe is found here, not at interpreter exit
-            return status
+            return 1 if isinstance(result, _VerifyRun) and not result.ok else 0
         except BrokenPipeError:
             # The interpreter flushes stdout again at exit; pointed at devnull, that flush cannot fail.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -292,12 +292,18 @@ def _urllib_transport(url: str, params: dict[str, str], timeout: float):
     import http.client
     from urllib import error, parse, request
 
+    class HttpRedirects(request.HTTPRedirectHandler):  # urllib's own follows ftp: too; a refused 30x is the answer
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if parse.urlsplit(newurl).scheme in ("http", "https"):
+                return super().redirect_request(req, fp, code, msg, headers, newurl)
+            return None
+
     target = url + "?" + parse.urlencode(params) if params else url  # a next URL carries its own query
     try:
-        if parse.urlsplit(target).scheme not in ("http", "https"):  # urlopen also reads file:, ftp: and data:
+        if parse.urlsplit(target).scheme not in ("http", "https"):  # an opener also reads file:, ftp: and data:
             raise ValueError("only http and https URLs are fetched")
         try:
-            response = request.urlopen(target, timeout=timeout)
+            response = request.build_opener(HttpRedirects).open(target, timeout=timeout)
         except error.HTTPError as answer:
             response = answer
         with response:
@@ -414,7 +420,7 @@ class OrbitDimClient:
                     if isinstance(body, str):
                         raise MalformedResponse("response was not JSON")
                     return body
-                if status == 429 or status >= 500:
+                if isinstance(status, int) and (status == 429 or status >= 500):
                     retry_after_hint = _parse_retry_after(headers)
                     delay = MIN_INTERVAL * (2**attempt) if retry_after_hint is None else retry_after_hint
                     logger.info("status %d from %s; backing off %.2fs", status, url, delay)

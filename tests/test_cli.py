@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -233,18 +234,13 @@ def test_table_rejects_pmax_below_2(capsys, pmax, message):
 
 
 @pytest.mark.parametrize(
-    "argv, command",
-    [
-        (["table", "--dmax", "2"], "cmd_table"),
-        (["forbidden", "--d", "6"], "cmd_forbidden"),
-        (["verify", "--dmax", "1"], "cmd_verify"),
-    ],
+    "argv", [["table", "--dmax", "2"], ["forbidden", "--d", "6"], ["verify", "--dmax", "1"]], ids=lambda argv: argv[0]
 )
-def test_pmax_above_limit_is_rejected_before_any_sieve(capsys, monkeypatch, argv, command):
+def test_pmax_above_limit_is_rejected_before_any_sieve(capsys, monkeypatch, argv):
     def must_not_run(args):
         raise AssertionError("the command ran, so its sieve would too")
 
-    monkeypatch.setattr(cli, command, must_not_run)
+    monkeypatch.setitem(cli.COMMANDS, argv[0], cli.COMMANDS[argv[0]]._replace(run=must_not_run))
     with pytest.raises(SystemExit) as info:
         cli.main([*argv, "--pmax", "100000000000"])
     assert info.value.code == 2
@@ -552,9 +548,9 @@ def test_sharpness_json_round_trip(capsys):
 
 
 def test_sharpness_network_failure_exits_1(capsys, monkeypatch):
-    from test_lmfdb import refusing_url, spy_urlopen
+    from test_lmfdb import refusing_url, spy_opens
 
-    opened = spy_urlopen(monkeypatch)
+    opened = spy_opens(monkeypatch)
     with refusing_url() as base:
         code = cli.main(["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--base-url", base])
     captured = capsys.readouterr()
@@ -671,6 +667,17 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--pmax", "2", "--dmax", "1"])
     assert code == 1
     assert "FAIL synthetic: counterexample p=2, d=1" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_failure_exits_1_in_every_format(capsys, monkeypatch, fmt):
+    from rmbounds.verify import PropertyResult
+
+    broken = [PropertyResult(name="synthetic", ok=False, cases=1, counterexample="p=2, d=1")]
+    monkeypatch.setattr(cli.verify, "run_all", lambda p_max, d_max: broken)
+    code, out = run(capsys, ["verify", "--pmax", "2", "--dmax", "1", "--format", fmt])
+    assert code == 1
+    assert "synthetic" in out
 
 
 # -- json round-trips ---------------------------------------------------------------
@@ -847,6 +854,42 @@ def test_json_with_another_command_or_none_is_rejected(capsys, argv, command):
         getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
 
 
+@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
+def test_parse_json_reads_every_command_as_its_wrapper_does(capsys, argv):
+    code, out = run(capsys, [*argv, "--format", "json"])
+    result = cli.parse_json(out)
+    field = {"forbidden": "profiles", "verify": "results"}.get(argv[0])  # what the wrapper returns
+    assert (getattr(result, field) if field else result) == getattr(cli, f"parse_{argv[0]}_json")(out)
+
+
+@pytest.mark.parametrize("command", ["nope", None, ["bound"]], ids=["unknown", "missing", "not-a-string"])
+def test_parse_json_without_a_known_command_names_the_known_ones(capsys, command):
+    code, out = run(capsys, ["bound", "--p", "2", "--d", "8", "--format", "json"])
+    doc = {**json.loads(out), "command": command}
+    if command is None:
+        del doc["command"]
+    with pytest.raises(ValueError, match="expected one of bound, table, profile, forbidden, genus2, sharpness, verify$"):
+        cli.parse_json(json.dumps(doc))
+
+
+def test_commands_parser_and_json_readers_name_the_same_commands():
+    subparsers = next(action for action in cli.build_parser()._actions if action.dest == "command")
+    readers = {match[1] for match in map(re.compile(r"parse_(\w+)_json").fullmatch, vars(cli)) if match}
+    assert list(cli.COMMANDS) == list(subparsers.choices)
+    assert readers == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
+def test_json_output_renders_no_lines(capsys, monkeypatch, argv):
+    def must_not_render(result, args):
+        raise AssertionError("the csv and plain lines were built for a json run")
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], cli.COMMANDS[argv[0]]._replace(lines=must_not_render))
+    code, out = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -893,7 +936,8 @@ def test_main_calls_the_command_bound_when_it_runs(capsys, monkeypatch):
     argv = ["table", "--dmax", "2"]
     assert run(capsys, argv)[0] == 0  # the parser exists before the rebinding
     called = []
-    monkeypatch.setattr(cli, "cmd_table", lambda args: called.append(args.dmax) or 0)
+    row = cli.COMMANDS["table"]
+    monkeypatch.setitem(cli.COMMANDS, "table", row._replace(run=lambda args: called.append(args.dmax) or row.run(args)))
     assert cli.main(argv) == 0
     assert called == [2]
 

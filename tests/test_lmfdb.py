@@ -711,15 +711,15 @@ def refusing_url():
         yield f"http://127.0.0.1:{sock.getsockname()[1]}"
 
 
-def spy_urlopen(monkeypatch):
-    """Record every URL the default transport opens; returns the list."""
-    real, opened = urllib.request.urlopen, []
+def spy_opens(monkeypatch):
+    """Record every URL a urllib opener opens, redirects included; returns the list."""
+    real, opened = urllib.request.OpenerDirector.open, []
 
-    def urlopen(url, *args, **kwargs):
-        opened.append(url)
-        return real(url, *args, **kwargs)
+    def open(self, url, *args, **kwargs):
+        opened.append(getattr(url, "full_url", url))
+        return real(self, url, *args, **kwargs)
 
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open)
     return opened
 
 
@@ -779,7 +779,7 @@ def test_failed_request_is_not_an_offline_miss(loopback):
 
 
 def test_refused_connection_is_a_failed_request(monkeypatch):
-    opened = spy_urlopen(monkeypatch)
+    opened = spy_opens(monkeypatch)
     with refusing_url() as base:
         client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
         with pytest.raises(NetworkFailed, match="(?i)connection refused") as info:
@@ -806,11 +806,43 @@ def test_only_http_and_https_urls_are_fetched(loopback, tmp_path, monkeypatch, w
     else:
         url = "data:application/json," + urllib.parse.quote(page)
     base, asked = loopback([(200, json.dumps({"data": [{"dim": 1}], "next": url}), JSON)])
-    opened = spy_urlopen(monkeypatch)
+    opened = spy_opens(monkeypatch)
     client = OrbitDimClient(base_url=url if where == "base_url" else base, fixtures={}, sleep=lambda seconds: None)
     with pytest.raises(NetworkFailed, match="failed: only http and https URLs are fetched$"):
         client.fetch_orbit_dims(31)
     assert len(opened) == len(asked) == (where == "next")  # the loopback page only, if any; never the planted URL
+
+
+def test_redirect_to_ftp_is_refused(loopback, monkeypatch):
+    with socket.socket() as listener:  # a listening ftp port: a connection to it waits to be accepted
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.setblocking(False)
+        base, asked = loopback([(302, "", {"Location": f"ftp://127.0.0.1:{listener.getsockname()[1]}/x.json"})])
+        opened = spy_opens(monkeypatch)
+        client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
+        with pytest.raises(ServiceError, match=f"^unexpected status 302 from {re.escape(base)}/api/mf_newforms/$"):
+            client.fetch_orbit_dims(31)
+        with pytest.raises(BlockingIOError):  # nothing to accept: no connection was made
+            listener.accept()
+    assert len(opened) == len(asked) == 1
+
+
+def test_redirect_to_http_is_followed(loopback, monkeypatch):
+    base, asked = loopback([(302, "", {"Location": "/moved?level=i31"}), (200, '{"data": [{"dim": 5}]}', JSON)])
+    opened = spy_opens(monkeypatch)
+    client = OrbitDimClient(base_url=base, fixtures={}, sleep=lambda seconds: None)
+    assert client.fetch_orbit_dims(31).dims == (5,)
+    assert asked[1] == "/moved?level=i31"
+    assert opened[1] == base + "/moved?level=i31"
+
+
+def test_status_that_is_not_an_int_is_a_service_error():
+    transport, calls = make_transport([(None, {}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda seconds: None)
+    with pytest.raises(ServiceError, match="^unexpected status None from "):
+        client.fetch_orbit_dims(77)
+    assert len(calls) == 1
 
 
 def test_annotate_table_scans_only_cells_up_to_p_max():
