@@ -132,46 +132,42 @@ def _utcnow_iso() -> str:
     return stamp
 
 
-def _store_record(level: int, dims: list[int], fetched_at: str) -> dict:
-    return {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
-
-
 def _is_orbit_degree(dim) -> bool:
     """Whether dim is an orbit degree: an int, not a bool, and at least 1."""
     return type(dim) is int and dim >= 1
 
 
-def _check_record(obj, where: str) -> dict:
-    """obj if it is a record of the one query, else a ValueError naming where it came from."""
+def _check_record(obj, where: Callable[[], str]) -> dict:
+    """obj if it is a record of the one query (a level, weight 2, the trivial character), else a ValueError
+    naming where() it came from.  Each rule is tested once; where() and the message are built only on failure."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: record is not a JSON object")
-    for key in ("level", "weight", "char_trivial", "dims", "fetched_at"):
-        if key not in obj:
-            raise ValueError(f"{where}: record is missing {key!r}")
-    level, dims = obj["level"], obj["dims"]
-    # A record answers the one query: a level, weight 2 and the trivial character.
-    checks = (
-        ("level", type(level) is int and level >= 1, "a positive integer"),
-        ("weight", obj["weight"] == 2, "2"),
-        ("char_trivial", obj["char_trivial"] is True, "true"),
-        (
-            "dims",
-            isinstance(dims, list) and all(map(_is_orbit_degree, dims)),
-            "a list of positive integers",
-        ),
-        ("fetched_at", isinstance(obj["fetched_at"], str), "a string"),
-    )
-    for key, ok, what in checks:
-        if not ok:
-            raise ValueError(f"{where}: {key!r} must be {what}, got {obj[key]!r}")
-    return obj
+        raise ValueError(f"{where()}: record is not a JSON object")
+    try:  # the keys are read in this order, so the first missing one is named
+        level, weight, char_trivial, dims, fetched_at = (
+            obj["level"], obj["weight"], obj["char_trivial"], obj["dims"], obj["fetched_at"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"{where()}: record is missing {exc.args[0]!r}") from None
+    if type(level) is not int or level < 1:
+        key, what = "level", "a positive integer"
+    elif type(weight) is not int or weight != 2:
+        key, what = "weight", "2"
+    elif char_trivial is not True:
+        key, what = "char_trivial", "true"
+    elif not isinstance(dims, list) or not all(map(_is_orbit_degree, dims)):
+        key, what = "dims", "a list of positive integers"
+    elif not isinstance(fetched_at, str):
+        key, what = "fetched_at", "a string"
+    else:
+        return obj
+    raise ValueError(f"{where()}: {key!r} must be {what}, got {obj[key]!r}")
 
 
-def _parse_store_line(line: str, where: str) -> dict:
+def _parse_store_line(line: str, where: Callable[[], str]) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: not valid JSON: {exc}") from exc
+        raise ValueError(f"{where()}: not valid JSON: {exc}") from exc
     return _check_record(obj, where)
 
 
@@ -182,7 +178,7 @@ def load_store(lines, where: str) -> dict[int, dict]:
         line = line.strip()
         if not line:
             continue
-        obj = _parse_store_line(line, f"{where}:{lineno}")
+        obj = _parse_store_line(line, lambda: f"{where}:{lineno}")
         store[obj["level"]] = obj
     return store
 
@@ -227,7 +223,7 @@ class OrbitDimCache:
             if tail:
                 self._cut = end
                 try:
-                    obj = _parse_store_line(tail, f"{self.path}:{len(lines) + 1}")
+                    obj = _parse_store_line(tail, lambda: f"{self.path}:{len(lines) + 1}")
                 except ValueError as exc:
                     logger.warning("ignoring the unterminated last line, left by an interrupted write: %s", exc)
                 else:
@@ -238,9 +234,15 @@ class OrbitDimCache:
         return self._records.get(level)
 
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
-        obj = _check_record(_store_record(level, dims, fetched_at or _utcnow_iso()), f"put to {self.path}")
-        obj["dims"] = sorted(dims)  # after the check, so bad dims raise its ValueError, not a TypeError
-        line = json.dumps(obj)
+        fetched_at = _utcnow_iso() if fetched_at is None else fetched_at
+        obj = {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
+        _check_record(obj, lambda: f"put to {self.path}")
+        obj["dims"] = dims = sorted(dims)  # after the check, so bad dims raise its ValueError, not a TypeError
+        # json.dumps(obj) written out: the check admits exact ints only, and a str encodes alone as in a record.
+        line = (
+            f'{{"level": {level}, "weight": 2, "char_trivial": true, "dims": [{", ".join(map(str, dims))}], '
+            f'"fetched_at": {json.dumps(fetched_at)}}}\n'
+        )
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -252,7 +254,7 @@ class OrbitDimCache:
                     handle.write(self._carry)
                     self._cut, self._carry = None, ""
                 self._handle = handle
-            self._handle.write(line + "\n")
+            self._handle.write(line)
             self._handle.flush()  # a crash can then tear at most the last line
             self._records[level] = obj
         return obj

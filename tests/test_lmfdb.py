@@ -9,6 +9,7 @@ import logging
 import os
 import re
 import socket
+import tempfile
 import threading
 import time
 import urllib.parse
@@ -18,6 +19,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmbounds import lmfdb
 from rmbounds.arith import primes_up_to
@@ -201,7 +204,7 @@ def test_cache_rejects_bad_dims(tmp_path):
     "key, value",
     [
         ("level", True), ("level", "77"), ("level", 0), ("level", 1.0), ("weight", 4), ("weight", "2"),
-        ("char_trivial", False), ("char_trivial", 1), ("fetched_at", None),
+        ("weight", 2.0), ("char_trivial", False), ("char_trivial", 1), ("fetched_at", None),
     ],
 )
 def test_cache_rejects_records_of_another_query(tmp_path, key, value):
@@ -210,6 +213,108 @@ def test_cache_rejects_records_of_another_query(tmp_path, key, value):
     path.write_text("".join(json.dumps(record) + "\n" for record in (good, {**good, key: value})))
     with pytest.raises(ValueError, match=f":2: '{key}' must be "):
         OrbitDimCache(path)
+
+
+RECORD_KEYS = ("level", "weight", "char_trivial", "dims", "fetched_at")
+
+
+def readme_record_fault(obj):
+    """README's rules for a cache record, taken in order: the message for the first one broken, or None."""
+    if not isinstance(obj, dict):
+        return "record is not a JSON object"
+    missing = [key for key in RECORD_KEYS if key not in obj]
+    if missing:
+        return f"record is missing {missing[0]!r}"
+
+    def integer(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    rules = {
+        "level": (integer(obj["level"]) and obj["level"] >= 1, "a positive integer"),
+        "weight": (integer(obj["weight"]) and obj["weight"] == 2, "2"),
+        "char_trivial": (obj["char_trivial"] is True, "true"),
+        "dims": (
+            isinstance(obj["dims"], list) and all(integer(dim) and dim >= 1 for dim in obj["dims"]),
+            "a list of positive integers",
+        ),
+        "fetched_at": (isinstance(obj["fetched_at"], str), "a string"),
+    }
+    broken = [key for key in RECORD_KEYS if not rules[key][0]]
+    return f"{broken[0]!r} must be {rules[broken[0]][1]}, got {obj[broken[0]]!r}" if broken else None
+
+
+# Values a near-record may hold in place of a good one, or under an extra key.
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0, 1, 2, -1, 1.0, 2.0, 1.5, "2", 10**30, -(10**30)]),
+    st.integers(),
+    st.text(max_size=4),
+    st.lists(st.sampled_from([1, 2, 10**30, 0, -1, True, 1.5]), max_size=4),
+    st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def near_records(draw):
+    """Mostly a good record with up to two keys dropped or given an odd value, and up to two extra keys;
+    one time in ten an odd value that is no record at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ODD_VALUES)
+    record = {
+        "level": draw(st.integers(1, 10**30)),
+        "weight": 2,
+        "char_trivial": True,
+        "dims": draw(st.lists(st.integers(1, 10**30), max_size=4)),
+        "fetched_at": draw(st.text(max_size=8)),
+    }
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS), unique=True, max_size=2)):
+        if draw(st.integers(0, 4)) == 0:
+            del record[key]
+        else:
+            record[key] = draw(ODD_VALUES)
+    record.update(draw(st.dictionaries(st.text(max_size=3), ODD_VALUES, max_size=2)))
+    return record
+
+
+def never_called():
+    raise AssertionError("the place of a record that passes was built")
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(obj=near_records())
+def test_check_record_agrees_with_readme_rules(obj):
+    fault = readme_record_fault(obj)
+    if fault is None:
+        assert lmfdb._check_record(obj, never_called) is obj
+    else:
+        with pytest.raises(ValueError) as info:
+            lmfdb._check_record(obj, lambda: "here")
+        assert str(info.value) == f"here: {fault}"
+
+
+# Stamps that JSON must escape: quotes, backslashes, control characters, separators and non-BMP text.
+STAMPS = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\x85\u2028\U0001f600')), max_size=12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    puts=st.lists(
+        st.tuples(st.integers(1, 10**30), st.lists(st.integers(1, 10**30), max_size=5), STAMPS), min_size=1, max_size=6
+    )
+)
+@example(puts=[(10, [1], "")])  # an empty stamp is written as given; only None stamps the current time
+def test_put_writes_the_line_json_dumps_writes(puts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        cache = OrbitDimCache(path)
+        records = [cache.put(level, dims, stamp) for level, dims, stamp in puts]
+        cache.close()
+        assert [record["dims"] for record in records] == [sorted(dims) for _, dims, _ in puts]
+        assert [record["fetched_at"] for record in records] == [stamp for *_, stamp in puts]
+        assert path.read_bytes() == b"".join(json.dumps(record).encode("utf-8") + b"\n" for record in records)
+        reloaded = OrbitDimCache(path)
+        assert {level: reloaded.get(level) for level, *_ in puts} == {record["level"]: record for record in records}
 
 
 def test_cache_with_invalid_utf8_names_file_and_line(tmp_path):

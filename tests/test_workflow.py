@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import re
 import shlex
@@ -42,6 +43,28 @@ def test_no_dependency_step_runs_right_after_the_install():
     python, flag, script = shlex.split(steps[at]["run"])
     assert (python, flag) == ("python", "-c") and "requires('rmbounds')" in script
     compile(script, names[at], "exec")
+
+
+# The benchmark smoke step as (runner ARGS, SCRIPT reading the runner's last line).
+BENCH_SMOKE = re.compile(r'python3 bench/run\.py (.+) \| tail -n 1 \| python -c (".*")', re.S)
+
+
+def test_benchmark_smoke_step_runs_after_the_harness_checks(tmp_path):
+    """The step's assertion is compiled and fed runner last lines; the benchmark itself is not run here."""
+    steps = load_job()["steps"]
+    names = [step.get("name") for step in steps]
+    at = names.index("Benchmark harness checks") + 1
+    assert names[at] == "Benchmark smoke"
+    args, script = BENCH_SMOKE.fullmatch(steps[at]["run"].strip()).groups()
+    assert shlex.split(args) == ["--workload", "all", "--seed", "2", "--seconds", "1"]
+    script = shlex.split(script)[0]
+    compile(script, names[at], "exec")
+    for correct, failed, passes in ((True, 0, True), (False, 0, False), (True, 1, False)):
+        last = json.dumps({"correct": correct, "attempted": 10, "failed": failed, "metrics": {}})
+        result = subprocess.run(
+            [sys.executable, "-c", script], input=last, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode == 0) == passes, (last, result.stderr)
 
 
 def test_matrix_is_python_3_10_and_3_11():
