@@ -293,34 +293,6 @@ def parse_json(text: str, command: str | None = None):
     return result
 
 
-def parse_bound_json(text: str) -> BoundTriple:
-    return parse_json(text, "bound")
-
-
-def parse_table_json(text: str) -> BoundTable:
-    return parse_json(text, "table")
-
-
-def parse_profile_json(text: str) -> RmConstraintReport:
-    return parse_json(text, "profile")
-
-
-def parse_forbidden_json(text: str) -> list[ExponentProfile]:
-    return parse_json(text, "forbidden").profiles
-
-
-def parse_genus2_json(text: str) -> Genus2Report:
-    return parse_json(text, "genus2")
-
-
-def parse_sharpness_json(text: str) -> SharpnessWitness:
-    return parse_json(text, "sharpness")
-
-
-def parse_verify_json(text: str) -> list[verify.PropertyResult]:
-    return parse_json(text, "verify").results
-
-
 # -- parser ------------------------------------------------------------------
 
 

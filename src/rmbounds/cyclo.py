@@ -86,8 +86,14 @@ class ExponentProfile:
 
     @classmethod
     def of(cls, mapping) -> "ExponentProfile":
-        """Coerce a {prime: exponent} mapping (or an ExponentProfile) to a profile."""
-        return mapping if isinstance(mapping, ExponentProfile) else cls(entries=tuple(mapping.items()))
+        """Coerce a {prime: exponent} mapping (or an ExponentProfile) to a profile; anything else is a ValueError."""
+        if isinstance(mapping, ExponentProfile):
+            return mapping
+        try:
+            items = mapping.items()
+        except AttributeError:
+            raise ValueError(f"expected a {{prime: exponent}} mapping, got {type(mapping).__name__}") from None
+        return cls(entries=tuple(items))
 
     @classmethod
     def parse(cls, text: str) -> "ExponentProfile":

@@ -395,10 +395,10 @@ class OrbitDimClient:
                     raise MalformedResponse(f"bad orbit dimension {dim!r}")
                 dims.append(dim)
             next_url = body.get("next")
-            if not next_url:
-                return dims
-            if not isinstance(next_url, str):
+            if not isinstance(next_url, str) and next_url is not None:
                 raise MalformedResponse(f"'next' is not a URL: {next_url!r}")
+            if not next_url:  # a missing key, null or "" ends paging
+                return dims
             url, params = next_url, {}
             if url.startswith("/"):
                 url = self.base_url + url
@@ -448,7 +448,7 @@ class OrbitDimClient:
         """
         require_prime(p)
         require_dimension(d)
-        require_int("level_budget", level_budget)
+        require_int("level_budget", level_budget, 1)
         # Every level below is an int >= 1, so it goes to the unchecked resolver.
         resolve = self._resolve
         cap = b0_bound(p, d)
@@ -487,7 +487,7 @@ class OrbitDimClient:
         GRID_LIMIT cells and p_max, if given, is an int in 2..PMAX_LIMIT.
         """
         require_int("d_max", d_max, 1)
-        require_int("level_budget", level_budget)
+        require_int("level_budget", level_budget, 1)
         primes = table_primes(d_max, min(2 * d_max + 1, PMAX_LIMIT) if p_max is None else p_max)
         witnesses: dict[tuple[int, int], SharpnessWitness] = {}
         for d in range(1, d_max + 1):

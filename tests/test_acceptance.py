@@ -30,7 +30,7 @@ def test_criterion_1_table_reproduction(capsys):
     code = cli.main(["table", "--dmax", "10", "--pmax", "19", "--format", "json"])
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
-    table = cli.parse_table_json(out)
+    table = cli.parse_json(out, "table")
 
     ok = code == 0 and elapsed < 1.0
     ok &= set(table.cells) == set(verify.REFERENCE_GRID_D10)

@@ -105,10 +105,10 @@ def test_cell_display_parenthesizes_iff_strict():
 
 def test_json_round_trip():
     triple = BoundTriple.compute(3, 9)
-    assert cli.parse_bound_json(json.dumps({"command": "bound", **triple.to_json_dict()})) == triple
+    assert cli.parse_json(json.dumps({"command": "bound", **triple.to_json_dict()}), "bound") == triple
     cell = TableCell(triple=triple, sharpness="sharp")
     table = render_table(9, 3, sharpness={(3, 9): "sharp"})
-    assert cli.parse_table_json(json.dumps({"command": "table", **table.to_json_dict()})).cells[(9, 3)] == cell
+    assert cli.parse_json(json.dumps({"command": "table", **table.to_json_dict()}), "table").cells[(9, 3)] == cell
 
 
 @pytest.mark.parametrize("sharpness", ["bogus", "none_found", None])

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -49,6 +48,43 @@ reference_grid_d10,True,53,
 """
 
 
+FORBIDDEN_D96_PLAIN = """\
+minimal forbidden exponent combinations for d = 96:
+  2^13 * 17^3
+  2^17 * 5^3
+  2^17 * 13^3
+  3^6 * 7^3
+  3^6 * 13^3
+  7^3 * 13^3
+  2^11 * 5^3 * 17^3
+  2^11 * 13^3 * 17^3
+  2^15 * 5^3 * 13^3
+  2^9 * 5^3 * 13^3 * 17^3
+"""
+
+
+VERIFY_DEFAULT_PLAIN = """\
+PASS lambda_zero_iff_below_p (37515 cases)
+PASS lambda_lower_bound (37500 cases)
+PASS digit_reconstruction (37515 cases)
+PASS valuation_additivity (840 cases)
+PASS b0_le_bk_prime (16800 cases)
+PASS equality_when_p_ge_2d_plus_1 (14290 cases)
+PASS strict_when_p_ge_5_nondivisor (2127 cases)
+PASS strict_when_p_le_3_nondivisor (113 cases)
+PASS bk_prime_piecewise_large_p (15331 cases)
+PASS bk_prime_small_p_values (200 cases)
+PASS bk_prime_divisor_case (428 cases)
+PASS bk_prime_floor_identity (2944 cases)
+PASS forced_exponent_monotone (1886 cases)
+PASS cyclotomic_degree_monotone (1426 cases)
+PASS b0_equals_forced_degree_oracle (2944 cases)
+PASS single_prime_boundary (2944 cases)
+PASS reference_grid_d10 (53 cases)
+17/17 properties hold
+"""
+
+
 # Commands whose whole stdout is pinned, as (argv, stdout).
 EXACT_STDOUT = pytest.mark.parametrize(
     "argv, expected",
@@ -81,10 +117,14 @@ EXACT_STDOUT = pytest.mark.parametrize(
             ["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"],
             "p = 13, d = 6: no witness found up to level 20000 (existence is not ruled out)\n",
         ),
+        # the first four-prime minimal forbidden profile is the last line
+        (["forbidden", "--d", "96", "--pmax", "19", "--max-entries", "4"], FORBIDDEN_D96_PLAIN),
+        # at the default box every property has cases, so the summary names all 17
+        (["verify"], VERIFY_DEFAULT_PLAIN),
     ],
     ids=[
         "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
-        "table-annotated-csv", "sharpness-none-found-plain",
+        "table-annotated-csv", "sharpness-none-found-plain", "forbidden-four-prime-plain", "verify-default-plain",
     ],
 )
 
@@ -140,7 +180,7 @@ def test_bound_json_round_trip(capsys):
     code, out = run(capsys, ["bound", "--p", "2", "--d", "8", "--format", "json"])
     assert code == 0
     assert list(json.loads(out)) == ["command", "p", "d", "bk", "bk_prime", "b0"]
-    triple = cli.parse_bound_json(out)
+    triple = cli.parse_json(out, "bound")
     assert (triple.p, triple.d, triple.bk, triple.bk_prime, triple.b0) == (2, 8, 112, 14, 14)
 
 
@@ -162,7 +202,7 @@ def test_bound_has_no_gl2_flag(capsys):
 def test_table_matches_reference_grid(capsys):
     code, out = run(capsys, ["table", "--dmax", "10", "--pmax", "19", "--format", "json"])
     assert code == 0
-    table = cli.parse_table_json(out)
+    table = cli.parse_json(out, "table")
     from rmbounds.verify import REFERENCE_GRID_D10
 
     for (d, p), (bp, b0) in REFERENCE_GRID_D10.items():
@@ -254,9 +294,11 @@ PAST_A_LIMIT = {
     "render_table-grid": lambda: render_table(10**5, 23),  # 9 primes: 900,000 cells
     "enumerate_forbidden-pmax": lambda: enumerate_forbidden(6, PMAX_LIMIT + 1, 2),
     "run_all-pmax": lambda: verify.run_all(PMAX_LIMIT + 1, 1),
-    "parse_table_json-dmax": lambda: cli.parse_table_json('{"d_max": 200000, "p_max": 19, "annotated": false, "cells": []}'),
-    "parse_forbidden_json-pmax": lambda: cli.parse_forbidden_json(
-        '{"d": 6, "prime_bound": 100000000000, "max_entries": 2, "include_singletons": false, "profiles": []}'
+    "parse_json-table-dmax": lambda: cli.parse_json(
+        '{"d_max": 200000, "p_max": 19, "annotated": false, "cells": []}', "table"
+    ),
+    "parse_json-forbidden-pmax": lambda: cli.parse_json(
+        '{"d": 6, "prime_bound": 100000000000, "max_entries": 2, "include_singletons": false, "profiles": []}', "forbidden"
     ),
 }
 
@@ -360,7 +402,7 @@ def test_inadmissible_profile_reports_inadmissible(capsys):
     code, out = run(capsys, [*argv, "--format", "json"])
     assert code == 0
     assert json.loads(out) == PROFILE_INADMISSIBLE_D6_JSON
-    assert cli.parse_profile_json(out).determination is Determination.INADMISSIBLE
+    assert cli.parse_json(out, "profile").determination is Determination.INADMISSIBLE
 
 
 def test_profile_parse_error(capsys):
@@ -422,7 +464,7 @@ def test_large_profiles_within_range_are_answered(capsys, argv, shown, fmt):
 
 def test_profile_json_round_trip(capsys):
     code, out = run(capsys, ["profile", "--d", "4", "2^9,5^3", "--format", "json"])
-    report = cli.parse_profile_json(out)
+    report = cli.parse_json(out, "profile")
     assert report.determination is Determination.EXACT_FIELD
     assert report.refined_bounds == {2: 10, 5: 4}
 
@@ -435,7 +477,7 @@ def test_profile_json_with_huge_r_is_rejected_promptly(capsys):
     obj = json.loads(out)
     assert obj["forced"]["components"][0]["p"] == 2
     obj["forced"]["components"][0]["r"] = 10**20
-    script = "import sys\nfrom rmbounds.cli import parse_profile_json\nparse_profile_json(sys.stdin.read())"
+    script = "import sys\nfrom rmbounds.cli import parse_json\nparse_json(sys.stdin.read(), 'profile')"
     env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", script], input=json.dumps(obj), env=env, capture_output=True, text=True, timeout=5
@@ -457,7 +499,7 @@ def test_forbidden_plain(capsys):
 
 def test_forbidden_json_round_trip(capsys):
     code, out = run(capsys, ["forbidden", "--d", "4", "--format", "json"])
-    profiles = cli.parse_forbidden_json(out)
+    profiles = cli.parse_json(out, "forbidden").profiles
     assert [str(p) for p in profiles] == ["2^11,5^3"]
 
 
@@ -474,12 +516,12 @@ FORBIDDEN_EDITS = {
 def test_forbidden_json_with_edited_profiles_is_rejected(capsys, edit):
     code, out = run(capsys, ["forbidden", "--d", "6", "--format", "json"])
     doc = json.loads(out)
-    assert [str(profile) for profile in cli.parse_forbidden_json(out)] == [
+    assert [str(profile) for profile in cli.parse_json(out, "forbidden").profiles] == [
         "2^9,5^3", "2^9,13^3", "3^6,7^3", "3^6,13^3", "5^3,13^3", "7^3,13^3"
     ]
     edit(doc["profiles"])
     with pytest.raises(ValueError, match="^field 'profiles' does not match"):
-        cli.parse_forbidden_json(json.dumps(doc))
+        cli.parse_json(json.dumps(doc), "forbidden")
 
 
 def test_forbidden_empty(capsys):
@@ -510,7 +552,7 @@ def test_genus2_inadmissible_halved_profile(capsys):
     code, out = run(capsys, ["genus2", "5^6,13^6", "--format", "json"])
     assert code == 0
     assert json.loads(out)["analysis"]["determination"] == "inadmissible"
-    assert cli.parse_genus2_json(out).analysis.determination is Determination.INADMISSIBLE
+    assert cli.parse_json(out, "genus2").analysis.determination is Determination.INADMISSIBLE
 
 
 def test_genus2_rejects_odd_exponent(capsys):
@@ -521,7 +563,7 @@ def test_genus2_rejects_odd_exponent(capsys):
 
 def test_genus2_json_round_trip(capsys):
     code, out = run(capsys, ["genus2", "2^18", "--format", "json"])
-    report = cli.parse_genus2_json(out)
+    report = cli.parse_json(out, "genus2")
     assert report.simple is True and report.field.name == "Q(sqrt(2))"
 
 
@@ -543,7 +585,7 @@ def test_sharpness_none_found(capsys):
 
 def test_sharpness_json_round_trip(capsys):
     code, out = run(capsys, ["sharpness", "--p", "2", "--d", "7", "--budget", "16384", "--offline", "--format", "json"])
-    witness = cli.parse_sharpness_json(out)
+    witness = cli.parse_json(out, "sharpness")
     assert (witness.status, witness.level) == ("sharp", 12032)
 
 
@@ -655,7 +697,7 @@ def test_verify_box_past_the_limit_is_an_error(capsys):
 
 def test_verify_json(capsys):
     code, out = run(capsys, ["verify", "--pmax", "19", "--dmax", "10", "--format", "json"])
-    results = cli.parse_verify_json(out)
+    results = cli.parse_json(out, "verify").results
     assert all(result.ok for result in results)
 
 
@@ -689,7 +731,8 @@ def annotated_table(d_max, p_max, budget):
     return render_table(d_max, p_max, sharpness=sharpness, include_trivial=True)
 
 
-# (argv without --format json, the in-process result its json parses back to)
+# (argv without --format json, the in-process result its json parses back to); a forbidden or
+# verify result is a tuple of the command's inputs and the library's answer
 ROUND_TRIPS = [
     (["bound", "--p", "2", "--d", "8"], lambda: BoundTriple.compute(2, 8)),
     (["table", "--dmax", "10", "--pmax", "19"], lambda: render_table(10, 19)),
@@ -705,10 +748,10 @@ ROUND_TRIPS = [
         lambda: analyze_profile({2: 13, 3: 8, 5: 5, 7: 5, 13: 3}, 720),
     ),
     (["profile", "--d", "2", "2^14000"], lambda: analyze_profile({2: 14000}, 2)),
-    (["forbidden", "--d", "96", "--max-entries", "4"], lambda: enumerate_forbidden(96, 19, 4)),
+    (["forbidden", "--d", "96", "--max-entries", "4"], lambda: (96, 19, 4, False, enumerate_forbidden(96, 19, 4))),
     (
         ["forbidden", "--d", "6", "--pmax", "200", "--max-entries", "3", "--include-singletons"],
-        lambda: enumerate_forbidden(6, 200, 3, include_singletons=True),
+        lambda: (6, 200, 3, True, enumerate_forbidden(6, 200, 3, include_singletons=True)),
     ),
     (["genus2", "5^6"], lambda: genus2_rm_analysis({5: 6})),
     (["genus2", "2^22"], lambda: genus2_rm_analysis({2: 22})),
@@ -725,7 +768,7 @@ ROUND_TRIPS = [
         ["sharpness", "--p", "13", "--d", "6", "--budget", "20000", "--offline"],
         lambda: OrbitDimClient(offline=True).sharpness_scan(13, 6, 20000),
     ),
-    (["verify", "--pmax", "19", "--dmax", "10"], lambda: verify.run_all(p_max=19, d_max=10)),
+    (["verify", "--pmax", "19", "--dmax", "10"], lambda: (19, 10, verify.run_all(p_max=19, d_max=10))),
 ]
 
 
@@ -733,7 +776,7 @@ ROUND_TRIPS = [
 def test_json_parses_back_to_the_in_process_result(capsys, argv, expected):
     code, out = run(capsys, [*argv, "--format", "json"])
     assert code == 0
-    assert getattr(cli, f"parse_{argv[0]}_json")(out) == expected()
+    assert cli.parse_json(out, argv[0]) == cli.parse_json(out) == expected()
 
 
 def set_path(doc, path, value):
@@ -762,6 +805,8 @@ TAMPERED = [
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "bk_prime"], 0),
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "sharpness"], "sharp"),
     (["table", "--dmax", "3", "--pmax", "7", "--annotate", "--offline"], ["cells", 0, "sharpness"], "bogus"),
+    # which cells are sharp is database data; none_found is a scan status that no table cell carries
+    (["table", "--dmax", "3", "--pmax", "7", "--annotate", "--offline"], ["cells", 0, "sharpness"], "none_found"),
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "p"], 2.0),
     (["table", "--dmax", "3", "--pmax", "7"], ["cells", 0, "d"], True),
     (["table", "--dmax", "3", "--pmax", "7"], ["d_max"], 4),
@@ -818,7 +863,7 @@ def test_json_with_one_changed_field_is_rejected(capsys, argv, path, value):
     doc = json.loads(out)
     set_path(doc, path, value)
     with pytest.raises(ValueError):
-        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
+        cli.parse_json(json.dumps(doc), argv[0])
 
 
 # one document of each command, argv without --format json
@@ -838,7 +883,7 @@ def test_json_with_an_extra_field_is_rejected(capsys, argv):
     code, out = run(capsys, [*argv, "--format", "json"])
     doc = {**json.loads(out), "extra": None}
     with pytest.raises(ValueError, match="^field 'extra' does not match"):
-        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
+        cli.parse_json(json.dumps(doc), argv[0])
 
 
 @pytest.mark.parametrize("command", ["relabelled", "missing"])
@@ -851,15 +896,7 @@ def test_json_with_another_command_or_none_is_rejected(capsys, argv, command):
     else:
         doc["command"] = "bound" if argv[0] == "verify" else "verify"
     with pytest.raises(ValueError, match="^field 'command' does not match"):
-        getattr(cli, f"parse_{argv[0]}_json")(json.dumps(doc))
-
-
-@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
-def test_parse_json_reads_every_command_as_its_wrapper_does(capsys, argv):
-    code, out = run(capsys, [*argv, "--format", "json"])
-    result = cli.parse_json(out)
-    field = {"forbidden": "profiles", "verify": "results"}.get(argv[0])  # what the wrapper returns
-    assert (getattr(result, field) if field else result) == getattr(cli, f"parse_{argv[0]}_json")(out)
+        cli.parse_json(json.dumps(doc), argv[0])
 
 
 @pytest.mark.parametrize("command", ["nope", None, ["bound"]], ids=["unknown", "missing", "not-a-string"])
@@ -873,10 +910,9 @@ def test_parse_json_without_a_known_command_names_the_known_ones(capsys, command
 
 
 def test_commands_parser_and_json_readers_name_the_same_commands():
+    # parse_json reads a document through the COMMANDS row it names, so the rows are the json readers.
     subparsers = next(action for action in cli.build_parser()._actions if action.dest == "command")
-    readers = {match[1] for match in map(re.compile(r"parse_(\w+)_json").fullmatch, vars(cli)) if match}
     assert list(cli.COMMANDS) == list(subparsers.choices)
-    assert readers == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
@@ -891,30 +927,30 @@ def test_json_output_renders_no_lines(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "parse, text",
+    "command, text",
     [
-        (cli.parse_bound_json, '{"p": 2}'),
-        (cli.parse_bound_json, "[2, 8]"),
-        (cli.parse_profile_json, '{"d": 4, "profile": 5}'),
-        (cli.parse_genus2_json, '{"profile": [[5, 6]]}'),
-        (cli.parse_table_json, '{"d_max": 1, "p_max": 3, "annotated": false, "cells": [{"p": "2", "d": 1}]}'),
-        (cli.parse_verify_json, "[]"),
-        (cli.parse_verify_json, "{}"),
-        (cli.parse_verify_json, '{"ok": true, "results": [5]}'),
-        (cli.parse_forbidden_json, "{}"),
-        (cli.parse_forbidden_json, '{"profiles": [5]}'),
-        *((cli.parse_sharpness_json, text) for text in ['{"p": 2}', "[2, 7]", "null", '"sharp"']),
+        ("bound", '{"p": 2}'),
+        ("bound", "[2, 8]"),
+        ("profile", '{"d": 4, "profile": 5}'),
+        ("genus2", '{"profile": [[5, 6]]}'),
+        ("table", '{"d_max": 1, "p_max": 3, "annotated": false, "cells": [{"p": "2", "d": 1}]}'),
+        ("verify", "[]"),
+        ("verify", "{}"),
+        ("verify", '{"ok": true, "results": [5]}'),
+        ("forbidden", "{}"),
+        ("forbidden", '{"profiles": [5]}'),
+        *(("sharpness", text) for text in ['{"p": 2}', "[2, 7]", "null", '"sharp"']),
     ],
 )
-def test_malformed_json_is_a_value_error(parse, text):
+def test_malformed_json_is_a_value_error(command, text):
     with pytest.raises(ValueError, match="^not a command's json output: "):
-        parse(text)
+        cli.parse_json(text, command)
 
 
 def test_sharpness_json_contradicting_its_bound_is_rejected():
     text = '{"p": 2, "d": 7, "exponent_attained": 3, "level": 5, "status": "sharp"}'
     with pytest.raises(ValueError, match=r"^v_2\(5\) = 0 attains neither B0\(2,7\) = 8 nor 7$"):
-        cli.parse_sharpness_json(text)
+        cli.parse_json(text, "sharpness")
 
 
 def test_table_json_with_a_cell_dropped_is_rejected(capsys):
@@ -922,7 +958,7 @@ def test_table_json_with_a_cell_dropped_is_rejected(capsys):
     doc = json.loads(out)
     del doc["cells"][-1]
     with pytest.raises(ValueError, match="^field 'cells' does not match"):
-        cli.parse_table_json(json.dumps(doc))
+        cli.parse_json(json.dumps(doc), "table")
 
 
 # -- one parser, per-call logging -------------------------------------------------

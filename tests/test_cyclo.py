@@ -158,6 +158,13 @@ def test_analyze_profile_rejects_d0():
         analyze_profile({2: 9}, 0)
 
 
+@pytest.mark.parametrize("profile", [[(2, 9)], "2^9", None], ids=["list", "str", "None"])
+@pytest.mark.parametrize("call", [lambda profile: analyze_profile(profile, 4), genus2_rm_analysis], ids=["analyze", "genus2"])
+def test_a_profile_that_is_not_a_mapping_is_a_value_error(call, profile):
+    with pytest.raises(ValueError, match=rf"^expected a {{prime: exponent}} mapping, got {type(profile).__name__}$"):
+        call(profile)
+
+
 @pytest.mark.parametrize(
     "profile, d, p, cap",
     [
@@ -395,6 +402,6 @@ def test_genus2_inconsistent_profile_surfaces_in_analysis():
 
 def test_json_round_trips():
     report = analyze_profile({2: 9, 5: 3}, 4)
-    assert cli.parse_profile_json(json.dumps({"command": "profile", **report.to_json_dict()})) == report
+    assert cli.parse_json(json.dumps({"command": "profile", **report.to_json_dict()}), "profile") == report
     g2 = genus2_rm_analysis({5: 6})
-    assert cli.parse_genus2_json(json.dumps({"command": "genus2", **g2.to_json_dict()})) == g2
+    assert cli.parse_json(json.dumps({"command": "genus2", **g2.to_json_dict()}), "genus2") == g2

@@ -596,6 +596,14 @@ def test_pagination_follows_next():
     assert calls[1][0].endswith("offset=1")
 
 
+@pytest.mark.parametrize("page", [{}, {"next": None}, {"next": ""}], ids=["missing", "null", "empty"])
+def test_missing_null_or_empty_next_ends_paging(page):
+    transport, calls = make_transport([(200, {"data": [{"dim": 1}], **page}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
+    assert client.fetch_orbit_dims(31).dims == (1,)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("loop", [["/api/mf_newforms/?offset=1"], ["/api/mf_newforms/?offset=1", "/api/mf_newforms/?offset=2"]],
                          ids=["self", "cycle"])
 def test_pagination_refuses_a_next_it_has_followed(tmp_path, loop):
@@ -616,7 +624,10 @@ def test_pagination_refuses_a_next_it_has_followed(tmp_path, loop):
     assert not path.exists()  # nothing of the level is stored
 
 
-@pytest.mark.parametrize("next_url", [5, {"page": 2}, ["x"]], ids=["int", "object", "list"])
+@pytest.mark.parametrize(
+    "next_url", [5, {"page": 2}, ["x"], 0, False, [], {}],
+    ids=["int", "object", "list", "zero", "false", "empty-list", "empty-object"],
+)
 def test_next_that_is_not_a_string_is_malformed(next_url):
     transport, calls = make_transport([(200, {"data": [{"dim": 1}], "next": next_url}, {})])
     client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
@@ -1008,6 +1019,12 @@ def test_scan_rejects_a_budget_that_is_not_an_int(offline_client, budget):
         offline_client.sharpness_scan(5, 1, budget)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_scan_rejects_a_budget_below_1(offline_client, budget):
+    with pytest.raises(ValueError, match=rf"^expected level_budget >= 1, got {budget}$"):
+        offline_client.sharpness_scan(5, 1, budget)
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
@@ -1017,6 +1034,7 @@ def test_scan_rejects_a_budget_that_is_not_an_int(offline_client, budget):
         ((2, 100.0), {}, "level_budget 100.0 is not an integer"),
         ((2, 100), {"p_max": 5.0}, "p_max 5.0 is not an integer"),
         ((2, 100), {"p_max": True}, "p_max True is not an integer"),
+        ((2, 0), {}, "expected level_budget >= 1, got 0"),
     ],
 )
 def test_annotate_table_rejects_what_is_not_an_int(offline_client, args, kwargs, message):
