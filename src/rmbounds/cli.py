@@ -189,8 +189,6 @@ def _genus2_lines(report: Genus2Report, args):
             plain.append("warning: halved profile is inadmissible in dimension 2; no such surface exists")
         if report.field is not None:
             plain.append(f"endomorphism algebra: {report.field.name}")
-        elif report.analysis is not None and report.analysis.admissible:
-            plain.append("endomorphism algebra: not determined by exponent data")
     return ["profile", "simple", "field"], [row], plain
 
 

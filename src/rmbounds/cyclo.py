@@ -155,10 +155,7 @@ class RealCyclotomicField:
     r: int
 
     def __post_init__(self):
-        p, r = self.p, self.r
-        require_prime(p)
-        if r < 1:
-            raise ValueError("r must be >= 1")
+        p, r = require_prime(self.p), require_int("r", self.r, 1)
         if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
             raise ValueError(
                 f"exponent at prime {p} is too large: p^r of the forced field "
@@ -198,6 +195,8 @@ class Compositum:
     components: tuple[RealCyclotomicField, ...]
 
     def __post_init__(self):
+        if type(self.components) is not tuple or not all(isinstance(f, RealCyclotomicField) for f in self.components):
+            raise ValueError(f"compositum components must be a tuple of RealCyclotomicField, got {self.components!r}")
         ps = [f.p for f in self.components]
         if len(set(ps)) != len(ps):
             raise ValueError("compositum components must live at distinct primes")
@@ -419,7 +418,7 @@ def genus2_rm_analysis(conductor_valuations) -> Genus2Report:
         )
     halved = ExponentProfile.of({p: e // 2 for p, e in profile})
     report = analyze_profile(halved, d=2)
-    field_out: RealCyclotomicField | None = None
-    if report.admissible and report.determination is Determination.EXACT_FIELD:
-        field_out = report.forced.components[0]
+    # A deciding prime's halved exponent exceeds b0_bound(p, 1), so it forces degree >= 2: an admissible
+    # halved profile forces exactly one field, of degree 2.
+    field_out = report.forced.components[0] if report.admissible else None
     return Genus2Report(profile=profile, simple=True, field=field_out, analysis=report)

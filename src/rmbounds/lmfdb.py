@@ -40,7 +40,7 @@ BASE_URL = "https://www.lmfdb.org"
 _PATH = "/api/mf_newforms/"
 MIN_INTERVAL = 0.5  # seconds between consecutive requests
 MAX_RETRIES = 4  # retries of a 429/5xx response before ServiceError
-TIMEOUT = 30.0  # seconds per request
+TIMEOUT = 30.0  # seconds per request, and the longest Retry-After hint waited out
 
 
 class LmfdbError(Exception):
@@ -410,7 +410,6 @@ class OrbitDimClient:
 
     def _request_with_backoff(self, url: str, params: dict[str, str]):
         with self._net_lock:
-            retry_after_hint: float | None = None
             for attempt in range(MAX_RETRIES + 1):
                 if self._last_request is not None:
                     elapsed = self._clock() - self._last_request
@@ -422,17 +421,17 @@ class OrbitDimClient:
                     if isinstance(body, str):
                         raise MalformedResponse("response was not JSON")
                     return body
-                if isinstance(status, int) and (status == 429 or status >= 500):
-                    retry_after_hint = _parse_retry_after(headers)
-                    delay = MIN_INTERVAL * (2**attempt) if retry_after_hint is None else retry_after_hint
+                if not (isinstance(status, int) and (status == 429 or status >= 500)):
+                    raise ServiceError(f"unexpected status {status} from {url}")
+                hint = _parse_retry_after(headers)
+                if hint is not None and hint > TIMEOUT:
+                    raise ServiceError(f"giving up on {url}: Retry-After {hint:g} s is more than {TIMEOUT:g} s",
+                                       retry_after=hint)
+                if attempt < MAX_RETRIES:
+                    delay = MIN_INTERVAL * (2**attempt) if hint is None else hint
                     logger.info("status %d from %s; backing off %.2fs", status, url, delay)
                     self._sleep(delay)
-                    continue
-                raise ServiceError(f"unexpected status {status} from {url}")
-            raise ServiceError(
-                f"giving up on {url} after {MAX_RETRIES + 1} attempts",
-                retry_after=retry_after_hint,
-            )
+            raise ServiceError(f"giving up on {url} after {MAX_RETRIES + 1} attempts", retry_after=hint)
 
     # -- scanning ---------------------------------------------------------
 

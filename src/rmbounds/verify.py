@@ -1,27 +1,27 @@
 """Exhaustive verification of the bound inequalities over finite ranges.
 
 The module is one table.  A box is a callable ``(p_max, d_max, primes)``
-that yields rows of cells, such as (p, d) or (p, m) with the kernel values
-its properties share, at the sizes ``run_all(p_max, d_max)`` checks it at,
-or returns None where ``run_all`` skips it.  A row is a list of at most
-``_ROW`` cells, one prime's (several primes' in the bound box when d_max is
-small), so a walk holds one row at a time and never a whole box.
-``PROPERTIES`` lists every ``_Property`` -- its box, a case filter, a
-predicate and an explanation -- in ``run_all``'s output order.
-``run_all`` walks each box once for all of its properties, so each cell's
-kernel values are computed once.  ``check(name, p_max, d_max)`` is
-``run_all(p_max, d_max)``'s result for one property: the same box, clamps,
-checks and ``BOX_LIMIT``, through the same walk.  For each row and
-property, the walk picks the cases and checks them in C-level iterators;
-it counts a property's cases and reports its first counterexample.  Cells
-and predicates look kernels up by name when they run, never at import.
+that yields its cells one at a time, such as (p, d) or (p, m) with the
+kernel values its properties share, at the sizes ``run_all(p_max, d_max)``
+checks it at, or returns None where ``run_all`` skips it.  ``PROPERTIES``
+lists every ``_Property`` -- its box, a case filter, a predicate and an
+explanation -- in ``run_all``'s output order.  ``run_all`` walks each box
+once for all of its properties, so each cell's kernel values are computed
+once.  ``check(name, p_max, d_max)`` is ``run_all(p_max, d_max)``'s result
+for one property: the same box, clamps, checks and ``BOX_LIMIT``, through
+the same walk.  The walk alone cuts a box's cells into rows of at most
+``_ROW``, so it holds one row at a time and never a whole box.  For each
+row and property, it picks the cases and checks them in C-level
+iterators; it counts a property's cases and reports its first
+counterexample.  Cells and predicates look kernels up by name when they
+run, never at import.
 The d <= 10 reference grid is frozen here so the formulas can be checked
 cell-for-cell against the known values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product, starmap
+from itertools import compress, islice, product, starmap
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import (
@@ -36,7 +36,7 @@ from .cyclo import _entry_degree
 # 369,900 cells in about 0.5 s, and a run at the limit takes about 1.5 s at
 # p_max = 10000 and 3.5 s at p_max = 2.
 BOX_LIMIT = 1_000_000
-_ROW = 1024  # the most cells a row holds, so a walk's memory does not grow with d_max
+_ROW = 1024  # the most cells a row of _walk holds, so a walk's memory does not grow with the box
 
 # Known (bk_prime, b0) values for d = 1..10 and the primes p <= 2d + 1.
 REFERENCE_GRID_D10: dict[tuple[int, int], tuple[int, int]] = {
@@ -71,28 +71,31 @@ class PropertyResult:
 
 
 class _Property(NamedTuple):
-    """A property of its box's cells: box(p_max, d_max, primes) yields them in rows (None: run_all
+    """A property of its box's cells: box(p_max, d_max, primes) yields its cells (None: run_all
     skips the box), applies(*cell) picks its cases (None: every cell), holds(*cell) checks one and
     explain(*cell) describes the first that fails."""
 
     name: str
-    box: Callable[[int, int, list[int]], Iterable[list[tuple]] | None]
+    box: Callable[[int, int, list[int]], Iterable[tuple] | None]
     applies: Callable[..., bool] | None
     holds: Callable[..., bool]
     explain: Callable[..., str]
 
 
-def _walk(rows, properties) -> list[PropertyResult]:
-    """Check every property on each row of cells in one pass, counting each property's cases.
+def _walk(cells, properties) -> list[PropertyResult]:
+    """Check every property on the cells in one pass, counting each property's cases.
 
-    A row's cases are picked with compress and checked with all, so the loop
-    over cells runs in C.  Only a property's first failing row is scanned
-    again, to explain its first failing case, so passing runs never format text.
+    The cells are taken in rows of at most _ROW, so the walk's memory does not
+    grow with the box.  A row's cases are picked with compress and checked
+    with all, so the loop over cells runs in C.  Only a property's first
+    failing row is scanned again, to explain its first failing case, so
+    passing runs never format text.
     """
     counts = [0] * len(properties)
     found: list[str | None] = [None] * len(properties)
     checks = [(i, prop.applies, prop.holds) for i, prop in enumerate(properties)]
-    for row in rows:
+    cells = iter(cells)
+    for row in iter(lambda: list(islice(cells, _ROW)), []):
         for i, applies, holds in checks:
             cases = row if applies is None else list(compress(row, starmap(applies, row)))
             counts[i] += len(cases)
@@ -106,11 +109,6 @@ def _meets(got: int, value: int, exact: bool) -> bool:
     return got == value if exact else got >= value
 
 
-def _spans(start: int, stop: int):
-    """range(start, stop) in consecutive pieces of at most _ROW numbers: the n of one row each."""
-    return (range(lo, min(lo + _ROW, stop)) for lo in range(start, stop, _ROW))
-
-
 def _rebuild(p: int, digits: list[int]) -> int:
     """The number whose little-endian base-p digits are digits, by Horner's rule, which reads every digit."""
     m = 0
@@ -120,43 +118,33 @@ def _rebuild(p: int, digits: list[int]) -> int:
 
 
 def _digit_cells(p_max: int, d_max: int, primes: list[int]):
-    """Rows of cells (p, m, lambda_p(m), m rebuilt from its base-p digits), p prime <= min(p_max, 50), 0 <= m <= 2500."""
-    for p in primes_up_to(min(p_max, 50)):
-        for ms in _spans(0, 2501):
-            yield [(p, m, _lambda(p, m), _rebuild(p, _digits(p, m))) for m in ms]
+    """Cells (p, m, lambda_p(m), m rebuilt from its base-p digits), p prime <= min(p_max, 50), 0 <= m <= 2500."""
+    ps = primes_up_to(min(p_max, 50))
+    return ((p, m, _lambda(p, m), _rebuild(p, _digits(p, m))) for p in ps for m in range(2501))
 
 
-def _bound_cells(primes: list[int], d_max: int):
-    """Rows of cells (p, d, bk_prime, b0), p in primes, 1 <= d <= d_max, each bound computed once.
-
-    A row holds as many whole primes as fit in _ROW cells, so a box of many
-    primes and a small d_max is not walked one short row per prime.
-    """
-    per_row = max(1, _ROW // max(1, d_max))  # whole primes per row; d_max < 1 gives no cells
-    for i in range(0, len(primes), per_row):
-        for ds in _spans(1, d_max + 1):
-            yield [(p, d, _bk(p, d) // d, _b0(p, d)) for p in primes[i : i + per_row] for d in ds]
+def _bound_cells(p_max: int, d_max: int, primes: list[int]):
+    """Cells (p, d, bk_prime, b0), p in primes (the primes <= p_max), 1 <= d <= d_max, each bound computed once."""
+    return ((p, d, _bk(p, d) // d, _b0(p, d)) for p in primes for d in range(1, d_max + 1))
 
 
 def _small_p_cells(p_max: int, d_max: int, primes: list[int]):
-    """Rows of cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors to max(d_max, 4)."""
-    yield [(p, d, value, True) for p, d, value in [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)]]
+    """Cells (p, d, value, exact): the exact small-p values of bk_prime, then its floors to max(d_max, 4)."""
+    yield from ((p, d, value, True) for p, d, value in [(3, 1, 5), (3, 2, 5), (2, 1, 8), (2, 2, 10), (2, 3, 9)])
     for p, start, floor in ((2, 4, 9), (3, 3, 6)):
-        for ds in _spans(start, max(d_max, 4) + 1):
-            yield [(p, d, floor, False) for d in ds]
+        yield from ((p, d, floor, False) for d in range(start, max(d_max, 4) + 1))
 
 
-def _rows(kernel, p_max: int, n_max: int):
-    """Rows of cells (p, n, values) for primes p <= p_max and 0 <= n <= n_max: values[n + 1] is
+def _kernel_cells(kernel, p_max: int, n_max: int):
+    """Cells (p, n, values) for primes p <= p_max and 0 <= n <= n_max: values[n + 1] is
     kernel(p, n) and values[0] = 0 stands for n = -1.  The values are listed once per prime."""
     for p in primes_up_to(p_max):
         values = [0, *(kernel(p, n) for n in range(n_max + 1))]
-        for ns in _spans(0, n_max + 1):
-            yield [(p, n, values) for n in ns]
+        yield from ((p, n, values) for n in range(n_max + 1))
 
 
 def _oracle_cells(p_max: int, d_max: int, primes: list[int]):
-    """Rows of cells (p, d, forced degrees at e = 1..40, b0_bound(p, d)), p prime <= min(p_max, 200) and
+    """Cells (p, d, forced degrees at e = 1..40, b0_bound(p, d)), p prime <= min(p_max, 200) and
     1 <= d <= min(d_max, 64).
 
     The forced degrees do not depend on d, so they are listed once per prime.
@@ -165,8 +153,7 @@ def _oracle_cells(p_max: int, d_max: int, primes: list[int]):
     """
     for p in primes_up_to(min(p_max, 200)):
         degrees = [real_cyclotomic_degree(p, forced_subfield_exponent(p, e)) for e in range(1, 41)]
-        for ds in _spans(1, min(d_max, 64) + 1):
-            yield [(p, d, degrees, b0_bound(p, d)) for d in ds]
+        yield from ((p, d, degrees, b0_bound(p, d)) for d in range(1, min(d_max, 64) + 1))
 
 
 def _piecewise_value(p: int, d: int) -> int:
@@ -211,15 +198,14 @@ def _grid_cell(p: int, d: int) -> tuple[int, int]:
 
 # The boxes that need no generator of their own.  The kernels are named inside the lambdas,
 # so they are looked up when a walk starts.
-_VALUATIONS = lambda p_max, d_max, primes: [
-    [*product(primes_up_to(min(p_max, 50)), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11))]
-]
-_BOUNDS = lambda p_max, d_max, primes: _bound_cells(primes, d_max)  # the primes _checked_primes listed
-_SMALL_P = lambda p_max, d_max, primes: ([(p, d) for d in ds] for p in (2, 3) for ds in _spans(4, d_max + 1))
-_FORCED_EXPONENTS = lambda p_max, d_max, primes: _rows(forced_subfield_exponent, min(p_max, 200), 40)
-_CYCLOTOMIC_DEGREES = lambda p_max, d_max, primes: _rows(real_cyclotomic_degree, min(p_max, 200), 30)
+_VALUATIONS = lambda p_max, d_max, primes: product(
+    primes_up_to(min(p_max, 50)), range(0, 8), (1, 2, 3, 7, 30, 1999, 2 * 3 * 5 * 7 * 11)
+)
+_SMALL_P = lambda p_max, d_max, primes: ((p, d) for p in (2, 3) for d in range(4, d_max + 1))
+_FORCED_EXPONENTS = lambda p_max, d_max, primes: _kernel_cells(forced_subfield_exponent, min(p_max, 200), 40)
+_CYCLOTOMIC_DEGREES = lambda p_max, d_max, primes: _kernel_cells(real_cyclotomic_degree, min(p_max, 200), 30)
 _REFERENCE_GRID = lambda p_max, d_max, primes: (  # run_all checks the grid only from (19, 10) up
-    [[(p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())]]
+    [(p, d, expected) for (d, p), expected in sorted(REFERENCE_GRID_D10.items())]
     if p_max >= 19 and d_max >= 10 else None
 )
 
@@ -246,17 +232,17 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, k, n: f"p={p}, k={k}, n={n}",
     ),
     _Property(
-        "b0_le_bk_prime", _BOUNDS, None,
+        "b0_le_bk_prime", _bound_cells, None,
         lambda p, d, bk_prime, b0: b0 <= bk_prime,
         lambda p, d, bk_prime, b0: f"p={p}, d={d}: b0={b0} > bk_prime={bk_prime}",
     ),
     _Property(
-        "equality_when_p_ge_2d_plus_1", _BOUNDS, lambda p, d, bk_prime, b0: p >= 2 * d + 1,
+        "equality_when_p_ge_2d_plus_1", _bound_cells, lambda p, d, bk_prime, b0: p >= 2 * d + 1,
         lambda p, d, bk_prime, b0: b0 == bk_prime,
         lambda p, d, bk_prime, b0: f"p={p}, d={d}: {b0} != {bk_prime}",
     ),
     _Property(
-        "strict_when_p_ge_5_nondivisor", _BOUNDS,
+        "strict_when_p_ge_5_nondivisor", _bound_cells,
         lambda p, d, bk_prime, b0: 5 <= p < 2 * d + 1 and (2 * d) % (p - 1) != 0,
         lambda p, d, bk_prime, b0: b0 < bk_prime,
         lambda p, d, bk_prime, b0: f"p={p}, d={d}",
@@ -267,7 +253,7 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, d: f"p={p}, d={d}",
     ),
     _Property(  # p = d + 1 is not covered by the piecewise statement
-        "bk_prime_piecewise_large_p", _BOUNDS, lambda p, d, bk_prime, b0: p >= 5 and p >= d and p != d + 1,
+        "bk_prime_piecewise_large_p", _bound_cells, lambda p, d, bk_prime, b0: p >= 5 and p >= d and p != d + 1,
         lambda p, d, bk_prime, b0: bk_prime == _piecewise_value(p, d),
         lambda p, d, bk_prime, b0: f"p={p}, d={d}: bk_prime={bk_prime} != {_piecewise_value(p, d)}",
     ),
@@ -277,7 +263,7 @@ PROPERTIES: tuple[_Property, ...] = (
         lambda p, d, value, exact: f"p={p}, d={d}: bk_prime={bk_prime_bound(p, d)} {'!=' if exact else '<'} {value}",
     ),
     _Property(
-        "bk_prime_divisor_case", _BOUNDS, lambda p, d, bk_prime, b0: (2 * d) % (p - 1) == 0,
+        "bk_prime_divisor_case", _bound_cells, lambda p, d, bk_prime, b0: (2 * d) % (p - 1) == 0,
         lambda p, d, bk_prime, b0: _meets(bk_prime, *_divisor_floor(p, d)), _divisor_explain,
     ),
     _Property(
@@ -333,8 +319,8 @@ def _run(properties, p_max: int, d_max: int) -> list[PropertyResult]:
         boxes.setdefault(prop.box, []).append(prop)
     results = {}
     for box, shared in boxes.items():
-        if (rows := box(p_max, d_max, primes)) is not None:
-            results.update((result.name, result) for result in _walk(rows, shared))
+        if (cells := box(p_max, d_max, primes)) is not None:
+            results.update((result.name, result) for result in _walk(cells, shared))
     return [results[prop.name] for prop in properties if prop.name in results]
 
 

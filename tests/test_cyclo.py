@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import rmbounds
 from rmbounds import cli, cyclo
+from rmbounds.arith import primes_up_to
 from rmbounds.bounds import b0_bound
 from rmbounds.cyclo import (
     Compositum,
@@ -119,12 +121,39 @@ def test_field_names_and_degree():
         RealCyclotomicField(3, 1)  # trivial field must not be stored
 
 
+@pytest.mark.parametrize("p, r, message", [
+    (5, 2.0, "r 2.0 is not an integer"),
+    (5, True, "r True is not an integer"),
+    (5, "2", "r '2' is not an integer"),
+    (5, 0, "expected r >= 1, got 0"),
+    (5.0, 1, "prime 5.0 is not an integer"),
+    (4, 1, "4 is not prime"),
+], ids=["r-float", "r-bool", "r-str", "r-zero", "p-float", "p-composite"])
+def test_real_cyclotomic_field_takes_ints_only(p, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RealCyclotomicField(p, r)
+
+
 def test_compositum_degree_multiplicative():
     comp = Compositum(components=(RealCyclotomicField(2, 3), RealCyclotomicField(5, 1)))
     assert comp.degree == 4
     assert comp.name == "Q(sqrt(2)) * Q(sqrt(5))"
     with pytest.raises(ValueError):
         Compositum(components=(RealCyclotomicField(5, 1), RealCyclotomicField(5, 2)))
+
+
+SQRT5 = RealCyclotomicField(5, 1)
+
+
+# Only a tuple is taken: a generator would be used up by the distinct-prime check, leaving the trivial compositum.
+@pytest.mark.parametrize(
+    "components",
+    [(SQRT5, "x"), (SQRT5, None), (SQRT5, (5, 1)), (SQRT5, 5), [SQRT5], (f for f in [SQRT5]), SQRT5, None],
+    ids=["str", "none", "pair", "int", "list", "generator", "field", "no-tuple"],
+)
+def test_compositum_takes_a_tuple_of_fields(components):
+    with pytest.raises(ValueError, match="^compositum components must be a tuple of RealCyclotomicField, got "):
+        Compositum(components=components)
 
 
 # -- analyze_profile ----------------------------------------------------------
@@ -398,6 +427,24 @@ def test_genus2_inconsistent_profile_surfaces_in_analysis():
     assert report.simple is True
     assert report.field is None
     assert report.analysis is not None and not report.analysis.admissible
+
+
+def _even_profiles(primes, count, e_max):
+    """Every profile of count of the primes, each exponent even in 2..e_max."""
+    for chosen in itertools.combinations(primes, count):
+        for exponents in itertools.product(range(2, e_max + 1, 2), repeat=count):
+            yield dict(zip(chosen, exponents))
+
+
+def test_genus2_simple_and_admissible_always_pins_the_field():
+    # A simple profile's deciding prime keeps a halved exponent above b0_bound(p, 1), so an admissible
+    # halved profile forces a degree-2 field exactly.
+    profiles = itertools.chain(*(_even_profiles(primes_up_to(59), k, 40) for k in (1, 2)),
+                               _even_profiles(primes_up_to(13), 3, 20))
+    reports = [report for report in map(genus2_rm_analysis, profiles) if report.simple and report.analysis.admissible]
+    assert len(reports) == 544
+    assert all(report.analysis.determination is Determination.EXACT_FIELD for report in reports)
+    assert all(report.field is not None and report.field.degree == 2 for report in reports)
 
 
 def test_json_round_trips():

@@ -697,11 +697,38 @@ def test_retry_after_zero_is_honoured():
 
 
 def test_service_error_after_retry_exhaustion():
+    sleeps, now = [], [0.0]
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        now[0] += seconds
+
     transport, calls = make_transport([(500, "boom", {})])
-    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
-    with pytest.raises(ServiceError):
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=sleep, clock=lambda: now[0])
+    with pytest.raises(ServiceError, match="after 5 attempts$"):
         client.fetch_orbit_dims(31)
     assert len(calls) == lmfdb.MAX_RETRIES + 1
+    assert sleeps == [0.5, 1.0, 2.0, 4.0]  # a backoff before each retry, none after the last attempt
+
+
+# A finite hint longer than TIMEOUT is not waited out: 1e308 s would overflow time.sleep and 3600 s
+# would stall the run for an hour.
+@pytest.mark.parametrize("value", ["1e308", "3600", "30.5"])
+def test_retry_after_past_the_timeout_ends_the_retries(value):
+    sleeps = []
+    transport, calls = make_transport([(503, "busy", {"Retry-After": value}), (200, {"data": [{"dim": 3}]}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append)
+    with pytest.raises(ServiceError, match=re.escape(f"Retry-After {float(value):g} s is more than 30 s")) as info:
+        client.fetch_orbit_dims(31)
+    assert info.value.retry_after == float(value)
+    assert len(calls) == 1 and sleeps == []
+
+
+def test_retry_after_of_the_timeout_is_waited_out():
+    sleeps = []
+    transport, calls = make_transport([(429, "slow down", {"Retry-After": "30"}), (200, {"data": []}, {})])
+    OrbitDimClient(fixtures={}, transport=transport, sleep=sleeps.append).fetch_orbit_dims(31)
+    assert sleeps[0] == lmfdb.TIMEOUT and len(calls) == 2
 
 
 def test_non_retryable_status_is_service_error():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import tracemalloc
 from collections import Counter
-from itertools import groupby
 
 import pytest
 
@@ -332,36 +331,43 @@ def test_report_of_a_box_with_cases_everywhere_has_no_empty_count():
     assert report[-1] == "17/17 properties hold"
 
 
-BOUND_PROPERTIES = [prop for prop in verify.PROPERTIES if prop.box is verify._BOUNDS]
+BOUND_PROPERTIES = [prop for prop in verify.PROPERTIES if prop.box is verify._bound_cells]
 
 
 def test_walk_does_not_depend_on_how_cells_split_into_rows(monkeypatch):
     monkeypatch.setattr(verify, "_b0", lambda p, d: 100 if p >= 11 else real_b0(p, d))
-    cells = [cell for row in verify._bound_cells(primes_up_to(50), 10) for cell in row]
-    assert len(cells) == 150
-    splits = {
-        "cells": [[cell] for cell in cells],
-        "primes": [list(row) for _, row in groupby(cells, key=lambda cell: cell[0])],
-        "box": [cells],
-    }
-    results = {name: verify._walk(split, BOUND_PROPERTIES) for name, split in splits.items()}
-    assert results["cells"] == results["primes"] == results["box"]
-    first = {result.name: result.counterexample for result in results["box"]}
-    assert first["b0_le_bk_prime"] == "p=11, d=1: b0=100 > bk_prime=2"  # in the fifth prime's row
+    walks, runs = [], []
+    for row in (1, 7, 1024):  # a cell, a row spanning primes, the whole 150-cell box
+        monkeypatch.setattr(verify, "_ROW", row)
+        walks.append(verify._walk(verify._bound_cells(50, 10, primes_up_to(50)), BOUND_PROPERTIES))
+        runs.append(verify.run_all(19, 10))
+    assert walks[0] == walks[1] == walks[2]
+    assert runs[0] == runs[1] == runs[2]
+    first = {result.name: (result.cases, result.counterexample) for result in walks[0]}
+    assert first["b0_le_bk_prime"] == (150, "p=11, d=1: b0=100 > bk_prime=2")  # the fifth prime's first cell
 
 
-def test_a_row_holds_at_most_row_cells():
-    row = verify._ROW
-    long_rows = list(verify._bound_cells(primes_up_to(3), 2 * row + 1))  # one prime's d in pieces
-    assert [(r[0][:2], len(r)) for r in long_rows] == [
-        ((2, 1), row), ((2, row + 1), row), ((2, 2 * row + 1), 1),
-        ((3, 1), row), ((3, row + 1), row), ((3, 2 * row + 1), 1),
-    ]
-    short_rows = list(verify._bound_cells(primes_up_to(20000), 2))  # as many whole primes as fit
-    full, rest = divmod(2262, row // 2)  # 2,262 primes <= 20000
-    assert [len(r) for r in short_rows] == [row] * full + [2 * rest]
-    assert [cell[:2] for r in short_rows for cell in r] == [(p, d) for p in primes_up_to(20000) for d in (1, 2)]
-    assert list(verify._bound_cells(primes_up_to(50), 0)) == []
+def test_a_row_holds_at_most_row_cells(monkeypatch):
+    for row in (1, 7, verify._ROW):
+        monkeypatch.setattr(verify, "_ROW", row)
+        pulled = checked = 0
+        ahead = []  # after each pull, the cells the walk has pulled but not yet checked
+
+        def cells():
+            nonlocal pulled
+            for n in range(2 * row + 1):
+                pulled += 1
+                ahead.append(pulled - checked)
+                yield (n,)
+
+        def holds(n):
+            nonlocal checked
+            checked += 1
+            return True
+
+        spy = verify._Property("spy", None, None, holds, str)
+        assert verify._walk(cells(), [spy]) == [verify.PropertyResult("spy", True, 2 * row + 1)]
+        assert ahead == [*range(1, row + 1)] * 2 + [1]  # rows of row, row and 1 cells
 
 
 # A box is never held whole: at (10000, 300) the bound box alone is 368,700
