@@ -16,6 +16,7 @@ bounds out on a (d, p) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import PMAX_LIMIT, _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
 
@@ -25,7 +26,8 @@ UNKNOWN = "unknown"
 _MARKS = {SHARP: "!", ALMOST_SHARP: "*"}
 
 # The most rows x prime columns render_table builds: 10**5 rows at p_max = 19
-# (8 primes).  Each cell is held in memory, about 1 KB, until the table is printed.
+# (8 primes).  Each cell is held in memory until the table is printed: about
+# 300 B, by tracemalloc over render_table(20000, 19).
 GRID_LIMIT = 800_000
 
 
@@ -96,9 +98,8 @@ def _forced_exponent(p: int, e: int) -> int:
     return max(0, (e - vp3 + 1) // 2 - 1 - vp2)
 
 
-@dataclass(frozen=True)
-class BoundTriple:
-    """The three bounds for one (p, d) cell."""
+class BoundTriple(NamedTuple):
+    """The three bounds for one (p, d) cell: a tuple, so it unpacks and compares like (p, d, bk, bk_prime, b0)."""
 
     p: int
     d: int
@@ -110,11 +111,16 @@ class BoundTriple:
     def compute(cls, p: int, d: int) -> "BoundTriple":
         require_prime(p)
         require_dimension(d)
-        bk = _bk(p, d)
-        return cls(p, d, bk, bk // d, _b0(p, d))  # positional: keywords cost more per instance
+        return _triple(p, d)
 
     def to_json_dict(self) -> dict:
-        return {"p": self.p, "d": self.d, "bk": self.bk, "bk_prime": self.bk_prime, "b0": self.b0}
+        return self._asdict()
+
+
+def _triple(p: int, d: int) -> BoundTriple:
+    """BoundTriple.compute without the checks: p prime and d >= 1 are the caller's to ensure."""
+    bk = _bk(p, d)
+    return BoundTriple(p, d, bk, bk // d, _b0(p, d))
 
 
 @dataclass(frozen=True)
@@ -201,5 +207,5 @@ def render_table(
                 status = sharpness.get((p, d))
                 if status in (SHARP, ALMOST_SHARP):
                     flag = status
-            cells[(d, p)] = TableCell(triple=BoundTriple.compute(p, d), sharpness=flag)
+            cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=flag)
     return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells, annotated=sharpness is not None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -115,3 +116,46 @@ def test_json_round_trip():
 def test_cell_rejects_an_unknown_sharpness(sharpness):
     with pytest.raises(ValueError, match="sharpness must be sharp, almost_sharp or unknown"):
         TableCell(triple=BoundTriple.compute(3, 9), sharpness=sharpness)
+
+
+# -- the triple's public contract ---------------------------------------------------
+
+
+def test_triple_repr_and_fields():
+    assert repr(BoundTriple.compute(2, 8)) == "BoundTriple(p=2, d=8, bk=112, bk_prime=14, b0=14)"
+    assert BoundTriple._fields == ("p", "d", "bk", "bk_prime", "b0")
+
+
+def test_two_computes_of_one_cell_are_equal_and_hash_alike():
+    first, second = BoundTriple.compute(3, 9), BoundTriple.compute(3, 9)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("field", ["p", "d", "bk", "bk_prime", "b0"])
+def test_a_triple_field_cannot_be_assigned(field):
+    triple = BoundTriple.compute(3, 9)
+    with pytest.raises(AttributeError):
+        setattr(triple, field, 0)
+    assert triple == BoundTriple.compute(3, 9)
+
+
+def test_a_triple_is_a_tuple():
+    triple = BoundTriple.compute(3, 9)
+    assert triple == (3, 9, 81, 9, 9)
+    p, d, bk, bk_prime, b0 = triple
+    assert (bk, bk_prime, b0) == (81, 9, 9)
+    assert sorted([BoundTriple.compute(3, 9), BoundTriple.compute(2, 8)])[0].p == 2
+    assert triple._replace(b0=2) == (3, 9, 81, 9, 2)
+    assert triple._asdict() == triple.to_json_dict() == {"p": 3, "d": 9, "bk": 81, "bk_prime": 9, "b0": 9}
+    assert not dataclasses.is_dataclass(BoundTriple)
+
+
+@pytest.mark.parametrize("include_trivial", [False, True])
+def test_render_table_cells_equal_computed_triples(include_trivial):
+    table = render_table(30, 31, include_trivial=include_trivial)
+    cells = [(d, p) for d in range(1, 31) for p in table.primes if include_trivial or p <= 2 * d + 1]
+    assert sorted(table.cells) == sorted(cells)
+    for (d, p), cell in table.cells.items():
+        assert type(cell.triple) is BoundTriple
+        assert cell.triple == BoundTriple.compute(p, d)

@@ -85,6 +85,37 @@ PASS reference_grid_d10 (53 cases)
 """
 
 
+BOUND_3_9_PLAIN = """\
+p = 3, d = 9
+B(3,9)  = 81    conductor-exponent bound for v_p(N^d), any abelian variety
+B'(3,9) = 9    the same bound per dimension: floor(B/d)
+B0(3,9) = 9    bound on v_p(N) under maximal real multiplication
+"""
+
+
+BOUND_3_9_JSON = """\
+{
+  "command": "bound",
+  "p": 3,
+  "d": 9,
+  "bk": 81,
+  "bk_prime": 9,
+  "b0": 9
+}
+"""
+
+
+# --full keeps the trivial cells (p > 2d + 1) that a plain table leaves blank
+TABLE_FULL_5_11_PLAIN = """\
+d\\p  p=2     p=3    p=5    p=7    p=11
+1    8       5      2      2      2
+2    10      5      4      2      2
+3    9 (8)   7      3 (2)  4      2
+4    12      6 (5)  4      3 (2)  2
+5    11 (8)  6 (5)  4 (2)  3 (2)  4
+"""
+
+
 # Commands whose whole stdout is pinned, as (argv, stdout).
 EXACT_STDOUT = pytest.mark.parametrize(
     "argv, expected",
@@ -121,10 +152,15 @@ EXACT_STDOUT = pytest.mark.parametrize(
         (["forbidden", "--d", "96", "--pmax", "19", "--max-entries", "4"], FORBIDDEN_D96_PLAIN),
         # at the default box every property has cases, so the summary names all 17
         (["verify"], VERIFY_DEFAULT_PLAIN),
+        (["bound", "--p", "3", "--d", "9"], BOUND_3_9_PLAIN),
+        (["bound", "--p", "3", "--d", "9", "--format", "csv"], "p,d,bk,bk_prime,b0\n3,9,81,9,9\n"),
+        (["bound", "--p", "3", "--d", "9", "--format", "json"], BOUND_3_9_JSON),
+        (["table", "--dmax", "5", "--pmax", "11", "--full"], TABLE_FULL_5_11_PLAIN),
     ],
     ids=[
         "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
         "table-annotated-csv", "sharpness-none-found-plain", "forbidden-four-prime-plain", "verify-default-plain",
+        "bound-plain", "bound-csv", "bound-json", "table-full-plain",
     ],
 )
 
