@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import PMAX_LIMIT, _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_int, require_prime
-from .bounds import _b0, _forced_exponent, b0_bound, forced_subfield_exponent
+from .bounds import _b0, _forced_exponent, forced_subfield_exponent
 
 
 class ProfileParseError(ValueError):
@@ -37,6 +37,18 @@ _PRIME, _EXPONENT = 1, 2  # the parts of a "p^e" entry, as _ENTRY_RE numbers its
 # rejected, and so is a profile number written with more digits.
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
+
+
+def _require_size(p: int, r: int) -> None:
+    """Raise ValueError when the p^r of the field Q(zeta_{p^r})^+ has more than 4,300 digits.
+
+    The bit-length test comes first, so a huge r is rejected without building p**r.
+    """
+    if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
+        raise ValueError(
+            f"exponent at prime {p} is too large: p^r of the forced field "
+            f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
+        )
 
 
 def _entry_fault(p: int, e: int, seen) -> tuple[str, int] | None:
@@ -147,8 +159,7 @@ class ExponentProfile:
 class RealCyclotomicField:
     """Q(zeta_{p^r})^+ with p prime and r >= 1; only nontrivial fields (degree > 1) are stored.
 
-    Construction raises ValueError when p^r has more than 4,300 digits.  The
-    bit-length test comes first, so a huge r is rejected without building p**r.
+    Construction raises ValueError when p^r has more than 4,300 digits.
     """
 
     p: int
@@ -156,13 +167,17 @@ class RealCyclotomicField:
 
     def __post_init__(self):
         p, r = require_prime(self.p), require_int("r", self.r, 1)
-        if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
-            raise ValueError(
-                f"exponent at prime {p} is too large: p^r of the forced field "
-                f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
-            )
+        _require_size(p, r)
         if self.degree == 1:
             raise ValueError(f"Q(zeta_{p}^{r})^+ is trivial; trivial fields are not stored")
+
+    @classmethod
+    def _unchecked(cls, p: int, r: int) -> "RealCyclotomicField":
+        """The field of a p and r already known to pass the checks; nothing is checked."""
+        built = object.__new__(cls)
+        object.__setattr__(built, "p", p)
+        object.__setattr__(built, "r", r)
+        return built
 
     @property
     def degree(self) -> int:
@@ -202,6 +217,13 @@ class Compositum:
             raise ValueError("compositum components must live at distinct primes")
         object.__setattr__(self, "components", tuple(sorted(self.components)))
 
+    @classmethod
+    def _unchecked(cls, components: tuple[RealCyclotomicField, ...]) -> "Compositum":
+        """A compositum of fields already known to lie at ascending distinct primes; nothing is checked."""
+        compositum = object.__new__(cls)
+        object.__setattr__(compositum, "components", components)
+        return compositum
+
     @property
     def degree(self) -> int:
         return math.prod(f.degree for f in self.components)
@@ -233,18 +255,26 @@ class Determination(str, Enum):
     INADMISSIBLE = "inadmissible"  # the forced compositum cannot lie in a degree-d field
 
 
+def _forced(p: int, r: int) -> tuple[int, RealCyclotomicField | None]:
+    """The degree of Q(zeta_{p^r})^+ and the field itself, or (1, None) when it is Q.
+
+    p prime and r >= 0 are the caller's to ensure.  Raises ValueError when a
+    nontrivial field's p^r has more than 4,300 digits.
+    """
+    # Every p^r with r >= 3 is at least 8, so its field is nontrivial; the
+    # degree is computed only for small r, never before the size check.
+    if r < 3 and _real_cyclotomic_degree(p, r) == 1:
+        return 1, None
+    _require_size(p, r)
+    return _real_cyclotomic_degree(p, r), RealCyclotomicField._unchecked(p, r)
+
+
 def forced_field(p: int, e: int) -> RealCyclotomicField | None:
     """The nontrivial real cyclotomic field forced by v_p(N) = e, or None.
 
-    Raises ValueError, from the field's construction, when p^r has more than
-    4,300 digits.
+    Raises ValueError when p^r has more than 4,300 digits.
     """
-    r = forced_subfield_exponent(p, e)
-    # Every p^r with r >= 3 is at least 8, so its field is nontrivial; the
-    # degree is computed only for small r, never before the size check.
-    if r >= 3 or (r >= 1 and _real_cyclotomic_degree(p, r) > 1):
-        return RealCyclotomicField(p=p, r=r)
-    return None
+    return _forced(p, forced_subfield_exponent(p, e))[1]
 
 
 def _entry_degree(p: int, e: int) -> int:
@@ -257,10 +287,13 @@ def _entry_degree(p: int, e: int) -> int:
     return _real_cyclotomic_degree(p, _forced_exponent(p, e))
 
 
-def forced_compositum(profile: ExponentProfile) -> Compositum:
-    """Compositum of all nontrivial fields forced by a profile's entries."""
-    fields = [forced_field(p, e) for p, e in profile]
-    return Compositum(components=tuple(f for f in fields if f is not None))
+def forced_compositum(profile) -> Compositum:
+    """Compositum of all nontrivial fields forced by a profile's entries.
+
+    profile is an ExponentProfile or a {prime: exponent} mapping.
+    """
+    fields = (_forced(p, _forced_exponent(p, e))[1] for p, e in ExponentProfile.of(profile))
+    return Compositum._unchecked(tuple(f for f in fields if f is not None))
 
 
 @dataclass(frozen=True)
@@ -273,7 +306,7 @@ class RmConstraintReport:
     forced: Compositum
     determination: Determination
     residual_degree: int | None
-    refined_bounds: dict[int, int] = field(default_factory=dict)
+    refined_bounds: dict[int, int] = field(default_factory=dict, hash=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,14 +326,21 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     Assembles the compositum of the forced real cyclotomic subfields, tests
     whether its degree divides d, reports how completely the endomorphism
     field is determined, and computes for each profile prime the refined
-    exponent cap implied by the remaining primes' forced degrees.  The
-    compositum is built first, for the report and its size check; every
-    verdict then comes from the integer degrees of _entry_degree.
+    exponent cap implied by the remaining primes' forced degrees.  One pass
+    over the entries gives each entry's forced degree and field, from one
+    forced exponent; every verdict comes from those integer degrees.
     """
     require_dimension(d)
     profile = ExponentProfile.of(profile)
-    forced = forced_compositum(profile)
-    own = [(p, _entry_degree(p, e)) for p, e in profile]
+    own = []  # (p, the degree forced at p) per entry
+    fields = []
+    for p, e in profile:
+        g, f = _forced(p, _forced_exponent(p, e))
+        own.append((p, g))
+        if f is not None:
+            fields.append(f)
+    # A profile's entries lie at ascending distinct primes, so its fields are in order.
+    forced = Compositum._unchecked(tuple(fields))
     degree = math.prod(g for _, g in own)
     admissible = d % degree == 0
     if not admissible:
@@ -407,7 +447,7 @@ def genus2_rm_analysis(conductor_valuations) -> Genus2Report:
     endomorphism field exactly.
     """
     profile = ExponentProfile.of(conductor_valuations)
-    deciding = [p for p, e in profile if e > 2 * b0_bound(p, 1)]
+    deciding = [p for p, e in profile if e > 2 * _b0(p, 1)]
     if not deciding:
         return Genus2Report(profile=profile, simple=None, field=None, analysis=None)
     odd = [p for p, e in profile if e % 2 == 1]
@@ -416,7 +456,8 @@ def genus2_rm_analysis(conductor_valuations) -> Genus2Report:
             f"profile forces a simple Jacobian (prime {deciding[0]}) but has odd exponent "
             f"at {odd[0]}; the conductor of a simple surface with maximal RM is a square"
         )
-    halved = ExponentProfile.of({p: e // 2 for p, e in profile})
+    # Every exponent is even, so each half is at least 1, at the profile's checked primes.
+    halved = ExponentProfile._unchecked(tuple((p, e // 2) for p, e in profile))
     report = analyze_profile(halved, d=2)
     # A deciding prime's halved exponent exceeds b0_bound(p, 1), so it forces degree >= 2: an admissible
     # halved profile forces exactly one field, of degree 2.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmbounds
-from rmbounds import cli, cyclo
+from rmbounds import arith, cli, cyclo
 from rmbounds.arith import primes_up_to
 from rmbounds.bounds import b0_bound
 from rmbounds.cyclo import (
@@ -97,8 +98,19 @@ def test_forced_field_stops_at_4300_digits(p, e):
     field = forced_field(p, e)
     assert len(str(p**field.r)) == 4300
     json.dumps(field.to_json_dict())
-    with pytest.raises(ValueError, match="more than 4300 digits"):
-        forced_field(p, e + 2)  # one step up in r
+    assert analyze_profile({p: e}, 2).forced.components == (field,)
+    assert genus2_rm_analysis({p: 2 * e}).analysis.forced.components == (field,)
+    message = (f"exponent at prime {p} is too large: p^r of the forced field "
+               "Q(zeta_{p^r})^+ has more than 4300 digits")
+    for call in (  # one step up in r
+        lambda: forced_field(p, e + 2),
+        lambda: RealCyclotomicField(p, field.r + 1),
+        lambda: analyze_profile({p: e + 2}, 2),
+        lambda: genus2_rm_analysis({p: 2 * (e + 2)}),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_analyze_profile_rejects_huge_exponent_promptly():
@@ -188,7 +200,10 @@ def test_analyze_profile_rejects_d0():
 
 
 @pytest.mark.parametrize("profile", [[(2, 9)], "2^9", None], ids=["list", "str", "None"])
-@pytest.mark.parametrize("call", [lambda profile: analyze_profile(profile, 4), genus2_rm_analysis], ids=["analyze", "genus2"])
+@pytest.mark.parametrize(
+    "call", [lambda profile: analyze_profile(profile, 4), forced_compositum, genus2_rm_analysis],
+    ids=["analyze", "compositum", "genus2"],
+)
 def test_a_profile_that_is_not_a_mapping_is_a_value_error(call, profile):
     with pytest.raises(ValueError, match=rf"^expected a {{prime: exponent}} mapping, got {type(profile).__name__}$"):
         call(profile)
@@ -229,6 +244,59 @@ def test_verdict_is_the_product_of_entry_degrees(profile, d):
     assert degree == report.forced.degree
     assert report.admissible == (d % degree == 0)
     assert report.residual_degree == (d // degree if d % degree == 0 else None)
+
+
+def _assert_same(engine, checked):
+    assert engine == checked and hash(engine) == hash(checked) and repr(engine) == repr(checked)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(profile=profile_dicts, d=st.integers(min_value=1, max_value=24))
+def test_engine_built_fields_equal_checked_ones(profile, d):
+    # The engine builds its fields and composita without the constructors' checks.
+    fields = [f for f in (forced_field(p, e) for p, e in sorted(profile.items())) if f is not None]
+    checked = [RealCyclotomicField(f.p, f.r) for f in fields]
+    composita = [analyze_profile(profile, d).forced, forced_compositum(profile)]
+    for engine in fields + [f for compositum in composita for f in compositum.components]:
+        made = RealCyclotomicField(engine.p, engine.r)
+        _assert_same(engine, made)
+        assert engine <= made <= engine and not engine < made
+        assert [engine < f for f in checked] == [made < f for f in checked]
+    for engine in composita:
+        _assert_same(engine, Compositum(components=tuple(reversed(checked))))
+        assert engine.components == tuple(checked)
+
+
+def test_reports_hash_like_they_compare():
+    report = analyze_profile({5: 3}, 2)
+    same = analyze_profile(ExponentProfile.parse("5^3"), 2)
+    assert report == same and hash(report) == hash(same)
+    assert dataclasses.replace(report, refined_bounds={}) != report  # the caps still count for equality
+    g2 = genus2_rm_analysis({2: 20})
+    again = genus2_rm_analysis(ExponentProfile.parse("2^20"))
+    assert g2 == again and hash(g2) == hash(again)
+    assert len({report, same, g2, again}) == 2
+
+
+def test_engine_checks_each_prime_once(monkeypatch):
+    # ExponentProfile checks each entry; the fields and composita built from it are not checked again.
+    tested = []
+    real_is_prime = arith.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(cyclo, "is_prime", counting)
+    analyze_profile({2: 9, 5: 3, 13: 3}, 12)
+    assert sorted(tested) == [2, 5, 13]
+    tested.clear()
+    genus2_rm_analysis({5: 6, 2: 2})
+    assert sorted(tested) == [2, 5]
+    tested.clear()
+    assert forced_field(5, 3) == RealCyclotomicField(5, 1)
+    assert tested == [5, 5]  # once in forced_field, once in the checked constructor
 
 
 @given(profile=profile_dicts)

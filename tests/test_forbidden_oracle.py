@@ -5,8 +5,9 @@ degree from its definition and walks every profile of at most four primes
 p <= 19 over an exponent box, keeping the inadmissible profiles whose every
 one-step-lowered neighbour is admissible.  It is the independent evidence
 behind the reference lists of acceptance criterion 5b (see the decisions
-ledger in CHANGES.md).  Its admissibility test and per-prime caps also
-check ``analyze_profile`` on random profiles at dimensions above 2^30.
+ledger in CHANGES.md).  Its forced fields, admissibility test and per-prime
+caps also check ``analyze_profile`` on random profiles, at dimensions up to
+720 and above 2^30.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmbounds.cyclo import analyze_profile, enumerate_forbidden
@@ -32,17 +33,22 @@ THREE_PRIME_DIMENSIONS = (12, 24, 60)
 FOUR_PRIME_DIMENSION = 96
 
 
-def forced_degree(p: int, e: int) -> int:
-    """Degree of Q(zeta_{p^r})^+ forced by v_p(N) = e, or 1 when nothing is forced.
+def forced_exponent(p: int, e: int) -> int:
+    """The r of the field Q(zeta_{p^r})^+ forced by v_p(N) = e, or 0 when nothing is forced.
 
     r = ceil(e/2 - v_p(3)/2) - 1 - v_p(2), applicable for e >= 3 at odd p
-    and e >= 9 at p = 2; the degree is phi(p^r)/2, and at least 1.
+    and e >= 9 at p = 2.
     """
     if e < (9 if p == 2 else 3):
-        return 1
+        return 0
     v3 = 1 if p == 3 else 0
     v2 = 1 if p == 2 else 0
-    r = -((v3 - e) // 2) - 1 - v2
+    return max(0, -((v3 - e) // 2) - 1 - v2)
+
+
+def forced_degree(p: int, e: int) -> int:
+    """Degree of Q(zeta_{p^r})^+ forced by v_p(N) = e, or 1 when nothing is forced: phi(p^r)/2, and at least 1."""
+    r = forced_exponent(p, e)
     if r < 1:
         return 1
     phi = p**r - p ** (r - 1)
@@ -183,19 +189,63 @@ def oracle_refined_bounds(profile: dict[int, int], d: int) -> dict[int, int]:
     return caps
 
 
-@st.composite
-def large_cases(draw):
-    """A dimension above 2^30 and up to four primes p <= 47, each at most two past its own cap."""
-    d = draw(large_dimensions)
-    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
-                           min_size=1, max_size=4, unique=True))
-    return {p: draw(st.integers(1, oracle_cap(p, d) + 2)) for p in primes}, d
+def oracle_report(profile: dict[int, int], d: int) -> dict:
+    """What analyze_profile should report: forced (p, r) pairs by prime, their degree, residual and determination."""
+    degree = math.prod(forced_degree(p, e) for p, e in profile.items())
+    if not admissible(profile, d):
+        determination = "inadmissible"
+    elif degree == 1:
+        determination = "no_constraint"
+    else:
+        determination = "exact_field" if degree == d else "contains_subfield"
+    return {
+        "admissible": admissible(profile, d),
+        "forced": [(p, forced_exponent(p, e)) for p, e in sorted(profile.items()) if forced_degree(p, e) > 1],
+        "degree": degree,
+        "residual_degree": d // degree if admissible(profile, d) else None,
+        "determination": determination,
+        "refined_bounds": oracle_refined_bounds(profile, d),
+    }
+
+
+def engine_report(profile: dict[int, int], d: int) -> dict:
+    report = analyze_profile(profile, d)
+    return {
+        "admissible": report.admissible,
+        "forced": [(f.p, f.r) for f in report.forced.components],
+        "degree": report.forced.degree,
+        "residual_degree": report.residual_degree,
+        "determination": report.determination.value,
+        "refined_bounds": report.refined_bounds,
+    }
+
+
+def cases(dimensions):
+    """A dimension and up to four primes p <= 47, each at most two past its own cap."""
+    @st.composite
+    def draw_case(draw):
+        d = draw(dimensions)
+        primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+                               min_size=1, max_size=4, unique=True))
+        return {p: draw(st.integers(1, oracle_cap(p, d) + 2)) for p in primes}, d
+    return draw_case()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(case=large_cases())
+@given(case=cases(large_dimensions))
 def test_analyze_profile_matches_oracle_at_large_d(case):
     profile, d = case
-    report = analyze_profile(profile, d)
-    assert report.admissible == admissible(profile, d)
-    assert report.refined_bounds == oracle_refined_bounds(profile, d)
+    assert engine_report(profile, d) == oracle_report(profile, d)
+
+
+# Dimensions up to 720, weighted towards highly composite ones, where more profiles are admissible.
+small_dimensions = st.one_of(st.integers(1, 720), st.sampled_from((12, 24, 60, 120, 240, 360, 720)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=cases(small_dimensions))
+@example(case=({2: 9, 13: 3}, 12))  # an exact field, which random draws seldom reach
+@example(case=({2: 13, 3: 8, 5: 5, 7: 5, 13: 3}, 720))
+def test_analyze_profile_matches_oracle_at_small_d(case):
+    profile, d = case
+    assert engine_report(profile, d) == oracle_report(profile, d)
