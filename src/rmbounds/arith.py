@@ -115,9 +115,7 @@ def _valuation(p: int, n: int) -> int:
 def digits_base_p(p: int, m: int) -> list[int]:
     """Little-endian base-p digits of m; empty list for m = 0."""
     require_prime(p)
-    if require_int("m", m) < 0:
-        raise ValueError("m must be non-negative")
-    return _digits(p, m)
+    return _digits(p, require_int("m", m, 0))
 
 
 def _digits(p: int, m: int) -> list[int]:
@@ -136,9 +134,7 @@ def lambda_p(p: int, m: int) -> int:
     for m >= 1.  lambda_p(0) = 0 (empty sum).
     """
     require_prime(p)
-    if require_int("m", m) < 0:
-        raise ValueError("m must be non-negative")
-    return _lambda(p, m)
+    return _lambda(p, require_int("m", m, 0))
 
 
 def _lambda(p: int, m: int) -> int:
@@ -164,9 +160,7 @@ def real_cyclotomic_degree(p: int, r: int) -> int:
     p = 2 with r <= 2, and for p = 3 with r <= 1.
     """
     require_prime(p)
-    if require_int("r", r) < 0:
-        raise ValueError("r must be non-negative")
-    return _real_cyclotomic_degree(p, r)
+    return _real_cyclotomic_degree(p, require_int("r", r, 0))
 
 
 def _real_cyclotomic_degree(p: int, r: int) -> int:

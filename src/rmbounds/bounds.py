@@ -15,7 +15,7 @@ bounds out on a (d, p) grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .arith import PMAX_LIMIT, _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
@@ -84,9 +84,7 @@ def forced_subfield_exponent(p: int, e: int) -> int:
     clamped below at 0.
     """
     require_prime(p)
-    if require_int("exponent", e) < 0:
-        raise ValueError("exponent must be non-negative")
-    return _forced_exponent(p, e)
+    return _forced_exponent(p, require_int("exponent", e, 0))
 
 
 def _forced_exponent(p: int, e: int) -> int:
@@ -166,7 +164,7 @@ class BoundTable:
     d_max: int
     p_max: int
     primes: tuple[int, ...]
-    cells: dict[tuple[int, int], TableCell]  # keyed by (d, p)
+    cells: dict[tuple[int, int], TableCell] = field(hash=False)  # keyed by (d, p); the other fields decide the hash
     annotated: bool = False
 
     def to_json_dict(self) -> dict:

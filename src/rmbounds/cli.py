@@ -19,6 +19,8 @@ from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
 from .bounds import BoundTable, BoundTriple, render_table
 from .cyclo import (
+    _DIGIT_LIMIT,
+    _MAX_DIGITS,
     ExponentProfile,
     Genus2Report,
     ProfileParseError,
@@ -62,6 +64,14 @@ def _command_client(args):
     finally:
         if cache is not None:
             cache.close()
+
+
+def _bound(p: int, d: int) -> BoundTriple:
+    """BoundTriple.compute, refused when B(p, d), its largest number, has more than 4,300 digits to print."""
+    triple = BoundTriple.compute(p, d)
+    if triple.bk >= _DIGIT_LIMIT:
+        raise ValueError(f"d is too large: B({p},d) has more than {_MAX_DIGITS} digits")
+    return triple
 
 
 def _bound_lines(triple: BoundTriple, args):
@@ -241,9 +251,7 @@ class _Command(NamedTuple):
 
 # Every subcommand, as one row; main looks the row up on each call.
 COMMANDS: dict[str, _Command] = {
-    "bound": _Command(
-        lambda args: BoundTriple.compute(args.p, args.d), lambda doc: BoundTriple.compute(doc["p"], doc["d"]), _bound_lines
-    ),
+    "bound": _Command(lambda args: _bound(args.p, args.d), lambda doc: _bound(doc["p"], doc["d"]), _bound_lines),
     "table": _Command(_run_table, _rebuild_table, _table_lines),
     "profile": _Command(
         lambda args: analyze_profile(ExponentProfile.parse(args.profile), args.d),

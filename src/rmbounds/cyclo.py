@@ -34,21 +34,10 @@ _PRIME, _EXPONENT = 1, 2  # the parts of a "p^e" entry, as _ENTRY_RE numbers its
 
 # CPython's default limit on int <-> str conversion.  Field names and json
 # print p^r in decimal, so a forced field with p^r at or above 10**4300 is
-# rejected, and so is a profile number written with more digits.
+# rejected, and so are a compositum degree of that size, a profile number
+# written with more digits, and the CLI's bounds B(p, d) past it.
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
-
-
-def _require_size(p: int, r: int) -> None:
-    """Raise ValueError when the p^r of the field Q(zeta_{p^r})^+ has more than 4,300 digits.
-
-    The bit-length test comes first, so a huge r is rejected without building p**r.
-    """
-    if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
-        raise ValueError(
-            f"exponent at prime {p} is too large: p^r of the forced field "
-            f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
-        )
 
 
 def _entry_fault(p: int, e: int, seen) -> tuple[str, int] | None:
@@ -167,8 +156,7 @@ class RealCyclotomicField:
 
     def __post_init__(self):
         p, r = require_prime(self.p), require_int("r", self.r, 1)
-        _require_size(p, r)
-        if self.degree == 1:
+        if _forced(p, r)[1] is None:
             raise ValueError(f"Q(zeta_{p}^{r})^+ is trivial; trivial fields are not stored")
 
     @classmethod
@@ -265,7 +253,12 @@ def _forced(p: int, r: int) -> tuple[int, RealCyclotomicField | None]:
     # degree is computed only for small r, never before the size check.
     if r < 3 and _real_cyclotomic_degree(p, r) == 1:
         return 1, None
-    _require_size(p, r)
+    # The bit-length test comes first, so a huge r is rejected without building p**r.
+    if r * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or p**r >= _DIGIT_LIMIT:
+        raise ValueError(
+            f"exponent at prime {p} is too large: p^r of the forced field "
+            f"Q(zeta_{{p^r}})^+ has more than {_MAX_DIGITS} digits"
+        )
     return _real_cyclotomic_degree(p, r), RealCyclotomicField._unchecked(p, r)
 
 
@@ -285,15 +278,6 @@ def _entry_degree(p: int, e: int) -> int:
     in dimension d exactly when the product of its entries' degrees divides d.
     """
     return _real_cyclotomic_degree(p, _forced_exponent(p, e))
-
-
-def forced_compositum(profile) -> Compositum:
-    """Compositum of all nontrivial fields forced by a profile's entries.
-
-    profile is an ExponentProfile or a {prime: exponent} mapping.
-    """
-    fields = (_forced(p, _forced_exponent(p, e))[1] for p, e in ExponentProfile.of(profile))
-    return Compositum._unchecked(tuple(f for f in fields if f is not None))
 
 
 @dataclass(frozen=True)
@@ -329,6 +313,8 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     exponent cap implied by the remaining primes' forced degrees.  One pass
     over the entries gives each entry's forced degree and field, from one
     forced exponent; every verdict comes from those integer degrees.
+    Raises ValueError when a forced field's p^r, or the compositum's
+    degree, has more than 4,300 digits.
     """
     require_dimension(d)
     profile = ExponentProfile.of(profile)
@@ -342,6 +328,8 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     # A profile's entries lie at ascending distinct primes, so its fields are in order.
     forced = Compositum._unchecked(tuple(fields))
     degree = math.prod(g for _, g in own)
+    if degree >= _DIGIT_LIMIT:
+        raise ValueError(f"profile is too large: its forced compositum's degree has more than {_MAX_DIGITS} digits")
     admissible = d % degree == 0
     if not admissible:
         determination = Determination.INADMISSIBLE

@@ -18,7 +18,7 @@ import math
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -92,13 +92,7 @@ class SharpnessWitness:
     status: str  # sharp | almost_sharp | none_found
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.d,
-            "exponent_attained": self.exponent_attained,
-            "level": self.level,
-            "status": self.status,
-        }
+        return asdict(self)
 
     @classmethod
     def at_level(cls, p: int, d: int, level: int | None) -> "SharpnessWitness":
@@ -453,8 +447,6 @@ class OrbitDimClient:
         cap = b0_bound(p, d)
         for exponent, status in ((cap, SHARP), (cap - 1, ALMOST_SHARP)):
             base = p**exponent
-            if base > level_budget:
-                continue
             skipped = 0
             for m in range(1, level_budget // base + 1):
                 if m % p == 0:

@@ -20,7 +20,7 @@ cell-for-cell against the known values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress, islice, product, starmap
 from typing import Callable, Iterable, NamedTuple
 
@@ -67,7 +67,7 @@ class PropertyResult:
     counterexample: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "cases": self.cases, "counterexample": self.counterexample}
+        return asdict(self)
 
 
 class _Property(NamedTuple):

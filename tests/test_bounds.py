@@ -151,6 +151,15 @@ def test_a_triple_is_a_tuple():
     assert not dataclasses.is_dataclass(BoundTriple)
 
 
+def test_equal_tables_hash_equal():
+    table, again = render_table(5, 7), render_table(5, 7)
+    assert table == again and table is not again and hash(table) == hash(again)
+    out = json.dumps({"command": "table", **table.to_json_dict()})
+    rebuilt = cli.parse_json(out)
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert len({table, again, rebuilt, render_table(5, 7, include_trivial=True)}) == 2
+
+
 @pytest.mark.parametrize("include_trivial", [False, True])
 def test_render_table_cells_equal_computed_triples(include_trivial):
     table = render_table(30, 31, include_trivial=include_trivial)

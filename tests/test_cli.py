@@ -105,6 +105,132 @@ BOUND_3_9_JSON = """\
 """
 
 
+SHARPNESS_2_7_JSON = """\
+{
+  "command": "sharpness",
+  "p": 2,
+  "d": 7,
+  "exponent_attained": 8,
+  "level": 12032,
+  "status": "sharp"
+}
+"""
+
+
+VERIFY_JSON_19_10 = """\
+{
+  "command": "verify",
+  "p_max": 19,
+  "d_max": 10,
+  "ok": true,
+  "results": [
+    {
+      "name": "lambda_zero_iff_below_p",
+      "ok": true,
+      "cases": 20008,
+      "counterexample": null
+    },
+    {
+      "name": "lambda_lower_bound",
+      "ok": true,
+      "cases": 20000,
+      "counterexample": null
+    },
+    {
+      "name": "digit_reconstruction",
+      "ok": true,
+      "cases": 20008,
+      "counterexample": null
+    },
+    {
+      "name": "valuation_additivity",
+      "ok": true,
+      "cases": 448,
+      "counterexample": null
+    },
+    {
+      "name": "b0_le_bk_prime",
+      "ok": true,
+      "cases": 80,
+      "counterexample": null
+    },
+    {
+      "name": "equality_when_p_ge_2d_plus_1",
+      "ok": true,
+      "cases": 34,
+      "counterexample": null
+    },
+    {
+      "name": "strict_when_p_ge_5_nondivisor",
+      "ok": true,
+      "cases": 20,
+      "counterexample": null
+    },
+    {
+      "name": "strict_when_p_le_3_nondivisor",
+      "ok": true,
+      "cases": 8,
+      "counterexample": null
+    },
+    {
+      "name": "bk_prime_piecewise_large_p",
+      "ok": true,
+      "cases": 49,
+      "counterexample": null
+    },
+    {
+      "name": "bk_prime_small_p_values",
+      "ok": true,
+      "cases": 20,
+      "counterexample": null
+    },
+    {
+      "name": "bk_prime_divisor_case",
+      "ok": true,
+      "cases": 33,
+      "counterexample": null
+    },
+    {
+      "name": "bk_prime_floor_identity",
+      "ok": true,
+      "cases": 80,
+      "counterexample": null
+    },
+    {
+      "name": "forced_exponent_monotone",
+      "ok": true,
+      "cases": 328,
+      "counterexample": null
+    },
+    {
+      "name": "cyclotomic_degree_monotone",
+      "ok": true,
+      "cases": 248,
+      "counterexample": null
+    },
+    {
+      "name": "b0_equals_forced_degree_oracle",
+      "ok": true,
+      "cases": 80,
+      "counterexample": null
+    },
+    {
+      "name": "single_prime_boundary",
+      "ok": true,
+      "cases": 80,
+      "counterexample": null
+    },
+    {
+      "name": "reference_grid_d10",
+      "ok": true,
+      "cases": 53,
+      "counterexample": null
+    }
+  ]
+}
+"""
+
+
 # --full keeps the trivial cells (p > 2d + 1) that a plain table leaves blank
 TABLE_FULL_5_11_PLAIN = """\
 d\\p  p=2     p=3    p=5    p=7    p=11
@@ -156,11 +282,16 @@ EXACT_STDOUT = pytest.mark.parametrize(
         (["bound", "--p", "3", "--d", "9", "--format", "csv"], "p,d,bk,bk_prime,b0\n3,9,81,9,9\n"),
         (["bound", "--p", "3", "--d", "9", "--format", "json"], BOUND_3_9_JSON),
         (["table", "--dmax", "5", "--pmax", "11", "--full"], TABLE_FULL_5_11_PLAIN),
+        (
+            ["sharpness", "--p", "2", "--d", "7", "--budget", "16384", "--offline", "--format", "json"],
+            SHARPNESS_2_7_JSON,
+        ),
+        (["verify", "--pmax", "19", "--dmax", "10", "--format", "json"], VERIFY_JSON_19_10),
     ],
     ids=[
         "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
         "table-annotated-csv", "sharpness-none-found-plain", "forbidden-four-prime-plain", "verify-default-plain",
-        "bound-plain", "bound-csv", "bound-json", "table-full-plain",
+        "bound-plain", "bound-csv", "bound-json", "table-full-plain", "sharpness-json", "verify-json",
     ],
 )
 
@@ -230,6 +361,78 @@ def test_bound_has_no_gl2_flag(capsys):
         cli.main(["bound", "--p", "2", "--d", "1", "--gl2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --gl2" in capsys.readouterr().err
+
+
+# -- output past 4,300 digits ---------------------------------------------------
+# Python refuses to print an int of more than 4,300 digits; the package refuses
+# such a result first, with its own error and before any output.
+
+BIG_P = 2**61 - 1  # a Mersenne prime: at a 4,300-digit d, B(p, d) has few base-p digits to walk
+
+
+def _largest_d(p: int) -> int:
+    """The largest d with B(p, d) < 10**4300, for an odd prime p, from B's base-p digit form.
+
+    With q = p - 1 and 2d = q t + s, 0 <= s < q: B(p, d) = 2d + p t + q lambda_p(t) is
+    s + sum_i c_i p^i (q + p + q i) over the base-p digits c_i of t.  Each weight exceeds
+    every lower digit's total, so t's digits are taken greedily from the top.
+    """
+    q, rest, t, i = p - 1, 10**4300 - 1, 0, 0
+    while p ** (i + 1) * (q + p + q * (i + 1)) <= rest:
+        i += 1
+    for i in range(i, -1, -1):
+        weight = p**i * (q + p + q * i)
+        digit = min(p - 1, rest // weight)
+        t, rest = t + digit * p**i, rest - digit * weight
+    return (q * t + min(q - 2, rest)) // 2  # s even, as q t is
+
+
+BIG_D = _largest_d(BIG_P)
+COMPOSITUM_TOO_LARGE = "profile is too large: its forced compositum's degree has more than 4300 digits"
+
+
+def test_largest_d_is_the_last_bound_that_fits():
+    assert len(str(BIG_D)) == 4298
+    assert len(str(BoundTriple.compute(BIG_P, BIG_D).bk)) == 4300
+    assert BoundTriple.compute(BIG_P, BIG_D + 1).bk >= 10**4300
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "argv, largest",
+    [
+        (["bound", "--p", str(BIG_P), "--d", str(BIG_D)], lambda: BoundTriple.compute(BIG_P, BIG_D).bk),
+        (["profile", "--d", "2", "97^4300,2^212"], lambda: analyze_profile({97: 4300, 2: 212}, 2).forced.degree),
+        (["genus2", "97^8600,2^424"], lambda: analyze_profile({97: 4300, 2: 212}, 2).forced.degree),
+    ],
+    ids=["bound", "profile", "genus2"],
+)
+def test_a_4300_digit_result_is_printed(capsys, fmt, argv, largest):
+    number = str(largest())
+    assert len(number) == 4300
+    code, out = run(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    assert number in out or (argv[0], fmt) in {("genus2", "plain"), ("genus2", "csv")}  # genus2 names only the field
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["bound", "--p", str(BIG_P), "--d", str(BIG_D + 1)],
+            f"d is too large: B({BIG_P},d) has more than 4300 digits",
+        ),
+        (["profile", "--d", "2", "97^4300,2^213"], COMPOSITUM_TOO_LARGE),
+        (["profile", "--d", "2", "97^4300,89^4300"], COMPOSITUM_TOO_LARGE),
+        (["genus2", "97^8600,2^426"], COMPOSITUM_TOO_LARGE),
+    ],
+    ids=["bound", "profile", "profile-two-large-fields", "genus2"],
+)
+def test_a_result_past_4300_digits_is_refused(capsys, fmt, argv, message):
+    assert cli.main([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 # -- table ---------------------------------------------------------------------

@@ -27,7 +27,6 @@ from rmbounds.cyclo import (
     _entry_degree,
     analyze_profile,
     enumerate_forbidden,
-    forced_compositum,
     forced_field,
     genus2_rm_analysis,
 )
@@ -108,6 +107,17 @@ def test_forced_field_stops_at_4300_digits(p, e):
         lambda: analyze_profile({p: e + 2}, 2),
         lambda: genus2_rm_analysis({p: 2 * (e + 2)}),
     ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
+def test_compositum_degree_stops_at_4300_digits():
+    # Each field's p^r fits, but the product of the degrees is printed too; 2^213 doubles it past 4,300 digits.
+    assert len(str(analyze_profile({97: 4300, 2: 212}, 2).forced.degree)) == 4300
+    assert len(str(genus2_rm_analysis({97: 8600, 2: 424}).analysis.forced.degree)) == 4300
+    message = "profile is too large: its forced compositum's degree has more than 4300 digits"
+    for call in (lambda: analyze_profile({97: 4300, 2: 213}, 2), lambda: genus2_rm_analysis({97: 8600, 2: 426})):
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message
@@ -201,7 +211,12 @@ def test_analyze_profile_rejects_d0():
 
 @pytest.mark.parametrize("profile", [[(2, 9)], "2^9", None], ids=["list", "str", "None"])
 @pytest.mark.parametrize(
-    "call", [lambda profile: analyze_profile(profile, 4), forced_compositum, genus2_rm_analysis],
+    "call",
+    [
+        lambda profile: analyze_profile(profile, 4),
+        lambda profile: analyze_profile(profile, 4).forced,  # the compositum
+        genus2_rm_analysis,
+    ],
     ids=["analyze", "compositum", "genus2"],
 )
 def test_a_profile_that_is_not_a_mapping_is_a_value_error(call, profile):
@@ -256,7 +271,7 @@ def test_engine_built_fields_equal_checked_ones(profile, d):
     # The engine builds its fields and composita without the constructors' checks.
     fields = [f for f in (forced_field(p, e) for p, e in sorted(profile.items())) if f is not None]
     checked = [RealCyclotomicField(f.p, f.r) for f in fields]
-    composita = [analyze_profile(profile, d).forced, forced_compositum(profile)]
+    composita = [analyze_profile(profile, d).forced, analyze_profile(ExponentProfile.of(profile), d).forced]
     for engine in fields + [f for compositum in composita for f in compositum.components]:
         made = RealCyclotomicField(engine.p, engine.r)
         _assert_same(engine, made)
@@ -301,9 +316,9 @@ def test_engine_checks_each_prime_once(monkeypatch):
 
 @given(profile=profile_dicts)
 def test_compositum_order_invariance(profile):
-    forward = forced_compositum(ExponentProfile.of(profile))
+    forward = analyze_profile(ExponentProfile.of(profile), 1).forced
     reversed_entries = ExponentProfile(entries=tuple(sorted(profile.items(), reverse=True)))
-    assert forced_compositum(reversed_entries) == forward
+    assert analyze_profile(reversed_entries, 1).forced == forward
 
 
 # -- regression: the d = 2..6 case analysis -----------------------------------

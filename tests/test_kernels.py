@@ -100,25 +100,26 @@ def test_exponent_scan_reaches_the_divisor_cases():
     assert oracle_triple(3, 3**14)[2] == 5 + 2 * 14
 
 
-# (entry, arguments, message): the messages are those of the package before
-# its kernels were split from the checks.
+# (entry, arguments, message): a second argument below its range gets require_int's
+# "expected name >= minimum" message, as every range check does; valuation's
+# message says why n = 0 is refused.
 BAD_INPUTS = [
     (lambda_p, (4, 5), "4 is not prime"),
     (lambda_p, (1, 5), "1 is not prime"),
-    (lambda_p, (5, -1), "m must be non-negative"),
+    (lambda_p, (5, -1), "expected m >= 0, got -1"),
     (lambda_p, (4, -1), "4 is not prime"),
     (digits_base_p, (4, 5), "4 is not prime"),
-    (digits_base_p, (5, -1), "m must be non-negative"),
+    (digits_base_p, (5, -1), "expected m >= 0, got -1"),
     (digits_base_p, (9, -1), "9 is not prime"),
     (valuation, (4, 8), "4 is not prime"),
     (valuation, (5, 0), "valuation of 0 is undefined; need n >= 1"),
     (valuation, (5, -3), "valuation of -3 is undefined; need n >= 1"),
     (valuation, (6, 0), "6 is not prime"),
     (real_cyclotomic_degree, (4, 1), "4 is not prime"),
-    (real_cyclotomic_degree, (5, -1), "r must be non-negative"),
+    (real_cyclotomic_degree, (5, -1), "expected r >= 0, got -1"),
     (real_cyclotomic_degree, (0, -1), "0 is not prime"),
     (forced_subfield_exponent, (4, 3), "4 is not prime"),
-    (forced_subfield_exponent, (5, -1), "exponent must be non-negative"),
+    (forced_subfield_exponent, (5, -1), "expected exponent >= 0, got -1"),
     (forced_subfield_exponent, (9, -1), "9 is not prime"),
 ] + [
     # the second argument is an int only: a float or a bool once gave a wrong value
