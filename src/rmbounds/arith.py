@@ -149,7 +149,7 @@ def _lambda(p: int, m: int) -> int:
     while q:
         total += power * q
         power *= p
-        q = m // power
+        q //= p  # floor(floor(m / p^j) / p) = floor(m / p^(j + 1)), dividing by p, not by p^(j + 1)
     return total
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import PMAX_LIMIT, _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_int, require_prime
-from .bounds import _b0, _forced_exponent, forced_subfield_exponent
+from .bounds import _b0, _forced_exponent
 
 
 class ProfileParseError(ValueError):
@@ -217,12 +217,8 @@ class Compositum:
         return math.prod(f.degree for f in self.components)
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.components
-
-    @property
     def name(self) -> str:
-        if self.is_trivial:
+        if not self.components:
             return "Q"
         ordered = sorted(self.components, key=lambda f: (f.degree, f.p))
         return " * ".join(f.name for f in ordered)
@@ -262,18 +258,10 @@ def _forced(p: int, r: int) -> tuple[int, RealCyclotomicField | None]:
     return _real_cyclotomic_degree(p, r), RealCyclotomicField._unchecked(p, r)
 
 
-def forced_field(p: int, e: int) -> RealCyclotomicField | None:
-    """The nontrivial real cyclotomic field forced by v_p(N) = e, or None.
-
-    Raises ValueError when p^r has more than 4,300 digits.
-    """
-    return _forced(p, forced_subfield_exponent(p, e))[1]
-
-
 def _entry_degree(p: int, e: int) -> int:
     """Degree of the field forced by v_p(N) = e, 1 when none is, without the checks.
 
-    p prime, e >= 0 and a forced p^r of at most 4,300 digits (forced_field
+    p prime, e >= 0 and a forced p^r of at most 4,300 digits (_forced
     rejects larger ones) are the caller's to ensure.  A profile is admissible
     in dimension d exactly when the product of its entries' degrees divides d.
     """

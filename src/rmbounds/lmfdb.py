@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .arith import PMAX_LIMIT, require_dimension, require_int, require_prime, valuation
-from .bounds import ALMOST_SHARP, SHARP, b0_bound, table_primes
+from .bounds import ALMOST_SHARP, SHARP, _b0, table_primes
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ class SharpnessWitness:
         require_dimension(d)
         if level is None:
             return cls(p=p, d=d, exponent_attained=None, level=None, status=NONE_FOUND)
-        cap, exponent = b0_bound(p, d), valuation(p, level)
+        cap, exponent = _b0(p, d), valuation(p, level)
         if exponent not in (cap, cap - 1):
             raise ValueError(f"v_{p}({level}) = {exponent} attains neither B0({p},{d}) = {cap} nor {cap - 1}")
         return cls(p=p, d=d, exponent_attained=exponent, level=level, status=SHARP if exponent == cap else ALMOST_SHARP)
@@ -366,7 +366,7 @@ class OrbitDimClient:
         dims = self._fetch_from_network(level)
         if self.cache is None:
             return dims, SOURCE_NETWORK, _utcnow_iso()
-        record = self.cache.put(level, dims, _utcnow_iso())
+        record = self.cache.put(level, dims)
         return record["dims"], SOURCE_NETWORK, record["fetched_at"]
 
     def _fetch_from_network(self, level: int) -> list[int]:
@@ -444,8 +444,8 @@ class OrbitDimClient:
         require_int("level_budget", level_budget, 1)
         # Every level below is an int >= 1, so it goes to the unchecked resolver.
         resolve = self._resolve
-        cap = b0_bound(p, d)
-        for exponent, status in ((cap, SHARP), (cap - 1, ALMOST_SHARP)):
+        cap = _b0(p, d)
+        for exponent in (cap, cap - 1):
             base = p**exponent
             skipped = 0
             for m in range(1, level_budget // base + 1):
@@ -460,13 +460,13 @@ class OrbitDimClient:
                     skipped += 1
                     continue
                 if d in dims:
-                    return SharpnessWitness(p=p, d=d, exponent_attained=exponent, level=level, status=status)
+                    return SharpnessWitness.at_level(p, d, level)
             if skipped:
                 logger.info(
                     "scan (p=%d, d=%d, e=%d): %d level(s) unavailable offline; rerun online to resume",
                     p, d, exponent, skipped,
                 )
-        return SharpnessWitness(p=p, d=d, exponent_attained=None, level=None, status=NONE_FOUND)
+        return SharpnessWitness.at_level(p, d, None)
 
     def annotate_table(
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None

@@ -21,6 +21,7 @@ cell-for-cell against the known values.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import compress, islice, product, starmap
 from typing import Callable, Iterable, NamedTuple
 
@@ -338,14 +339,9 @@ def check(name: str, p_max: int = 1000, d_max: int = 100) -> PropertyResult:
     return results[0]
 
 
-def b0_le_bk_prime(p_max: int = 1000, d_max: int = 100) -> PropertyResult:
-    """A view over check, kept because bench/workloads.py (VerifyBox.warm_up) calls it by position."""
-    return check("b0_le_bk_prime", p_max, d_max)
-
-
-def single_prime_boundary(p_max: int = 200, d_max: int = 64) -> PropertyResult:
-    """A view over check, kept because bench/workloads.py (VerifyBox.warm_up) calls it by position."""
-    return check("single_prime_boundary", p_max, d_max)
+# Views over check, kept because bench/workloads.py (VerifyBox.warm_up) calls them by position.
+b0_le_bk_prime = partial(check, "b0_le_bk_prime")
+single_prime_boundary = partial(check, "single_prime_boundary")
 
 
 def run_all(p_max: int = 1000, d_max: int = 100) -> list[PropertyResult]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rmbounds
 from rmbounds import arith, cli, cyclo
 from rmbounds.arith import primes_up_to
-from rmbounds.bounds import b0_bound
+from rmbounds.bounds import b0_bound, forced_subfield_exponent
 from rmbounds.cyclo import (
     Compositum,
     Determination,
@@ -27,7 +27,6 @@ from rmbounds.cyclo import (
     _entry_degree,
     analyze_profile,
     enumerate_forbidden,
-    forced_field,
     genus2_rm_analysis,
 )
 
@@ -94,15 +93,15 @@ def test_profile_validation():
 
 @pytest.mark.parametrize("p, e", [(2, 28571), (3, 18026)])
 def test_forced_field_stops_at_4300_digits(p, e):
-    field = forced_field(p, e)
+    field = RealCyclotomicField(p, forced_subfield_exponent(p, e))
     assert len(str(p**field.r)) == 4300
     json.dumps(field.to_json_dict())
     assert analyze_profile({p: e}, 2).forced.components == (field,)
     assert genus2_rm_analysis({p: 2 * e}).analysis.forced.components == (field,)
     message = (f"exponent at prime {p} is too large: p^r of the forced field "
                "Q(zeta_{p^r})^+ has more than 4300 digits")
+    assert forced_subfield_exponent(p, e + 2) == field.r + 1
     for call in (  # one step up in r
-        lambda: forced_field(p, e + 2),
         lambda: RealCyclotomicField(p, field.r + 1),
         lambda: analyze_profile({p: e + 2}, 2),
         lambda: genus2_rm_analysis({p: 2 * (e + 2)}),
@@ -269,7 +268,7 @@ def _assert_same(engine, checked):
 @given(profile=profile_dicts, d=st.integers(min_value=1, max_value=24))
 def test_engine_built_fields_equal_checked_ones(profile, d):
     # The engine builds its fields and composita without the constructors' checks.
-    fields = [f for f in (forced_field(p, e) for p, e in sorted(profile.items())) if f is not None]
+    fields = [f for p, e in sorted(profile.items()) for f in analyze_profile({p: e}, d).forced.components]
     checked = [RealCyclotomicField(f.p, f.r) for f in fields]
     composita = [analyze_profile(profile, d).forced, analyze_profile(ExponentProfile.of(profile), d).forced]
     for engine in fields + [f for compositum in composita for f in compositum.components]:
@@ -310,8 +309,8 @@ def test_engine_checks_each_prime_once(monkeypatch):
     genus2_rm_analysis({5: 6, 2: 2})
     assert sorted(tested) == [2, 5]
     tested.clear()
-    assert forced_field(5, 3) == RealCyclotomicField(5, 1)
-    assert tested == [5, 5]  # once in forced_field, once in the checked constructor
+    assert analyze_profile({5: 3}, 2).forced.components == (RealCyclotomicField(5, 1),)
+    assert tested == [5, 5]  # once in the profile, once in the checked constructor
 
 
 @given(profile=profile_dicts)

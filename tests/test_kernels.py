@@ -56,6 +56,18 @@ def test_lambda_matches_digit_definition_huge(p, m):
     assert lambda_p(p, m) == oracle_lambda(p, m)
 
 
+# m = c * p^k has the one digit c < p, at position k, so lambda_p(m) = k * c * p^k; m runs to 4,300 digits.
+@pytest.mark.parametrize("p, c, k", [(2, 1, 14280), (3, 2, 9000), (1_000_003, 999_999, 715), (5, 3, 1)])
+def test_lambda_of_one_digit_closed_form(p, c, k):
+    assert lambda_p(p, c * p**k) == k * c * p**k
+
+
+# m = p^a + p^b (a != b) has the digit 1 at positions a and b, so lambda_p(m) = a * p^a + b * p^b.
+@pytest.mark.parametrize("p, a, b", [(2, 14280, 0), (3, 9000, 17), (7, 5086, 2543), (1_000_003, 715, 1)])
+def test_lambda_of_two_digits_closed_form(p, a, b):
+    assert lambda_p(p, p**a + p**b) == a * p**a + b * p**b
+
+
 TRIPLE_PRIMES = small_primes(50) + [101, 997, 7919, 65537, 999_983]
 TRIPLE_DIMENSIONS = list(range(1, 41)) + [720, 5040, 32768, 499_991, 2**23, 3**14, 9_999_991, 10**7]
 

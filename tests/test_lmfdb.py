@@ -1208,5 +1208,8 @@ def test_fixture_store_contents():
 
 
 def test_witness_json_round_trip(offline_client):
-    witness = offline_client.sharpness_scan(2, 7, 16384)
-    assert SharpnessWitness.at_level(witness.p, witness.d, witness.level) == witness
+    table = offline_client.annotate_table(10, 20000)  # the whole d <= 10 grid: every status occurs
+    assert {w.status for w in table.values()} == {"sharp", "almost_sharp", "none_found"}
+    for (p, d), witness in table.items():
+        assert (witness.p, witness.d) == (p, d)
+        assert SharpnessWitness.at_level(p, d, witness.level) == witness

@@ -8,6 +8,7 @@ box and the text of every failure message.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import tracemalloc
 from collections import Counter
@@ -123,12 +124,18 @@ def test_public_functions_are_the_table_entry_points():
         name for name, value in vars(verify).items()
         if inspect.isfunction(value) and value.__module__ == verify.__name__ and not name.startswith("_")
     }
-    assert functions == {"run_all", "check", "format_report", "b0_le_bk_prime", "single_prime_boundary"}
+    assert functions == {"run_all", "check", "format_report"}
+    for name in ("b0_le_bk_prime", "single_prime_boundary"):  # the kept views are check bound to a name
+        view = getattr(verify, name)
+        assert isinstance(view, functools.partial)
+        assert view.func is verify.check and view.args == (name,) and view.keywords == {}
 
 
 def test_kept_views_match_check():
     assert verify.b0_le_bk_prime(50, 10) == verify.check("b0_le_bk_prime", p_max=50, d_max=10)
     assert verify.single_prime_boundary(20, 6) == verify.check("single_prime_boundary", p_max=20, d_max=6)
+    # At check's defaults, (1000, 100), the oracle box clamps itself to (200, 64).
+    assert verify.single_prime_boundary() == verify.check("single_prime_boundary", 200, 64)
 
 
 def test_check_rejects_an_unknown_property():
