@@ -11,7 +11,6 @@ analysis.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -358,6 +357,12 @@ def enumerate_forbidden(
     for each prime, are omitted unless include_singletons is set.  Output is
     deterministically sorted by size, then entries.  prime_bound must be an
     int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
+
+    Larger profiles come from one depth-first walk over the admissible
+    prefixes, primes ascending, so the cost grows with their number.  A
+    profile's last entry is the first step at its prime that the prefix
+    makes inadmissible.  The walk keeps only its current path: fewer than
+    max_entries entries, and at most log2(d), as each at least doubles the degree.
     """
     require_dimension(d)
     require_int("prime_bound", prime_bound, 1, PMAX_LIMIT)
@@ -369,22 +374,45 @@ def enumerate_forbidden(
     # and each such step's degree divides d.  Each is usable with the degree one
     # step lower (1 for the first step): lowering that entry turns a profile's
     # degree D into D // g * lower.
-    usable: dict[int, list[tuple[int, int, int]]] = {}
+    primes: list[int] = []
+    usable: list[list[tuple[int, int, int]]] = []  # the (e, g, lower) steps of primes[i]
     for p in primes_up_to(prime_bound):
         cap = _b0(p, d)
         if include_singletons:
             results.append(ExponentProfile._unchecked(((p, cap + 1),)))
-        lower = 1
+        steps, lower = [], 1
         for e in range({2: 9, 3: 6}.get(p, 3), cap + 1, 2):
             g = _entry_degree(p, e)
-            usable.setdefault(p, []).append((e, g, lower))
+            steps.append((e, g, lower))
             lower = g
-    for k in range(2, min(max_entries, len(usable)) + 1):  # no combination holds more primes than are usable
-        for combo in itertools.combinations(usable, k):
-            for choice in itertools.product(*(usable[p] for p in combo)):
-                degree = math.prod(g for _, g, _ in choice)
-                if d % degree != 0 and all(d % (degree // g * lower) == 0 for _, g, lower in choice):
-                    results.append(ExponentProfile._unchecked(tuple(zip(combo, (e for e, _, _ in choice)))))
+        if steps:
+            primes.append(p)
+            usable.append(steps)
+    path: list[tuple[int, int, int, int]] = []  # (prime index, step index, g, lower) per entry of the prefix
+    total, i, s = 1, 0, 0  # the prefix's degree, and the next step to try: step s at primes[i]
+    while path or i < len(usable):
+        if i == len(usable):  # no prime left: drop the last entry and go on to its next step
+            i, s, g, _ = path.pop()
+            total //= g
+            s += 1
+            continue
+        if s == len(usable[i]):
+            i, s = i + 1, 0
+            continue
+        e, g, lower = usable[i][s]
+        degree = total * g
+        if d % degree == 0:
+            if len(path) + 1 < max_entries:
+                path.append((i, s, g, lower))
+                total, i, s = degree, i + 1, 0
+            else:
+                s += 1
+            continue
+        # Lowering this entry leaves the admissible step below it, so only the other entries are lowered.
+        if all(d % (degree // g_j * lower_j) == 0 for _, _, g_j, lower_j in path):
+            entries = tuple((primes[i_j], usable[i_j][s_j][0]) for i_j, s_j, _, _ in path)
+            results.append(ExponentProfile._unchecked(entries + ((primes[i], e),)))
+        i, s = i + 1, 0  # every higher step at primes[i] lowers to this inadmissible profile
     return sorted(results, key=lambda pr: (len(pr), pr.entries))
 
 

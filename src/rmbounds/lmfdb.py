@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .arith import PMAX_LIMIT, require_dimension, require_int, require_prime, valuation
+from .arith import PMAX_LIMIT, _valuation, require_dimension, require_int, require_prime, valuation
 from .bounds import ALMOST_SHARP, SHARP, _b0, table_primes
 
 logger = logging.getLogger(__name__)
@@ -101,11 +101,19 @@ class SharpnessWitness:
 
         Which level attains the exponent is database data and is taken as given.
         """
-        require_prime(p)
+        if level is None:
+            require_prime(p)
+        else:
+            valuation(p, level)  # checks p, then the level
         require_dimension(d)
+        return cls._at_level(p, d, level)
+
+    @classmethod
+    def _at_level(cls, p: int, d: int, level: int | None) -> "SharpnessWitness":
+        """at_level without the checks: p prime, d >= 1 and level None or an int >= 1 are the caller's to ensure."""
         if level is None:
             return cls(p=p, d=d, exponent_attained=None, level=None, status=NONE_FOUND)
-        cap, exponent = _b0(p, d), valuation(p, level)
+        cap, exponent = _b0(p, d), _valuation(p, level)
         if exponent not in (cap, cap - 1):
             raise ValueError(f"v_{p}({level}) = {exponent} attains neither B0({p},{d}) = {cap} nor {cap - 1}")
         return cls(p=p, d=d, exponent_attained=exponent, level=level, status=SHARP if exponent == cap else ALMOST_SHARP)
@@ -460,13 +468,13 @@ class OrbitDimClient:
                     skipped += 1
                     continue
                 if d in dims:
-                    return SharpnessWitness.at_level(p, d, level)
+                    return SharpnessWitness._at_level(p, d, level)
             if skipped:
                 logger.info(
                     "scan (p=%d, d=%d, e=%d): %d level(s) unavailable offline; rerun online to resume",
                     p, d, exponent, skipped,
                 )
-        return SharpnessWitness.at_level(p, d, None)
+        return SharpnessWitness._at_level(p, d, None)
 
     def annotate_table(
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None

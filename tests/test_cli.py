@@ -242,6 +242,10 @@ d\\p  p=2     p=3    p=5    p=7    p=11
 """
 
 
+# Whole outputs too long to hold here, one file per format.
+DATA = Path(__file__).parent / "data"
+FORBIDDEN_5040_ARGV = ["forbidden", "--d", "5040", "--pmax", "2000", "--max-entries", "4"]
+
 # Commands whose whole stdout is pinned, as (argv, stdout).
 EXACT_STDOUT = pytest.mark.parametrize(
     "argv, expected",
@@ -287,11 +291,17 @@ EXACT_STDOUT = pytest.mark.parametrize(
             SHARPNESS_2_7_JSON,
         ),
         (["verify", "--pmax", "19", "--dmax", "10", "--format", "json"], VERIFY_JSON_19_10),
+        # 400 profiles of two to four primes (268, 115 and 17), in each format
+        *(
+            (FORBIDDEN_5040_ARGV + ["--format", fmt], (DATA / f"forbidden-5040-2000-4.{suffix}").read_text())
+            for fmt, suffix in (("plain", "txt"), ("csv", "csv"), ("json", "json"))
+        ),
     ],
     ids=[
         "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
         "table-annotated-csv", "sharpness-none-found-plain", "forbidden-four-prime-plain", "verify-default-plain",
         "bound-plain", "bound-csv", "bound-json", "table-full-plain", "sharpness-json", "verify-json",
+        "forbidden-5040-plain", "forbidden-5040-csv", "forbidden-5040-json",
     ],
 )
 

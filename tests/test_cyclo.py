@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -447,6 +448,23 @@ def test_enumerate_forbidden_huge_max_entries_returns_promptly():
     env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=5)
     assert result.returncode == 0, result.stderr
+
+
+def test_enumerate_forbidden_large_max_entries_at_a_composite_d():
+    # At d = 5040 the largest minimal profile over p <= 2000 has five primes.
+    five = enumerate_forbidden(5040, 2000, 5)
+    assert len(five) == 401
+    assert enumerate_forbidden(5040, 2000, 7) == five
+
+
+def test_enumerate_forbidden_leaves_no_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_forbidden(5040, 2000, 4)
+        assert gc.collect() == 0  # no reference cycle is left behind for the collector
+    finally:
+        gc.enable()
 
 
 # (arguments, message): prime_bound and max_entries are ints, not floats or bools,

@@ -11,6 +11,7 @@ caps also check ``analyze_profile`` on random profiles, at dimensions up to
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -158,6 +159,26 @@ def test_oracle_matches_enumerate_forbidden_four_primes():
 @pytest.mark.parametrize("d", sorted(REFERENCE_FORBIDDEN_PAIRS))
 def test_oracle_reproduces_reference_lists(d):
     assert minimal_forbidden_pairs(d) == REFERENCE_FORBIDDEN_PAIRS[d]
+
+
+# A sweep past the oracle's reach: every d below 200 and five highly composite
+# ones, over three (prime bound, max entries) boxes, with and without singletons.
+SWEEP_DIMENSIONS = (*range(1, 200), 360, 720, 840, 1260, 5040)
+SWEEP_BOXES = ((100, 2), (500, 3), (1000, 4))
+# sha256 of the sweep's text, as the earlier combinations-times-product
+# enumeration wrote it.
+SWEEP_SHA256 = "a70c2cfd840bef5217fec096f8de8cfd0e867982268a8044d4de97f0763f9ab3"
+
+
+def test_enumerate_forbidden_sweep_is_pinned():
+    lines = []
+    for d in SWEEP_DIMENSIONS:
+        for prime_bound, max_entries in SWEEP_BOXES:
+            for singletons in (False, True):
+                found = enumerate_forbidden(d, prime_bound, max_entries, include_singletons=singletons)
+                lines.append(f"{d} {prime_bound} {max_entries} {int(singletons)}: " + " ".join(map(str, found)))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 
 
 # Dimensions above 2^30: powers of 2 and 3, and products with a few other primes.

@@ -1213,3 +1213,32 @@ def test_witness_json_round_trip(offline_client):
     for (p, d), witness in table.items():
         assert (witness.p, witness.d) == (p, d)
         assert SharpnessWitness.at_level(p, d, witness.level) == witness
+
+
+# (p, d, level, message): at_level checks p, then the level, then d.
+AT_LEVEL_FAULTS = [
+    (4, 2, None, "4 is not prime"),
+    (4, 2, 16, "4 is not prime"),
+    (2.0, 2, None, "prime 2.0 is not an integer"),
+    (2, 2, 0, "valuation of 0 is undefined; need n >= 1"),
+    (2, 2, 2.0, "n 2.0 is not an integer"),
+    (2, 0, None, "expected dimension >= 1, got 0"),
+    (2, 0, 512, "expected dimension >= 1, got 0"),
+    (3, 9, 3**7, "v_3(2187) = 7 attains neither B0(3,9) = 9 nor 8"),
+]
+
+
+@pytest.mark.parametrize("p, d, level, message", AT_LEVEL_FAULTS)
+def test_at_level_messages(p, d, level, message):
+    with pytest.raises(ValueError) as info:
+        SharpnessWitness.at_level(p, d, level)
+    assert str(info.value) == message
+
+
+def test_scan_checks_each_cell_once(monkeypatch, offline_client):
+    checked = []
+    monkeypatch.setattr(lmfdb, "require_prime", lambda p: checked.append(p) or p)
+    monkeypatch.setattr(lmfdb, "valuation", None)  # a checked valuation per witness would fail here
+    table = offline_client.annotate_table(10, 20000)
+    assert {w.status for w in table.values()} == {"sharp", "almost_sharp", "none_found"}
+    assert sorted(checked) == sorted(p for p, _ in table)
