@@ -317,19 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     prime_bound = _int_arg(functools.partial(require_int, "a prime bound", maximum=PMAX_LIMIT))
     table_prime_bound = _int_arg(functools.partial(require_int, "a prime bound", minimum=2, maximum=PMAX_LIMIT))
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="plain")
-
-    def add_network(p):
-        p.add_argument("--cache", default=None, help="path to the JSON-lines cache file")
-        p.add_argument("--base-url", default=lmfdb.BASE_URL, help="database API base URL")
-        p.add_argument("--offline", action="store_true", help="never touch the network")
-        p.add_argument("--strict", action="store_true", help="fail instead of skipping unavailable levels")
-
     p_bound = sub.add_parser("bound", help="the three bounds for one (p, d)")
     p_bound.add_argument("--p", type=prime, required=True)
     p_bound.add_argument("--d", type=positive, required=True)
-    add_format(p_bound)
 
     p_table = sub.add_parser("table", help="bound grid over d = 1..dmax, primes <= pmax")
     p_table.add_argument("--dmax", type=positive, required=True)
@@ -337,36 +327,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--full", action="store_true", help="include the trivial cells with p > 2d + 1")
     p_table.add_argument("--annotate", action="store_true", help="merge sharpness flags from orbit data")
     p_table.add_argument("--budget", type=positive, default=10000, help="largest level scanned")
-    add_network(p_table)
-    add_format(p_table)
 
     p_profile = sub.add_parser("profile", help="admissibility analysis of a factored level")
     p_profile.add_argument("--d", type=positive, required=True)
     p_profile.add_argument("profile", help='prime-power profile, e.g. "2^9,5^3"')
-    add_format(p_profile)
 
     p_forbidden = sub.add_parser("forbidden", help="minimal inadmissible exponent combinations")
     p_forbidden.add_argument("--d", type=positive, required=True)
     p_forbidden.add_argument("--pmax", type=prime_bound, default=19)
     p_forbidden.add_argument("--max-entries", type=positive, default=2)
     p_forbidden.add_argument("--include-singletons", action="store_true")
-    add_format(p_forbidden)
 
     p_genus2 = sub.add_parser("genus2", help="simplicity and endomorphism field of a genus-2 RM Jacobian")
     p_genus2.add_argument("profile", help='conductor valuations, e.g. "5^6"')
-    add_format(p_genus2)
 
     p_sharp = sub.add_parser("sharpness", help="search orbit data for a bound-attaining newform")
     p_sharp.add_argument("--p", type=prime, required=True)
     p_sharp.add_argument("--d", type=positive, required=True)
     p_sharp.add_argument("--budget", type=positive, required=True)
-    add_network(p_sharp)
-    add_format(p_sharp)
 
     p_verify = sub.add_parser("verify", help="exhaustively check the bound inequalities")
     p_verify.add_argument("--pmax", type=prime_bound, default=1000)
     p_verify.add_argument("--dmax", type=positive, default=100)
-    add_format(p_verify)
+
+    # The shared flags follow each command's own, so --help lists them last: the orbit-data flags, then --format.
+    for p in (p_table, p_sharp):
+        p.add_argument("--cache", default=None, help="path to the JSON-lines cache file")
+        p.add_argument("--base-url", default=lmfdb.BASE_URL, help="database API base URL")
+        p.add_argument("--offline", action="store_true", help="never touch the network")
+        p.add_argument("--strict", action="store_true", help="fail instead of skipping unavailable levels")
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="plain")
 
     return parser
 

@@ -62,27 +62,29 @@ def _entry_fault(p: int, e: int, seen) -> tuple[str, int] | None:
     return None
 
 
-@dataclass(frozen=True, order=True)
-class ExponentProfile:
-    """A finite set of (prime, exponent >= 1) pairs at pairwise distinct primes."""
+class ExponentProfile(tuple):
+    """A finite set of (prime, exponent >= 1) pairs at pairwise distinct primes: the tuple of its pairs, ascending."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[int, int], ...]):
         seen = set()
-        for p, e in self.entries:
+        for p, e in entries:
             fault = _entry_fault(p, e, seen)
             if fault:
                 raise ValueError(fault[0])
             seen.add(p)
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        return tuple.__new__(cls, sorted(entries))
 
-    @classmethod
-    def _unchecked(cls, entries: tuple[tuple[int, int], ...]) -> "ExponentProfile":
-        """A profile of entries already known to pass the rules, at ascending distinct primes; nothing is checked."""
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "entries", entries)
-        return profile
+    # A profile of entries already known to pass the rules, at ascending distinct primes; nothing is checked.
+    _unchecked = classmethod(tuple.__new__)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
+
+    def __repr__(self):
+        return f"ExponentProfile(entries={tuple(self)!r})"
 
     @classmethod
     def of(cls, mapping) -> "ExponentProfile":
@@ -121,22 +123,16 @@ class ExponentProfile:
                 raise ProfileParseError(message, pos + m.start(part))
             entries[p] = e
             pos += len(token) + 1  # past this token and the comma
-        return cls._unchecked(tuple(sorted(entries.items())))
+        return cls._unchecked(sorted(entries.items()))
 
     def without(self, p: int) -> "ExponentProfile":
-        return ExponentProfile._unchecked(tuple((q, e) for q, e in self.entries if q != p))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+        return ExponentProfile._unchecked((q, e) for q, e in self if q != p)
 
     def __str__(self):
-        return ",".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.entries)
+        return ",".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self)
 
     def to_json_list(self) -> list[dict]:
-        return [{"p": p, "e": e} for p, e in self.entries]
+        return [{"p": p, "e": e} for p, e in self]
 
     @classmethod
     def from_json_list(cls, items: list[dict]) -> "ExponentProfile":
@@ -179,9 +175,6 @@ class RealCyclotomicField:
             return "Q(sqrt(5))"
         return f"Q(zeta_{self.p ** self.r})^+"
 
-    def __str__(self):
-        return self.name
-
     def to_json_dict(self) -> dict:
         return {"p": self.p, "r": self.r, "degree": self.degree, "name": self.name}
 
@@ -221,9 +214,6 @@ class Compositum:
             return "Q"
         ordered = sorted(self.components, key=lambda f: (f.degree, f.p))
         return " * ".join(f.name for f in ordered)
-
-    def __str__(self):
-        return self.name
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "components": [f.to_json_dict() for f in self.components]}
@@ -413,7 +403,7 @@ def enumerate_forbidden(
             entries = tuple((primes[i_j], usable[i_j][s_j][0]) for i_j, s_j, _, _ in path)
             results.append(ExponentProfile._unchecked(entries + ((primes[i], e),)))
         i, s = i + 1, 0  # every higher step at primes[i] lowers to this inadmissible profile
-    return sorted(results, key=lambda pr: (len(pr), pr.entries))
+    return sorted(results, key=lambda pr: (len(pr), pr))
 
 
 @dataclass(frozen=True)

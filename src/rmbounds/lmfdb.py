@@ -188,29 +188,33 @@ def load_store(lines, where: str) -> dict[int, dict]:
 class OrbitDimCache:
     """Append-only JSON-lines cache of orbit-degree records.
 
-    One writer with concurrent readers: appends are serialized by a lock
-    and written as single lines; loading applies last-writer-wins per level.
-    The first put opens one append handle, and every put flushes its line
-    before it returns.  The handle is closed by close() or when the cache is
-    dropped.  put checks each record against the loader's rules, so nothing
-    it writes can make the file fail to load.
+    Appends are serialized by a lock and written as single lines; loading
+    applies last-writer-wins per level.  Caches that write one after another
+    keep each other's records, but writers in concurrent processes are not
+    serialized.  The first put opens one append handle, and every put flushes
+    its line before it returns.  The handle is closed by close() or when the
+    cache is dropped.  put checks each record against the loader's rules, so
+    nothing it writes can make the file fail to load.
 
     A write cut short by a crash leaves an unterminated last line.  Loading
     skips it with a warning if it does not parse, and the first put cuts it
-    off before appending, so the file stays loadable.  Malformed complete
-    lines are still rejected.
+    off before appending, so the file stays loadable; it reads the file
+    again first, so it never cuts off a record another cache appended.
+    Malformed complete lines are still rejected.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._records: dict[int, dict] = {}
-        # Where the first put cuts the file and what it writes back first: the
-        # unterminated last line's record with its newline, if it parsed.
-        self._cut: int | None = None
-        self._carry = ""
         self._handle = None
         self._finalizer = None
+        self._load()
+
+    def _load(self) -> None:
+        """Read the file's records.  The first put is to cut an unterminated last line off, then write
+        it back with its newline if it parsed as a record."""
+        records: dict[int, dict] = {}
+        cut, carry = None, ""
         if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
@@ -220,17 +224,19 @@ class OrbitDimCache:
             except UnicodeDecodeError as exc:
                 lineno = data.count(b"\n", 0, exc.start) + 1
                 raise ValueError(f"{self.path}:{lineno}: not valid UTF-8") from exc
-            self._records = load_store(lines, str(self.path))
+            records = load_store(lines, str(self.path))
             tail = data[end:].decode("utf-8", errors="replace").strip()
             if tail:
-                self._cut = end
+                cut = end
                 try:
                     obj = _parse_store_line(tail, lambda: f"{self.path}:{len(lines) + 1}")
                 except ValueError as exc:
                     logger.warning("ignoring the unterminated last line, left by an interrupted write: %s", exc)
                 else:
-                    self._records[obj["level"]] = obj
-                    self._carry = tail + "\n"
+                    records[obj["level"]] = obj
+                    carry = tail + "\n"
+        # One assignment, so a concurrent get never sees the map half-built.
+        self._records, self._cut, self._carry = records, cut, carry
 
     def get(self, level: int) -> dict | None:
         return self._records.get(level)
@@ -251,6 +257,8 @@ class OrbitDimCache:
                 handle = open(self.path, "a", encoding="utf-8", newline="\n")
                 # Closes the handle once: at close(), or when the cache is dropped unclosed.
                 self._finalizer = weakref.finalize(self, handle.close)
+                if self._cut is not None:  # another writer may have cut the line and appended, even to the same length
+                    self._load()
                 if self._cut is not None:
                     handle.truncate(self._cut)
                     handle.write(self._carry)
@@ -381,7 +389,7 @@ class OrbitDimClient:
         url = self._url
         params = {"level": f"i{level}", "weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}
         dims: list[int] = []
-        followed = None  # the next URLs requested so far; made at the first next, so one page makes no set
+        followed = set()  # the next URLs requested so far
         while True:
             body = self._request_with_backoff(url, params)
             if not isinstance(body, dict) or "data" not in body:
@@ -404,9 +412,7 @@ class OrbitDimClient:
             url, params = next_url, {}
             if url.startswith("/"):
                 url = self.base_url + url
-            if followed is None:
-                followed = set()
-            elif url in followed:
+            if url in followed:
                 raise MalformedResponse(f"'next' repeats {url} for level {level}")
             followed.add(url)
 

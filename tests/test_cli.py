@@ -1164,6 +1164,58 @@ def test_commands_parser_and_json_readers_name_the_same_commands():
     assert list(cli.COMMANDS) == list(subparsers.choices)
 
 
+# Each subcommand's actions, in order: (option strings, dest, default, required, choices, help, nargs).
+# Argparse's help layout differs between Python versions; its actions do not.
+_HELP = (("-h", "--help"), "help", "==SUPPRESS==", False, None, "show this help message and exit", 0)
+_ORBIT_DATA = [
+    (("--cache",), "cache", None, False, None, "path to the JSON-lines cache file", None),
+    (("--base-url",), "base_url", "https://www.lmfdb.org", False, None, "database API base URL", None),
+    (("--offline",), "offline", False, False, None, "never touch the network", 0),
+    (("--strict",), "strict", False, False, None, "fail instead of skipping unavailable levels", 0),
+]
+_FORMAT = (("--format",), "format", "plain", False, ("plain", "csv", "json"), None, None)
+SUBCOMMAND_ACTIONS = {
+    "bound": [(("--p",), "p", None, True, None, None, None), (("--d",), "d", None, True, None, None, None)],
+    "table": [
+        (("--dmax",), "dmax", None, True, None, None, None),
+        (("--pmax",), "pmax", 19, False, None, None, None),
+        (("--full",), "full", False, False, None, "include the trivial cells with p > 2d + 1", 0),
+        (("--annotate",), "annotate", False, False, None, "merge sharpness flags from orbit data", 0),
+        (("--budget",), "budget", 10000, False, None, "largest level scanned", None),
+        *_ORBIT_DATA,
+    ],
+    "profile": [
+        (("--d",), "d", None, True, None, None, None),
+        ((), "profile", None, True, None, 'prime-power profile, e.g. "2^9,5^3"', None),
+    ],
+    "forbidden": [
+        (("--d",), "d", None, True, None, None, None),
+        (("--pmax",), "pmax", 19, False, None, None, None),
+        (("--max-entries",), "max_entries", 2, False, None, None, None),
+        (("--include-singletons",), "include_singletons", False, False, None, None, 0),
+    ],
+    "genus2": [((), "profile", None, True, None, 'conductor valuations, e.g. "5^6"', None)],
+    "sharpness": [
+        (("--p",), "p", None, True, None, None, None),
+        (("--d",), "d", None, True, None, None, None),
+        (("--budget",), "budget", None, True, None, None, None),
+        *_ORBIT_DATA,
+    ],
+    "verify": [(("--pmax",), "pmax", 1000, False, None, None, None), (("--dmax",), "dmax", 100, False, None, None, None)],
+}
+
+
+def test_each_subcommand_has_its_flags_then_the_shared_ones_in_order():
+    subparsers = next(action for action in cli.build_parser()._actions if action.dest == "command")
+    assert list(subparsers.choices) == list(SUBCOMMAND_ACTIONS)
+    for name, parser in subparsers.choices.items():
+        actions = [
+            (tuple(a.option_strings), a.dest, a.default, a.required, a.choices and tuple(a.choices), a.help, a.nargs)
+            for a in parser._actions
+        ]
+        assert actions == [_HELP, *SUBCOMMAND_ACTIONS[name], _FORMAT], name
+
+
 @pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
 def test_json_output_renders_no_lines(capsys, monkeypatch, argv):
     def must_not_render(result, args):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -90,6 +91,22 @@ def test_profile_validation():
         with pytest.raises(ProfileParseError) as parsed:
             ExponentProfile.parse(text)
         assert str(parsed.value) == f"{message} (at position {position})"
+
+
+def test_profile_is_the_tuple_of_its_entries():
+    pairs = ((2, 9), (5, 3))
+    profile = ExponentProfile(entries=((5, 3), (2, 9)))  # checked, then sorted
+    assert profile == pairs and hash(profile) == hash(pairs) and {pairs: 1}[profile] == 1
+    assert profile == ExponentProfile.parse("5^3,2^9") == ExponentProfile.of({5: 3, 2: 9})
+    assert repr(profile) == "ExponentProfile(entries=((2, 9), (5, 3)))" and str(profile) == "2^9,5^3"
+    assert type(profile.entries) is tuple and profile.entries == pairs
+    assert len(profile) == 2 and list(profile) == list(pairs) and profile.without(5) == ((2, 9),)
+    assert ExponentProfile.parse("2^9") < profile < ExponentProfile.parse("3")  # ordered by entries
+    assert not ExponentProfile.parse("") and ExponentProfile.parse("") == ()
+    copied = pickle.loads(pickle.dumps(profile))
+    assert copied == profile and type(copied) is ExponentProfile
+    with pytest.raises(ValueError, match="^prime 5 occurs twice$"):
+        ExponentProfile(entries=((5, 3), (2, 9), (5, 1)))
 
 
 @pytest.mark.parametrize("p, e", [(2, 28571), (3, 18026)])

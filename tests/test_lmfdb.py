@@ -8,7 +8,10 @@ import json
 import logging
 import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rmbounds
 from rmbounds import lmfdb
 from rmbounds.arith import primes_up_to
 from rmbounds.bounds import GRID_LIMIT, b0_bound
@@ -393,6 +397,62 @@ def test_cache_put_after_torn_last_line_keeps_every_record(tmp_path):
     assert file_levels(path) == [10, 11, 13]
     assert reloaded.get(11)["dims"] == [2, 3] and reloaded.get(13)["dims"] == [4]
     assert path.read_text().count("\n") == 3
+
+
+@pytest.mark.parametrize("tail", ["torn", "complete", "same-length"])
+def test_cache_writers_one_after_another_keep_each_others_records(tmp_path, tail):
+    # Both caches load the same unterminated last line; the second's first put
+    # must not cut the file where it ended at the load, under the first's record.
+    path = tmp_path / "cache.jsonl"
+    write_torn_cache(path)
+    head = path.read_text().rsplit("\n", 1)[0] + "\n"
+    record = ('{"level": 12, "weight": 2, "char_trivial": true, "dims": [1, 2, 3, 4, 5, 6], '
+              '"fetched_at": "2026-01-01T00:00:00Z"}')
+    first_line = ('{"level": 13, "weight": 2, "char_trivial": true, "dims": [4], '
+                  '"fetched_at": "2026-01-01T00:00:00Z"}\n')
+    if tail == "complete":  # a whole record cut off just before its newline
+        path.write_text(head + record)
+    elif tail == "same-length":  # torn at the first put's line length, so that put leaves the length as it was
+        path.write_text(head + record[: len(first_line)])
+    first, second = OrbitDimCache(path), OrbitDimCache(path)
+    first.put(13, [4], fetched_at="2026-01-01T00:00:00Z")
+    assert path.read_text().endswith(first_line)
+    second.put(14, [5])
+    expected = [10, 11, 12, 13, 14] if tail == "complete" else [10, 11, 13, 14]
+    assert file_levels(path) == expected
+    assert path.read_text().count("\n") == len(expected)
+    assert second.get(13)["dims"] == [4]  # the second cache read the file again before its cut
+    first.close()
+    second.close()
+
+
+def test_cache_survives_a_writer_killed_in_a_burst_of_puts(tmp_path):
+    # A real crash, not a hand-written torn line: the writer is SIGKILLed while it puts levels 1, 2, 3, ...
+    path = tmp_path / "cache.jsonl"
+    script = (
+        "import sys\n"
+        "from rmbounds.lmfdb import OrbitDimCache\n"
+        "cache = OrbitDimCache(sys.argv[1])\n"
+        "for level in range(1, 100001):\n"
+        "    cache.put(level, [level % 7 + 1])\n"
+        "    if level == 50:\n"
+        "        print('burst', flush=True)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rmbounds.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-c", script, str(path)], env=env, stdout=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.readline() == b"burst\n"
+        finally:
+            child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=10) == -signal.SIGKILL  # killed in the middle of the burst
+    cache = OrbitDimCache(path)
+    levels = [level for level in range(1, 100001) if cache.get(level)]
+    assert len(levels) >= 50 and levels == list(range(1, len(levels) + 1))  # a prefix of the put order
+    cache.put(10**6, [1])
+    cache.close()
+    reloaded = OrbitDimCache(path)
+    assert [level for level in [*levels, 10**6] if reloaded.get(level)] == [*levels, 10**6]
+    assert path.read_bytes().count(b"\n") == len(levels) + 1
 
 
 def test_cache_keeps_unterminated_complete_last_line(tmp_path):
