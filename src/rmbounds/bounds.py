@@ -200,6 +200,7 @@ def render_table(
         for p in primes:
             if p > 2 * d + 1 and not include_trivial:
                 continue
-            status = sharpness.get((p, d)) if sharpness else None  # only _MARKS's keys flag a cell
-            cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=status if status in _MARKS else UNKNOWN)
+            status = sharpness.get((p, d)) if sharpness else None
+            flag = status if status in _MARKS else UNKNOWN  # only _MARKS's keys flag a cell
+            cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=flag)
     return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells, annotated=sharpness is not None)

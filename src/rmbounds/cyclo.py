@@ -68,6 +68,7 @@ class ExponentProfile(tuple):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[tuple[int, int], ...]):
+        entries = tuple(entries)  # once, so the checks and the sort see the same pairs, even from a generator
         seen = set()
         for p, e in entries:
             fault = _entry_fault(p, e, seen)

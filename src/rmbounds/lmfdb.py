@@ -253,12 +253,12 @@ class OrbitDimCache:
         )
         with self._lock:
             if self._handle is None:
+                if self._cut is not None:  # another writer may have cut and appended; read before a handle opens
+                    self._load()
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 handle = open(self.path, "a", encoding="utf-8", newline="\n")
                 # Closes the handle once: at close(), or when the cache is dropped unclosed.
                 self._finalizer = weakref.finalize(self, handle.close)
-                if self._cut is not None:  # another writer may have cut the line and appended, even to the same length
-                    self._load()
                 if self._cut is not None:
                     handle.truncate(self._cut)
                     handle.write(self._carry)

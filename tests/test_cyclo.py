@@ -107,6 +107,12 @@ def test_profile_is_the_tuple_of_its_entries():
     assert copied == profile and type(copied) is ExponentProfile
     with pytest.raises(ValueError, match="^prime 5 occurs twice$"):
         ExponentProfile(entries=((5, 3), (2, 9), (5, 1)))
+    # A generator is read once, so its pairs are both checked and kept; dataclasses rebuild a profile from one.
+    assert ExponentProfile(entries=(pair for pair in ((5, 3), (2, 9)))) == pairs
+    with pytest.raises(ValueError, match="^prime 5 occurs twice$"):
+        ExponentProfile(entries=(pair for pair in ((5, 3), (5, 1))))
+    assert dataclasses.asdict(analyze_profile({2: 9, 5: 3}, 12))["profile"] == profile
+    assert dataclasses.astuple(genus2_rm_analysis({2: 9, 5: 3}))[0] == profile
 
 
 @pytest.mark.parametrize("p, e", [(2, 28571), (3, 18026)])

@@ -426,6 +426,22 @@ def test_cache_writers_one_after_another_keep_each_others_records(tmp_path, tail
     second.close()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's open files through /proc")
+def test_cache_put_whose_read_again_fails_opens_no_file(tmp_path):
+    # Another writer leaves a line that does not load before this cache's first put reads the file again.
+    path = tmp_path / "cache.jsonl"
+    write_torn_cache(path)
+    cache = OrbitDimCache(path)
+    with open(path, "ab") as handle:
+        handle.write(b"\n\xff\n")
+    open_files = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not valid UTF-8"):
+            cache.put(13, [4])
+    assert len(os.listdir("/proc/self/fd")) == open_files
+    cache.close()
+
+
 def test_cache_survives_a_writer_killed_in_a_burst_of_puts(tmp_path):
     # A real crash, not a hand-written torn line: the writer is SIGKILLed while it puts levels 1, 2, 3, ...
     path = tmp_path / "cache.jsonl"
