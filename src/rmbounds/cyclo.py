@@ -350,10 +350,16 @@ def enumerate_forbidden(
     int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
 
     Larger profiles come from one depth-first walk over the admissible
-    prefixes, primes ascending, so the cost grows with their number.  A
-    profile's last entry is the first step at its prime that the prefix
-    makes inadmissible.  The walk keeps only its current path: fewer than
-    max_entries entries, and at most log2(d), as each at least doubles the degree.
+    prefixes, primes ascending, so the cost grows with their number times
+    the usable primes.  A profile's last entry is the first step at its
+    prime that the prefix makes inadmissible.  A prefix of degree D carries
+    r = d // D and G, the gcd over its entries j of r * g_j // lower_j (0 for
+    no entry), where lowering entry j turns the degree g_j into lower_j.  A
+    step of degree g is admissible iff g divides r.  Lowering entry j of the
+    inadmissible profile leaves an admissible one iff D // g_j * lower_j * g
+    divides d, that is iff g divides r * g_j // lower_j: so the profile is
+    minimal iff g divides G.  Pending prefixes end in distinct usable steps,
+    so the walk holds at most that many, each of fewer than max_entries entries.
     """
     require_dimension(d)
     require_int("prime_bound", prime_bound, 1, PMAX_LIMIT)
@@ -379,31 +385,19 @@ def enumerate_forbidden(
         if steps:
             primes.append(p)
             usable.append(steps)
-    path: list[tuple[int, int, int, int]] = []  # (prime index, step index, g, lower) per entry of the prefix
-    total, i, s = 1, 0, 0  # the prefix's degree, and the next step to try: step s at primes[i]
-    while path or i < len(usable):
-        if i == len(usable):  # no prime left: drop the last entry and go on to its next step
-            i, s, g, _ = path.pop()
-            total //= g
-            s += 1
-            continue
-        if s == len(usable[i]):
-            i, s = i + 1, 0
-            continue
-        e, g, lower = usable[i][s]
-        degree = total * g
-        if d % degree == 0:
-            if len(path) + 1 < max_entries:
-                path.append((i, s, g, lower))
-                total, i, s = degree, i + 1, 0
-            else:
-                s += 1
-            continue
-        # Lowering this entry leaves the admissible step below it, so only the other entries are lowered.
-        if all(d % (degree // g_j * lower_j) == 0 for _, _, g_j, lower_j in path):
-            entries = tuple((primes[i_j], usable[i_j][s_j][0]) for i_j, s_j, _, _ in path)
-            results.append(ExponentProfile._unchecked(entries + ((primes[i], e),)))
-        i, s = i + 1, 0  # every higher step at primes[i] lowers to this inadmissible profile
+    # A child by a step (g, lower) divides r and every r * g_j // lower_j by g, and adds r // lower.
+    stack = [((), d, 0, 0)]  # (entries, r, G, the index of the first prime to extend by) per pending prefix
+    while stack:
+        entries, r, G, first = stack.pop()
+        deeper = len(entries) + 1 < max_entries
+        for i in range(first, len(primes)):
+            for e, g, lower in usable[i]:
+                if r % g:
+                    if G % g == 0:
+                        results.append(ExponentProfile._unchecked(entries + ((primes[i], e),)))
+                    break  # every higher step at primes[i] lowers to this inadmissible profile
+                if deeper:
+                    stack.append((entries + ((primes[i], e),), r // g, math.gcd(G // g, r // lower), i + 1))
     return sorted(results, key=lambda pr: (len(pr), pr))
 
 

@@ -426,6 +426,19 @@ def test_enumerate_forbidden_minimality_by_reevaluation():
                 assert analyze_profile(profile.without(p), d).admissible, (d, profile, p)
 
 
+@pytest.mark.parametrize("d", [360, 720, 5040])
+def test_enumerate_forbidden_minimality_by_lowering_each_entry(d):
+    # Each entry sits at the least exponent forcing its degree, so one less
+    # forces the step below it (dropping the prime when that gives 0).
+    profiles = enumerate_forbidden(d, 2000, 5)
+    assert max(map(len, profiles)) >= 3
+    for profile in profiles:
+        assert not analyze_profile(profile, d).admissible, profile
+        for p, e in profile:
+            lowered = {**dict(profile), p: e - 1} if e > 1 else dict(profile.without(p))
+            assert analyze_profile(lowered, d).admissible, (profile, p)
+
+
 def test_enumerate_forbidden_singletons():
     singles = enumerate_forbidden(2, 19, 1, include_singletons=True)
     assert all(len(s) == 1 for s in singles)

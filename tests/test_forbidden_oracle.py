@@ -181,6 +181,33 @@ def test_enumerate_forbidden_sweep_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 
 
+# The uncapped atlas: every d up to 1000, at primes up to 1000, with more
+# entries allowed than any minimal profile there has.  sha256 of its text, as
+# the walk that tested minimality entry by entry wrote it.
+ATLAS_SHA256 = "3c2618782c709ea98343403a4d82d24de102054f3e2be637a8cb533011f4c6b5"
+
+
+def test_uncapped_atlas_is_pinned():
+    atlas = {d: enumerate_forbidden(d, 1000, 64) for d in range(1, 1001)}
+    text = "".join(f"{d}: " + " ".join(map(str, profiles)) + "\n" for d, profiles in atlas.items())
+    assert sum(map(len, atlas.values())) == 8898
+    assert max(map(len, atlas.values())) == 147
+    assert hashlib.sha256(text.encode()).hexdigest() == ATLAS_SHA256
+
+
+# Two deep walks at composite d, past the sweep's four entries, pinned the same way.
+DEEP_CALLS = {(720720, 2000, 5): 1936, (2**20 * 3**6, 1000, 10): 1692}
+DEEP_SHA256 = "09f08c77074536955afa1fb4d4441ad8320d67c47bb1eb82970220da8d346011"
+
+
+def test_deep_composite_calls_are_pinned():
+    found = {call: enumerate_forbidden(*call) for call in DEEP_CALLS}
+    text = "".join(f"{d} {prime_bound} {max_entries}: " + " ".join(map(str, profiles)) + "\n"
+                   for (d, prime_bound, max_entries), profiles in found.items())
+    assert {call: len(profiles) for call, profiles in found.items()} == DEEP_CALLS
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
+
+
 # Dimensions above 2^30: powers of 2 and 3, and products with a few other primes.
 large_dimensions = st.one_of(
     st.integers(31, 64).map(lambda k: 2**k),
