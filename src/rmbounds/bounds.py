@@ -16,9 +16,10 @@ bounds out on a (d, p) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
-from .arith import PMAX_LIMIT, _lambda, _valuation, primes_up_to, require_dimension, require_int, require_prime
+from .arith import PMAX_LIMIT, _lambda, _sieve, _valuation, primes_up_to, require_dimension, require_int, require_prime
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
@@ -74,6 +75,15 @@ def _b0(p: int, d: int) -> int:
     if (2 * d) % (p - 1) == 0:
         return 4 + 2 * _valuation(p, d)
     return 2
+
+
+def _primes_b0_above_2(d: int, bound: int) -> list[int]:
+    """The primes p <= bound with _b0(p, d) > 2, ascending, from one sieve of min(bound, 2d + 1) bytes.
+
+    These are the p with (p - 1) | 2d (2 and 3 always), so all are at most 2d + 1.
+    """
+    top = min(bound, 2 * d + 1)
+    return [q + 1 for q in compress(range(1, top), _sieve(top)[2:]) if (2 * d) % q == 0]
 
 
 def forced_subfield_exponent(p: int, e: int) -> int:

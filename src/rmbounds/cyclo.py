@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import PMAX_LIMIT, _real_cyclotomic_degree, is_prime, primes_up_to, require_dimension, require_int, require_prime
-from .bounds import _b0, _forced_exponent
+from .bounds import _b0, _forced_exponent, _primes_b0_above_2
 
 
 class ProfileParseError(ValueError):
@@ -349,6 +349,13 @@ def enumerate_forbidden(
     deterministically sorted by size, then entries.  prime_bound must be an
     int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
 
+    A prime is usable when some exponent up to B0(p, d) forces a field, so
+    only where B0(p, d) > 2: at 2, 3 and the primes p with (p - 1) | 2d, all
+    at most 2d + 1.  The set-up takes them from one sieve of
+    min(prime_bound, 2d + 1) bytes, with one division of 2d per prime in it
+    (bounds._primes_b0_above_2).  Only the singletons list every prime up to
+    prime_bound.
+
     Larger profiles come from one depth-first walk over the admissible
     prefixes, primes ascending, so the cost grows with their number times
     the usable primes.  A profile's last entry is the first step at its
@@ -367,18 +374,17 @@ def enumerate_forbidden(
     if type(include_singletons) is not bool:
         raise ValueError(f"include_singletons must be True or False, got {include_singletons!r}")
     results: list[ExponentProfile] = []
+    if include_singletons:
+        results = [ExponentProfile._unchecked(((p, _b0(p, d) + 1),)) for p in primes_up_to(prime_bound)]
     # Up to B0(p, d), Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3)
     # and each such step's degree divides d.  Each is usable with the degree one
     # step lower (1 for the first step): lowering that entry turns a profile's
     # degree D into D // g * lower.
     primes: list[int] = []
     usable: list[list[tuple[int, int, int]]] = []  # the (e, g, lower) steps of primes[i]
-    for p in primes_up_to(prime_bound):
-        cap = _b0(p, d)
-        if include_singletons:
-            results.append(ExponentProfile._unchecked(((p, cap + 1),)))
+    for p in _primes_b0_above_2(d, prime_bound):
         steps, lower = [], 1
-        for e in range({2: 9, 3: 6}.get(p, 3), cap + 1, 2):
+        for e in range({2: 9, 3: 6}.get(p, 3), _b0(p, d) + 1, 2):
             g = _entry_degree(p, e)
             steps.append((e, g, lower))
             lower = g

@@ -46,6 +46,14 @@ def test_primes_up_to():
     assert len(primes_up_to(1000)) == 168
 
 
+def test_primes_up_to_matches_trial_division():
+    by_trial = [n for n in range(2, 3001) if all(n % k for k in range(2, int(n**0.5) + 1))]
+    for bound in range(3001):
+        assert primes_up_to(bound) == [p for p in by_trial if p <= bound], bound
+    assert primes_up_to(-1) == []
+    assert len(primes_up_to(10**6)) == 78498
+
+
 def test_require_prime_rejects_composites():
     with pytest.raises(ValueError):
         require_prime(6)

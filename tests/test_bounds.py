@@ -6,9 +6,11 @@ import json
 import pytest
 
 from rmbounds import cli
+from rmbounds.arith import primes_up_to
 from rmbounds.bounds import (
     BoundTriple,
     TableCell,
+    _primes_b0_above_2,
     b0_bound,
     bk_bound,
     bk_prime_bound,
@@ -34,6 +36,14 @@ def test_b0_examples():
     assert b0_bound(2, 8) == 14
     assert b0_bound(7, 3) == 4
     assert b0_bound(5, 3) == 2
+
+
+def test_primes_b0_above_2_are_the_primes_where_b0_exceeds_2():
+    # Bounds at and around 2d + 1, the largest such prime, and past it.
+    for d in (*range(1, 121), 360, 720, 1009, 5040):
+        for bound in sorted({1, 2, 3, 4, 5, 97, 2 * d, 2 * d + 1, 2 * d + 2, 3000}):
+            expected = [p for p in primes_up_to(bound) if b0_bound(p, d) > 2]
+            assert _primes_b0_above_2(d, bound) == expected, (d, bound)
 
 
 def test_forced_subfield_exponent_examples():

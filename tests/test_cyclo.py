@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import rmbounds
 from rmbounds import arith, cli, cyclo
-from rmbounds.arith import primes_up_to
+from rmbounds.arith import PMAX_LIMIT, primes_up_to
 from rmbounds.bounds import b0_bound, forced_subfield_exponent
 from rmbounds.cyclo import (
     Compositum,
@@ -460,6 +460,29 @@ def test_profiles_built_from_checked_entries_are_not_checked_again(monkeypatch):
     profile = ExponentProfile.parse("5^3,2^9")
     assert (profile.entries, tested) == (((2, 9), (5, 3)), [5, 2])  # parse checks each entry once
     assert profile.without(5).entries == ((2, 9),) and tested == [5, 2]
+
+
+def test_enumerate_forbidden_finds_usable_primes_without_listing_every_prime(monkeypatch):
+    # Only a prime p with (p - 1) | 2d can force a field into degree d, and
+    # each is at most 2d + 1, so a bound past 2d + 1 changes nothing.
+    expected = enumerate_forbidden(5040, 10081, 3)
+    assert len(expected) == 471
+
+    def no_listing(bound):
+        raise AssertionError(f"primes_up_to({bound}) was called")
+
+    monkeypatch.setattr(cyclo, "primes_up_to", no_listing)
+    assert enumerate_forbidden(5040, PMAX_LIMIT, 3) == expected
+
+
+def test_enumerate_forbidden_singletons_use_every_prime(monkeypatch):
+    listed = []
+    monkeypatch.setattr(cyclo, "primes_up_to", lambda bound: listed.append(bound) or primes_up_to(bound))
+    found = enumerate_forbidden(12, 1000, 2, include_singletons=True)
+    assert listed == [1000]
+    singles = [profile for profile in found if len(profile) == 1]
+    assert [p for (p, _), in singles] == primes_up_to(1000)
+    assert all(e == b0_bound(p, 12) + 1 for (p, e), in singles)
 
 
 def test_enumerate_forbidden_singleton_beyond_exponent_64():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmbounds.arith import PMAX_LIMIT
 from rmbounds.cyclo import analyze_profile, enumerate_forbidden
 from test_acceptance import REFERENCE_FORBIDDEN_PAIRS
 
@@ -206,6 +207,36 @@ def test_deep_composite_calls_are_pinned():
                    for (d, prime_bound, max_entries), profiles in found.items())
     assert {call: len(profiles) for call, profiles in found.items()} == DEEP_CALLS
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
+
+
+# Prime bounds at the edges of each dimension's usable primes: the smallest
+# bounds, each prime p with (p - 1) | 2d on both sides, and the top of that
+# range at 2d + 1.  1009 is a prime whose 2d has no divisor q past 2 with q + 1
+# prime; 2^40 has only the Fermat primes, and bounds past PMAX_LIMIT are skipped.
+EDGE_DIMENSIONS = (*range(1, 65), 360, 720, 5040, 1009, 2**40)
+# sha256 of the edge sweep's text, as the enumeration that listed every prime up to the bound wrote it.
+EDGE_SHA256 = "734cca0ddd9acaf5d19cd24ab92f1ad2d0105c0ea7f3d1a48d2825e81367749a"
+
+
+def edge_bounds(d: int) -> list[int]:
+    """1..5, p - 1, p and p + 1 at each prime p <= PMAX_LIMIT with (p - 1) | 2d, and 2d..2d + 2, up to PMAX_LIMIT."""
+    divisors = {k for q in range(1, math.isqrt(2 * d) + 1) if 2 * d % q == 0 for k in (q, 2 * d // q)}
+    usable = [q + 1 for q in divisors
+              if q < PMAX_LIMIT and all((q + 1) % k for k in range(2, math.isqrt(q + 1) + 1))]
+    bounds = {1, 2, 3, 4, 5, 2 * d, 2 * d + 1, 2 * d + 2, *(p + step for p in usable for step in (-1, 0, 1))}
+    return sorted(b for b in bounds if b <= PMAX_LIMIT)
+
+
+def test_enumerate_forbidden_edge_sweep_is_pinned():
+    lines = []
+    for d in EDGE_DIMENSIONS:
+        for prime_bound in edge_bounds(d):
+            for max_entries in (1, 2, 3):
+                for singletons in (False, True):
+                    found = enumerate_forbidden(d, prime_bound, max_entries, include_singletons=singletons)
+                    lines.append(f"{d} {prime_bound} {max_entries} {int(singletons)}: " + " ".join(map(str, found)))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == EDGE_SHA256
 
 
 # Dimensions above 2^30: powers of 2 and 3, and products with a few other primes.
