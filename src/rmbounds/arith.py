@@ -90,7 +90,7 @@ def _sieve(bound: int) -> bytearray:
     sieve[0] = sieve[1] = 0
     for i in range(2, int(bound**0.5) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytearray((bound - i * i) // i + 1)
     return sieve
 
 

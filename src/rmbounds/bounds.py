@@ -16,8 +16,8 @@ bounds out on a (d, p) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import NamedTuple
+from itertools import compress, takewhile
+from typing import Iterator, NamedTuple
 
 from .arith import PMAX_LIMIT, _lambda, _sieve, _valuation, primes_up_to, require_dimension, require_int, require_prime
 
@@ -192,6 +192,19 @@ def table_primes(d_max: int, p_max: int) -> list[int]:
     return primes
 
 
+def _trivial(p: int, d: int) -> bool:
+    """Whether the (d, p) cell is trivial: p > 2d + 1, where B'(p, d) = B0(p, d) = 2."""
+    return p > 2 * d + 1
+
+
+def _grid(d_max: int, primes: list[int], include_trivial: bool = False) -> Iterator[tuple[int, int]]:
+    """A table's (d, p) cells, row by row: d = 1..d_max, then p over the ascending primes; the
+    trivial cells only when include_trivial."""
+    for d in range(1, d_max + 1):  # the primes ascend, so a row's trivial cells follow all the others
+        row = primes if include_trivial else takewhile(lambda p: not _trivial(p, d), primes)
+        yield from ((d, p) for p in row)
+
+
 def render_table(
     d_max: int,
     p_max: int,
@@ -206,11 +219,8 @@ def render_table(
     """
     primes = table_primes(d_max, p_max)
     cells: dict[tuple[int, int], TableCell] = {}
-    for d in range(1, d_max + 1):
-        for p in primes:
-            if p > 2 * d + 1 and not include_trivial:
-                continue
-            status = sharpness.get((p, d)) if sharpness else None
-            flag = status if status in _MARKS else UNKNOWN  # only _MARKS's keys flag a cell
-            cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=flag)
+    for d, p in _grid(d_max, primes, include_trivial):
+        status = sharpness.get((p, d)) if sharpness else None
+        flag = status if status in _MARKS else UNKNOWN  # only _MARKS's keys flag a cell
+        cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=flag)
     return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells, annotated=sharpness is not None)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
-from .bounds import BoundTable, BoundTriple, render_table
+from .bounds import BoundTable, BoundTriple, _trivial, render_table
 from .cyclo import (
     _DIGIT_LIMIT,
     _MAX_DIGITS,
@@ -96,9 +96,9 @@ def _run_table(args) -> BoundTable:
     return render_table(args.dmax, args.pmax, sharpness=sharpness, include_trivial=args.full)
 
 
-def _rebuild_table(doc) -> BoundTable:  # a trivial cell (p > 2d + 1) means the table was rendered with --full
+def _rebuild_table(doc) -> BoundTable:  # a trivial cell means the table was rendered with --full
     sharpness = {(cell["p"], cell["d"]): cell["sharpness"] for cell in doc["cells"]}
-    full = any(p > 2 * d + 1 for p, d in sharpness)
+    full = any(_trivial(p, d) for p, d in sharpness)
     return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
 
 
@@ -106,14 +106,14 @@ def _table_lines(table: BoundTable, args):
     dims = range(1, table.d_max + 1)
     header = ["d"]
     for p in table.primes:
-        header += [f"p{p}", f"p{p}_status"] if args.annotate else [f"p{p}"]
+        header += [f"p{p}", f"p{p}_status"] if table.annotated else [f"p{p}"]
     rows = []
     for d in dims:
         row: list[str] = [str(d)]
         for p in table.primes:
             cell = table.cells.get((d, p))
             row.append(cell.display if cell else "")
-            if args.annotate:
+            if table.annotated:
                 row.append(cell.sharpness if cell else "")
         rows.append(row)
     rendered = {key: cell.render() for key, cell in table.cells.items()}
@@ -175,12 +175,12 @@ class _ForbiddenProfiles(NamedTuple):
 
 
 def _forbidden_lines(result: _ForbiddenProfiles, args):
-    profiles = result.profiles
+    d, prime_bound, max_entries, _, profiles = result
     if profiles:
-        plain = [f"minimal forbidden exponent combinations for d = {args.d}:"]
+        plain = [f"minimal forbidden exponent combinations for d = {d}:"]
         plain += [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
     else:
-        plain = [f"no forbidden combinations for d = {args.d} (primes <= {args.pmax}, <= {args.max_entries} primes)"]
+        plain = [f"no forbidden combinations for d = {d} (primes <= {prime_bound}, <= {max_entries} primes)"]
     return ["profile"], [[str(profile)] for profile in profiles], plain
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .arith import PMAX_LIMIT, _valuation, require_dimension, require_int, require_prime, valuation
-from .bounds import ALMOST_SHARP, SHARP, _b0, table_primes
+from .bounds import ALMOST_SHARP, SHARP, _b0, _grid, table_primes
 
 logger = logging.getLogger(__name__)
 
@@ -363,10 +363,13 @@ class OrbitDimClient:
     def fetch_orbit_dims(self, level: int) -> LevelQueryResult:
         """Orbit degrees at a level: fixtures, then cache, then network."""
         dims, source, fetched_at = self._resolve(require_int("level", level, 1))
+        fetched_at = _utcnow_iso() if fetched_at is None else fetched_at  # an uncached network answer
         return LevelQueryResult(level=level, dims=tuple(sorted(dims)), source=source, fetched_at=fetched_at)
 
-    def _resolve(self, level: int) -> tuple[list[int], str, str]:
+    def _resolve(self, level: int) -> tuple[list[int], str, str | None]:
         """(dims, source, fetched_at) at a level, unchecked: level must be an int >= 1.
+
+        fetched_at is None for a network answer with no cache to stamp it: scans keep only the dims.
 
         The dims are the record's own list, in its order; callers must not mutate it.
         """
@@ -381,7 +384,7 @@ class OrbitDimClient:
             raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
         dims = self._fetch_from_network(level)
         if self.cache is None:
-            return dims, SOURCE_NETWORK, _utcnow_iso()
+            return dims, SOURCE_NETWORK, None
         record = self.cache.put(level, dims)
         return record["dims"], SOURCE_NETWORK, record["fetched_at"]
 
@@ -485,7 +488,8 @@ class OrbitDimClient:
     def annotate_table(
         self, d_max: int, level_budget: int, strict: bool = False, p_max: int | None = None
     ) -> dict[tuple[int, int], SharpnessWitness]:
-        """Run sharpness_scan over every (p, d) grid cell with p <= 2d + 1, and p <= p_max if given.
+        """Run sharpness_scan over the (p, d) cells render_table shows without include_trivial: those
+        with p <= 2d + 1, and p <= p_max if given.
 
         The grid, d_max rows by the primes up to p_max (or up to 2 d_max + 1),
         is checked by bounds.table_primes before any scan, so it has at most
@@ -494,10 +498,4 @@ class OrbitDimClient:
         require_int("d_max", d_max, 1)
         require_int("level_budget", level_budget, 1)
         primes = table_primes(d_max, min(2 * d_max + 1, PMAX_LIMIT) if p_max is None else p_max)
-        witnesses: dict[tuple[int, int], SharpnessWitness] = {}
-        for d in range(1, d_max + 1):
-            for p in primes:
-                if p > 2 * d + 1:
-                    break
-                witnesses[(p, d)] = self.sharpness_scan(p, d, level_budget, strict=strict)
-        return witnesses
+        return {(p, d): self.sharpness_scan(p, d, level_budget, strict=strict) for d, p in _grid(d_max, primes)}

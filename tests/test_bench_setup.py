@@ -46,3 +46,13 @@ def test_benchmark_quick_self_checks_pass():
         [sys.executable, "-c", code], cwd=ROOT / "bench" / "checks", capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_tracer_installs():
+    # The tracer looks each traced method up by name, so renaming one would crash every traced run.
+    code = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\nimport tracing\nprint(tracing.Tracer('t').install())\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "bench", capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) > 0

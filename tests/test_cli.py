@@ -1028,6 +1028,22 @@ def test_json_parses_back_to_the_in_process_result(capsys, argv, expected):
     assert cli.parse_json(out, argv[0]) == cli.parse_json(out) == expected()
 
 
+@pytest.mark.parametrize("d_max", range(1, 13))
+def test_table_and_annotate_table_hold_the_same_grid(d_max):
+    client = OrbitDimClient(offline=True)
+    for p_max in (2, 3, 5, 13, 19, 31):
+        witnesses = client.annotate_table(d_max, 20000, p_max=p_max)
+        assert list(witnesses) == [(p, d) for d, p in render_table(d_max, p_max).cells]
+        full = render_table(d_max, p_max, include_trivial=True)
+        assert list(full.cells) == [(d, p) for d in range(1, d_max + 1) for p in full.primes]
+        sharpness = {key: witness.status for key, witness in witnesses.items()}
+        for include_trivial in (False, True):
+            for flags in (None, sharpness):
+                table = render_table(d_max, p_max, flags, include_trivial)
+                assert cli.parse_json(json.dumps({"command": "table", **table.to_json_dict()})) == table
+    assert list(client.annotate_table(d_max, 20000)) == list(client.annotate_table(d_max, 20000, p_max=2 * d_max + 1))
+
+
 def set_path(doc, path, value):
     *parents, last = path
     for key in parents:

@@ -1271,6 +1271,23 @@ def test_stamped_cache_line_is_byte_identical(tmp_path, monkeypatch):
     assert fetched.path.read_bytes() == expected
 
 
+def test_only_fetch_orbit_dims_stamps_an_uncached_answer(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1_767_225_600.5)
+    stamps, stamp = [], lmfdb._utcnow_iso
+    monkeypatch.setattr(lmfdb, "_utcnow_iso", lambda: stamps.append(None) or stamp())
+    transport, calls = make_transport([(200, {"data": [{"dim": 2}]}, {})])
+    client = OrbitDimClient(fixtures={}, transport=transport, sleep=lambda s: None)
+    client.annotate_table(2, 2000)  # a scan keeps only the dims
+    assert calls and stamps == []
+    assert client.fetch_orbit_dims(7).fetched_at == "2026-01-01T00:00:00Z"
+    assert len(stamps) == 1
+    cache = OrbitDimCache(tmp_path / "scan.jsonl")
+    OrbitDimClient(cache=cache, fixtures={}, transport=transport, sleep=lambda s: None).annotate_table(2, 2000)
+    records = [json.loads(line) for line in cache.path.read_text().splitlines()]
+    assert len(stamps) == 1 + len(records) > 1  # one stamp per record put, none after
+    assert {record["fetched_at"] for record in records} == {"2026-01-01T00:00:00Z"}
+
+
 def test_scan_exponent_is_exact(offline_client):
     # 19683 = 3^9 must not witness (3, 9) at a lower target exponent budgeted out
     witness = offline_client.sharpness_scan(3, 9, 19682)
