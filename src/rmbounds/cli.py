@@ -1,6 +1,7 @@
 """Command-line front end: one COMMANDS row per subcommand (bound, table, profile, forbidden, genus2, sharpness, verify).
 
-main prints a row's result in the one format --format names; results go to stdout, logs to stderr.
+main prints a row's result in the one format --format names, calling only that format's renderer;
+results go to stdout, logs to stderr.
 parse_json reads json output back: each document is rebuilt from its inputs and compared field by field.
 """
 from __future__ import annotations
@@ -76,15 +77,12 @@ def _bound(p: int, d: int) -> BoundTriple:
 
 def _bound_lines(triple: BoundTriple, args):
     p, d = triple.p, triple.d
-    header = ["p", "d", "bk", "bk_prime", "b0"]
-    row = [p, d, triple.bk, triple.bk_prime, triple.b0]
-    plain = [
+    return [
         f"p = {p}, d = {d}",
         f"B({p},{d})  = {triple.bk}    conductor-exponent bound for v_p(N^d), any abelian variety",
         f"B'({p},{d}) = {triple.bk_prime}    the same bound per dimension: floor(B/d)",
         f"B0({p},{d}) = {triple.b0}    bound on v_p(N) under maximal real multiplication",
     ]
-    return header, [row], plain
 
 
 def _run_table(args) -> BoundTable:
@@ -102,58 +100,59 @@ def _rebuild_table(doc) -> BoundTable:  # a trivial cell means the table was ren
     return render_table(doc["d_max"], doc["p_max"], sharpness if doc["annotated"] is True else None, full)
 
 
-def _table_lines(table: BoundTable, args):
-    dims = range(1, table.d_max + 1)
+def _table_rows(table: BoundTable):
     header = ["d"]
     for p in table.primes:
         header += [f"p{p}", f"p{p}_status"] if table.annotated else [f"p{p}"]
-    rows = []
-    for d in dims:
-        row: list[str] = [str(d)]
+    rows = [header]
+    for d in range(1, table.d_max + 1):
+        row = [d]
         for p in table.primes:
             cell = table.cells.get((d, p))
             row.append(cell.display if cell else "")
             if table.annotated:
                 row.append(cell.sharpness if cell else "")
         rows.append(row)
+    return rows
+
+
+def _table_lines(table: BoundTable, args):
     rendered = {key: cell.render() for key, cell in table.cells.items()}
-    widths = {}
-    for p in table.primes:
-        column = [rendered[(d, p)] for d in dims if (d, p) in rendered]
-        widths[p] = max([len(f"p={p}")] + [len(text) for text in column])
-    plain = [("d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)).rstrip()]
-    for d in dims:
+    widths = {p: len(f"p={p}") for p in table.primes}
+    for (_, p), text in rendered.items():
+        widths[p] = max(widths[p], len(text))
+    lines = [("d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)).rstrip()]
+    for d in range(1, table.d_max + 1):
         texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes]
-        plain.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
-    return header, rows, plain
+        lines.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
+    return lines
+
+
+def _profile_rows(report: RmConstraintReport):
+    refined = ";".join(f"{p}:{cap}" for p, cap in sorted(report.refined_bounds.items()))
+    return [
+        ["d", "profile", "admissible", "determination", "forced", "forced_degree", "residual_degree", "refined_bounds"],
+        [
+            report.dimension, str(report.profile), report.admissible, report.determination.value,
+            report.forced.name, report.forced.degree, report.residual_degree, refined,
+        ],
+    ]
 
 
 def _profile_lines(report: RmConstraintReport, args):
-    refined = sorted(report.refined_bounds.items())
-    header = ["d", "profile", "admissible", "determination", "forced", "forced_degree", "residual_degree", "refined_bounds"]
-    row = [
-        report.dimension,
-        str(report.profile),
-        report.admissible,
-        report.determination.value,
-        report.forced.name,
-        report.forced.degree,
-        report.residual_degree,
-        ";".join(f"{p}:{cap}" for p, cap in refined),
-    ]
-    plain = [
+    lines = [
         f"d = {report.dimension}, profile {report.profile or '(empty)'}",
         f"admissible: {'yes' if report.admissible else 'no'}",
         f"forced subfield: {report.forced.name} (degree {report.forced.degree})",
         f"determination: {report.determination.value}",
     ]
     if report.residual_degree is not None:
-        plain.append(f"residual degree: {report.residual_degree}")
-    for p, cap in refined:
+        lines.append(f"residual degree: {report.residual_degree}")
+    for p, cap in sorted(report.refined_bounds.items()):
         rest = report.profile.without(p)
         given = f" given {rest}" if len(rest) else ""
-        plain.append(f"refined bound: v_{p}(N) <= {cap}{given}")
-    return header, [row], plain
+        lines.append(f"refined bound: v_{p}(N) <= {cap}{given}")
+    return lines
 
 
 class _ForbiddenProfiles(NamedTuple):
@@ -176,30 +175,28 @@ class _ForbiddenProfiles(NamedTuple):
 
 def _forbidden_lines(result: _ForbiddenProfiles, args):
     d, prime_bound, max_entries, _, profiles = result
-    if profiles:
-        plain = [f"minimal forbidden exponent combinations for d = {d}:"]
-        plain += [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
-    else:
-        plain = [f"no forbidden combinations for d = {d} (primes <= {prime_bound}, <= {max_entries} primes)"]
-    return ["profile"], [[str(profile)] for profile in profiles], plain
+    if not profiles:
+        return [f"no forbidden combinations for d = {d} (primes <= {prime_bound}, <= {max_entries} primes)"]
+    lines = [f"minimal forbidden exponent combinations for d = {d}:"]
+    return lines + [f"  {' * '.join(f'{p}^{e}' for p, e in profile)}" for profile in profiles]
+
+
+def _genus2_rows(report: Genus2Report):
+    simple = "unknown" if report.simple is None else report.simple
+    return [["profile", "simple", "field"], [str(report.profile), simple, report.field.name if report.field else ""]]
 
 
 def _genus2_lines(report: Genus2Report, args):
-    row = [
-        str(report.profile),
-        "unknown" if report.simple is None else report.simple,
-        report.field.name if report.field else "",
-    ]
-    plain = [f"conductor profile {report.profile}"]
+    lines = [f"conductor profile {report.profile or '(empty)'}"]
     if report.simple is None:
-        plain.append("simple: unknown (exponents stay within the two-elliptic-curve range)")
+        lines.append("simple: unknown (exponents stay within the two-elliptic-curve range)")
     else:
-        plain.append("simple: yes (exponent exceeds the product-of-elliptic-curves cap)")
+        lines.append("simple: yes (exponent exceeds the product-of-elliptic-curves cap)")
         if report.analysis is not None and not report.analysis.admissible:
-            plain.append("warning: halved profile is inadmissible in dimension 2; no such surface exists")
+            lines.append("warning: halved profile is inadmissible in dimension 2; no such surface exists")
         if report.field is not None:
-            plain.append(f"endomorphism algebra: {report.field.name}")
-    return ["profile", "simple", "field"], [row], plain
+            lines.append(f"endomorphism algebra: {report.field.name}")
+    return lines
 
 
 def _run_sharpness(args) -> SharpnessWitness:
@@ -210,12 +207,8 @@ def _run_sharpness(args) -> SharpnessWitness:
 def _sharpness_lines(witness: SharpnessWitness, args):
     p, d = witness.p, witness.d
     if witness.status == lmfdb.NONE_FOUND:
-        line = f"p = {p}, d = {d}: no witness found up to level {args.budget} (existence is not ruled out)"
-    else:
-        line = f"p = {p}, d = {d}: {witness.status} at level {witness.level} (v_{p} = {witness.exponent_attained})"
-    header = ["p", "d", "status", "exponent_attained", "level"]
-    row = [p, d, witness.status, witness.exponent_attained, witness.level]
-    return header, [row], [line]
+        return [f"p = {p}, d = {d}: no witness found up to level {args.budget} (existence is not ruled out)"]
+    return [f"p = {p}, d = {d}: {witness.status} at level {witness.level} (v_{p} = {witness.exponent_attained})"]
 
 
 class _VerifyRun(NamedTuple):
@@ -238,40 +231,44 @@ class _VerifyRun(NamedTuple):
         return {"p_max": self.p_max, "d_max": self.d_max, "ok": self.ok, "results": results}
 
 
-def _verify_lines(run: _VerifyRun, args):
-    rows = [[r.name, r.ok, r.cases, r.counterexample] for r in run.results]
-    return ["name", "ok", "cases", "counterexample"], rows, [verify.format_report(run.results)]
-
-
 class _Command(NamedTuple):
     run: Callable  # args -> the command's result, computed from the flags
     rebuild: Callable  # a json document -> the same result, computed from the document's inputs
-    lines: Callable  # (result, args) -> (csv header, csv rows, plain lines)
+    rows: Callable  # result -> its csv rows, header first
+    lines: Callable  # (result, args) -> its plain lines
 
 
 # Every subcommand, as one row; main looks the row up on each call.
 COMMANDS: dict[str, _Command] = {
-    "bound": _Command(lambda args: _bound(args.p, args.d), lambda doc: _bound(doc["p"], doc["d"]), _bound_lines),
-    "table": _Command(_run_table, _rebuild_table, _table_lines),
+    "bound": _Command(
+        lambda args: _bound(args.p, args.d), lambda doc: _bound(doc["p"], doc["d"]),
+        lambda triple: [triple._fields, triple], _bound_lines,
+    ),
+    "table": _Command(_run_table, _rebuild_table, _table_rows, _table_lines),
     "profile": _Command(
         lambda args: analyze_profile(ExponentProfile.parse(args.profile), args.d),
-        lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]), _profile_lines
+        lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]), _profile_rows, _profile_lines
     ),
     "forbidden": _Command(
         lambda args: _ForbiddenProfiles.compute(args.d, args.pmax, args.max_entries, args.include_singletons),
         lambda doc: _ForbiddenProfiles.compute(doc["d"], doc["prime_bound"], doc["max_entries"], doc["include_singletons"]),
-        _forbidden_lines,
+        lambda result: [["profile"], *([str(profile)] for profile in result.profiles)], _forbidden_lines,
     ),
     "genus2": _Command(
         lambda args: genus2_rm_analysis(ExponentProfile.parse(args.profile)),
-        lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])), _genus2_lines
+        lambda doc: genus2_rm_analysis(ExponentProfile.from_json_list(doc["profile"])), _genus2_rows, _genus2_lines
     ),
     "sharpness": _Command(
-        _run_sharpness, lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]), _sharpness_lines
+        _run_sharpness, lambda doc: SharpnessWitness.at_level(doc["p"], doc["d"], doc["level"]),
+        lambda w: [["p", "d", "status", "exponent_attained", "level"], [w.p, w.d, w.status, w.exponent_attained, w.level]],
+        _sharpness_lines,
     ),
     "verify": _Command(
         lambda args: _VerifyRun.compute(args.pmax, args.dmax), lambda doc: _VerifyRun.compute(doc["p_max"], doc["d_max"]),
-        _verify_lines,
+        lambda run: [
+            ["name", "ok", "cases", "counterexample"], *([r.name, r.ok, r.cases, r.counterexample] for r in run.results)
+        ],
+        lambda run, args: [verify.format_report(run.results)],
     ),
 }
 
@@ -390,13 +387,12 @@ def main(argv: list[str] | None = None) -> int:
     with _stderr_logging(args.verbose):
         try:
             result = command.run(args)
-            if args.format == "json":  # the one format that needs no lines
+            if args.format == "json":
                 print(json.dumps({"command": args.command, **result.to_json_dict()}, indent=2))
             elif args.format == "csv":
-                header, rows, _ = command.lines(result, args)
-                csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])  # None becomes an empty field
+                csv.writer(sys.stdout, lineterminator="\n").writerows(command.rows(result))  # None becomes an empty field
             else:
-                print("\n".join(command.lines(result, args)[2]))
+                print("\n".join(command.lines(result, args)))
             sys.stdout.flush()  # a reader that closed the pipe is found here, not at interpreter exit
             return 1 if isinstance(result, _VerifyRun) and not result.ok else 0
         except BrokenPipeError:

@@ -242,6 +242,34 @@ d\\p  p=2     p=3    p=5    p=7    p=11
 """
 
 
+# a residual degree, and a "given" rest on each refined bound
+PROFILE_12_PLAIN = """\
+d = 12, profile 2^9,5^3
+admissible: yes
+forced subfield: Q(sqrt(2)) * Q(sqrt(5)) (degree 4)
+determination: contains_subfield
+residual degree: 3
+refined bound: v_2(N) <= 10 given 5^3
+refined bound: v_5(N) <= 4 given 2^9
+"""
+
+
+# every flag: "!" and "*" on a bare B0 and on the B0 in parentheses after a larger B'
+TABLE_ANNOTATED_10_19_PLAIN = """\
+d\\p  p=2       p=3    p=5    p=7     p=11   p=13   p=17   p=19
+1    8!        5!
+2    10        5!     4
+3    9 (8)     7      3 (2)  4
+4    12        6 (5)  4      3 (2)
+5    11 (8)    6 (5)  4 (2)  3 (2)   4!
+6    11 (10)   7      4      4       3 (2)  4
+7    10 (8!)   6 (5)  4 (2)  4 (2)   3 (2)  3 (2)
+8    14!       6 (5)  4      3 (2)   3 (2)  3 (2)  4
+9    13 (8!)   9!     4 (2)  4       3 (2)  3 (2)  3 (2)  4*
+10   13 (10!)  8 (5)  6      4 (2*)  4*     3 (2)  3 (2)  3 (2)
+"""
+
+
 # Whole outputs too long to hold here, one file per format.
 DATA = Path(__file__).parent / "data"
 FORBIDDEN_5040_ARGV = ["forbidden", "--d", "5040", "--pmax", "2000", "--max-entries", "4"]
@@ -291,6 +319,39 @@ EXACT_STDOUT = pytest.mark.parametrize(
             SHARPNESS_2_7_JSON,
         ),
         (["verify", "--pmax", "19", "--dmax", "10", "--format", "json"], VERIFY_JSON_19_10),
+        (["profile", "--d", "12", "2^9,5^3"], PROFILE_12_PLAIN),
+        (
+            ["genus2", "5^6"],
+            "conductor profile 5^6\nsimple: yes (exponent exceeds the product-of-elliptic-curves cap)\n"
+            "endomorphism algebra: Q(sqrt(5))\n",
+        ),
+        (
+            ["genus2", "5^6,13^6"],
+            "conductor profile 5^6,13^6\nsimple: yes (exponent exceeds the product-of-elliptic-curves cap)\n"
+            "warning: halved profile is inadmissible in dimension 2; no such surface exists\n",
+        ),
+        (
+            ["sharpness", "--p", "11", "--d", "5", "--budget", "15000", "--offline"],
+            "p = 11, d = 5: sharp at level 14641 (v_11 = 4)\n",
+        ),
+        (
+            ["sharpness", "--p", "19", "--d", "9", "--budget", "20000", "--offline"],
+            "p = 19, d = 9: almost_sharp at level 6859 (v_19 = 3)\n",
+        ),
+        (
+            ["table", "--dmax", "10", "--pmax", "19", "--annotate", "--offline", "--budget", "20000"],
+            TABLE_ANNOTATED_10_19_PLAIN,
+        ),
+        (
+            ["table", "--dmax", "3", "--pmax", "7", "--full", "--format", "csv"],
+            "d,p2,p3,p5,p7\n1,8,5,2,2\n2,10,5,4,2\n3,9 (8),7,3 (2),4\n",
+        ),
+        (["forbidden", "--d", "1", "--pmax", "1"], "no forbidden combinations for d = 1 (primes <= 1, <= 2 primes)\n"),
+        # the empty profile is named, as profile names it, so no plain line ends in a space
+        (
+            ["genus2", ""],
+            "conductor profile (empty)\nsimple: unknown (exponents stay within the two-elliptic-curve range)\n",
+        ),
         # 400 profiles of two to four primes (268, 115 and 17), in each format
         *(
             (FORBIDDEN_5040_ARGV + ["--format", fmt], (DATA / f"forbidden-5040-2000-4.{suffix}").read_text())
@@ -301,7 +362,9 @@ EXACT_STDOUT = pytest.mark.parametrize(
         "profile-csv", "forbidden-csv", "genus2-csv", "genus2-unknown-csv", "sharpness-csv", "verify-csv",
         "table-annotated-csv", "sharpness-none-found-plain", "forbidden-four-prime-plain", "verify-default-plain",
         "bound-plain", "bound-csv", "bound-json", "table-full-plain", "sharpness-json", "verify-json",
-        "forbidden-5040-plain", "forbidden-5040-csv", "forbidden-5040-json",
+        "profile-residual-plain", "genus2-plain", "genus2-warning-plain", "sharpness-sharp-plain",
+        "sharpness-almost-sharp-plain", "table-annotated-plain", "table-full-csv", "forbidden-none-plain",
+        "genus2-empty-plain", "forbidden-5040-plain", "forbidden-5040-csv", "forbidden-5040-json",
     ],
 )
 
@@ -1241,6 +1304,23 @@ def test_json_output_renders_no_lines(capsys, monkeypatch, argv):
     code, out = run(capsys, [*argv, "--format", "json"])
     assert code == 0
     assert json.loads(out)["command"] == argv[0]
+
+
+# The renderers each format must not call: csv writes rows, plain prints lines, json neither.
+OTHER_RENDERERS = {"plain": ("rows",), "csv": ("lines",), "json": ("rows", "lines")}
+
+
+@pytest.mark.parametrize("fmt", OTHER_RENDERERS)
+@pytest.mark.parametrize("argv", DOCUMENTS, ids=[argv[0] for argv in DOCUMENTS])
+def test_each_format_calls_only_its_own_renderer(capsys, monkeypatch, argv, fmt):
+    def must_not_render(*args):
+        raise AssertionError(f"another format's renderer ran for a {fmt} run")
+
+    expected = run(capsys, [*argv, "--format", fmt])
+    row = cli.COMMANDS[argv[0]]._replace(**dict.fromkeys(OTHER_RENDERERS[fmt], must_not_render))
+    monkeypatch.setitem(cli.COMMANDS, argv[0], row)
+    assert run(capsys, [*argv, "--format", fmt]) == expected
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,15 @@ def test_installed_suite_step_runs_the_checkout_tests_from_outside_it():
 README_LIMIT = re.compile(r"`(\w+)\.([A-Z_]+)`\s*=\s*(\d(?:,?\d)*)(?:\*\*(\d+))?")
 
 
+# README's sentence naming a COMMANDS row's fields, each in backticks, in order.
+README_ROW = re.compile(r"Each subcommand is one row of `cli\.COMMANDS`:(.*?)\.\s", re.DOTALL)
+
+
+def test_readme_names_the_fields_of_a_commands_row_in_order():
+    sentence = README_ROW.search((ROOT / "README.md").read_text()).group(1)
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == cli._Command._fields
+
+
 def test_readme_states_the_limits_the_code_has():
     stated = README_LIMIT.findall((ROOT / "README.md").read_text())
     assert len(stated) >= 3
