@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 from . import lmfdb, verify
@@ -119,11 +120,14 @@ def _table_rows(table: BoundTable):
 def _table_lines(table: BoundTable, args):
     rendered = {key: cell.render() for key, cell in table.cells.items()}
     widths = {p: len(f"p={p}") for p in table.primes}
-    for (_, p), text in rendered.items():
+    last = [0] * (table.d_max + 1)  # each row's last prime with a cell: the blank columns after it are not padded
+    for (d, p), text in rendered.items():
         widths[p] = max(widths[p], len(text))
+        if p > last[d]:
+            last[d] = p
     lines = [("d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)).rstrip()]
     for d in range(1, table.d_max + 1):
-        texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes]
+        texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes[:bisect_right(table.primes, last[d])]]
         lines.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
     return lines
 

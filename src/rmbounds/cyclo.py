@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -346,8 +347,9 @@ def enumerate_forbidden(
     step or dropped) is admissible; admissibility is downward closed, so all
     proper sub-profiles are admissible too.  Singleton profiles, p^(B0(p, d) + 1)
     for each prime, are omitted unless include_singletons is set.  Output is
-    deterministically sorted by size, then entries.  prime_bound must be an
-    int in 1..PMAX_LIMIT, max_entries an int >= 1 and include_singletons a bool.
+    sorted by size, then entries, in the order the walk produces: nothing sorts
+    it afterwards.  prime_bound must be an int in 1..PMAX_LIMIT, max_entries an
+    int >= 1 and include_singletons a bool.
 
     A prime is usable when some exponent up to B0(p, d) forces a field, so
     only where B0(p, d) > 2: at 2, 3 and the primes p with (p - 1) | 2d, all
@@ -357,16 +359,28 @@ def enumerate_forbidden(
     prime_bound.
 
     Larger profiles come from one depth-first walk over the admissible
-    prefixes, primes ascending, so the cost grows with their number times
-    the usable primes.  A profile's last entry is the first step at its
-    prime that the prefix makes inadmissible.  A prefix of degree D carries
-    r = d // D and G, the gcd over its entries j of r * g_j // lower_j (0 for
-    no entry), where lowering entry j turns the degree g_j into lower_j.  A
-    step of degree g is admissible iff g divides r.  Lowering entry j of the
-    inadmissible profile leaves an admissible one iff D // g_j * lower_j * g
-    divides d, that is iff g divides r * g_j // lower_j: so the profile is
-    minimal iff g divides G.  Pending prefixes end in distinct usable steps,
-    so the walk holds at most that many, each of fewer than max_entries entries.
+    prefixes, primes ascending.  A profile's last entry is the first step at
+    its prime that the prefix makes inadmissible.  A prefix of degree D
+    carries r = d // D and G, the gcd over its entries j of r * g_j // lower_j
+    (0 for no entry), where lowering entry j turns the degree g_j into
+    lower_j.  A step of degree g is admissible iff g divides r.  Lowering
+    entry j of the inadmissible profile leaves an admissible one iff
+    D // g_j * lower_j * g divides d, that is iff g divides r * g_j // lower_j:
+    so the profile is minimal iff g divides G.
+
+    Each r * g_j // lower_j is a multiple of r, so r divides G.  A prime whose
+    first step's degree does not divide G therefore can neither extend the
+    prefix nor end a minimal profile, and the walk visits only the primes
+    whose first step divides G, from one ascending list per G (every G but
+    the root's 0 divides d, so the lists are few).  The cost grows with the
+    admissible prefixes times the primes whose first step divides each
+    prefix's G.  Each prefix's children are pushed in reverse, so prefixes
+    are popped in ascending order and the profiles of each size are found
+    sorted: the output is the singletons, then those lists by size.  The
+    pending prefixes are the unvisited children of the prefixes on the path
+    to the last one popped; one prefix's children end in distinct usable
+    steps, so the walk holds fewer than max_entries times that many, each
+    of fewer than max_entries entries.
     """
     require_dimension(d)
     require_int("prime_bound", prime_bound, 1, PMAX_LIMIT)
@@ -379,32 +393,38 @@ def enumerate_forbidden(
     # Up to B0(p, d), Q(zeta_{p^r})^+ is first forced at e = 2r + 1 + 2 v_p(2) + v_p(3)
     # and each such step's degree divides d.  Each is usable with the degree one
     # step lower (1 for the first step): lowering that entry turns a profile's
-    # degree D into D // g * lower.
-    primes: list[int] = []
-    usable: list[list[tuple[int, int, int]]] = []  # the (e, g, lower) steps of primes[i]
+    # degree D into D // g * lower.  A step's entry (p, e) is built once, and every
+    # prefix and profile holding it shares it.
+    usable: list[list[tuple[tuple[int, int], int, int]]] = []  # the ((p, e), g, lower) steps per usable prime
     for p in _primes_b0_above_2(d, prime_bound):
         steps, lower = [], 1
         for e in range({2: 9, 3: 6}.get(p, 3), _b0(p, d) + 1, 2):
             g = _entry_degree(p, e)
-            steps.append((e, g, lower))
+            steps.append(((p, e), g, lower))
             lower = g
         if steps:
-            primes.append(p)
             usable.append(steps)
     # A child by a step (g, lower) divides r and every r * g_j // lower_j by g, and adds r // lower.
+    # candidates maps each G met to the indices, ascending, of the primes whose first step's degree divides it.
+    candidates: dict[int, list[int]] = {}
+    found: list[list[ExponentProfile]] = [[] for _ in range(min(max_entries, len(usable) + 1))]  # by prefix size
     stack = [((), d, 0, 0)]  # (entries, r, G, the index of the first prime to extend by) per pending prefix
     while stack:
         entries, r, G, first = stack.pop()
-        deeper = len(entries) + 1 < max_entries
-        for i in range(first, len(primes)):
-            for e, g, lower in usable[i]:
+        at = candidates.get(G)
+        if at is None:
+            at = candidates[G] = [i for i, steps in enumerate(usable) if G % steps[0][1] == 0]
+        out, deeper, children = found[len(entries)], len(entries) + 1 < max_entries, []
+        for i in at[bisect_left(at, first):]:
+            for entry, g, lower in usable[i]:
                 if r % g:
                     if G % g == 0:
-                        results.append(ExponentProfile._unchecked(entries + ((primes[i], e),)))
-                    break  # every higher step at primes[i] lowers to this inadmissible profile
+                        out.append(ExponentProfile._unchecked(entries + (entry,)))
+                    break  # every higher step at this prime lowers to this inadmissible profile
                 if deeper:
-                    stack.append((entries + ((primes[i], e),), r // g, math.gcd(G // g, r // lower), i + 1))
-    return sorted(results, key=lambda pr: (len(pr), pr))
+                    children.append((entries + (entry,), r // g, math.gcd(G // g, r // lower), i + 1))
+        stack.extend(reversed(children))  # so the least child is popped first
+    return results + [profile for size in found for profile in size]
 
 
 @dataclass(frozen=True)

@@ -549,6 +549,24 @@ def test_enumerate_forbidden_deterministic():
     assert runs[0] == runs[1] == runs[2]
 
 
+# Random and highly composite d, with prime bounds past most of their usable primes.
+forbidden_calls = st.tuples(
+    st.one_of(st.integers(1, 10**6), st.sampled_from((360, 720, 5040, 55440, 720720))),
+    st.integers(1, 10**5),
+    st.integers(1, 5),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(forbidden_calls)
+def test_enumerate_forbidden_output_is_strictly_increasing(call):
+    # The walk, not a final sort, orders the output: by size, then entries, with no duplicate.
+    d, prime_bound, max_entries, singletons = call
+    keys = [(len(profile), profile) for profile in enumerate_forbidden(d, prime_bound, max_entries, singletons)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_single_prime_boundary_matches_b0():
     for p in (2, 3, 5, 7, 11, 13):
         for d in (1, 2, 3, 4, 6, 8, 12):

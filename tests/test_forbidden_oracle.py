@@ -209,6 +209,23 @@ def test_deep_composite_calls_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
 
 
+# Two calls at large d and primes up to 10**7, where most usable primes cannot
+# extend a given prefix: each pinned by its count and the sha256 of its text,
+# as the walk that tried every usable prime at each prefix wrote it.
+LARGE_CALLS = {
+    (720720, 10**7, 4): (5397, "4fb86da6d3bbfc34e961a61d6ca21039d6d91183ef8e9b4a3d666a25932b3515"),
+    (6983776800, 10**7, 3): (290612, "e2037ee6da270d60fe50fef703e98da1bff2097a66e31f105bb385e2d5ba951b"),
+}
+
+
+@pytest.mark.parametrize("call", LARGE_CALLS)
+def test_large_d_calls_are_pinned(call):
+    d, prime_bound, max_entries = call
+    found = enumerate_forbidden(*call)
+    text = f"{d} {prime_bound} {max_entries}: " + " ".join(map(str, found)) + "\n"
+    assert (len(found), hashlib.sha256(text.encode()).hexdigest()) == LARGE_CALLS[call]
+
+
 # Prime bounds at the edges of each dimension's usable primes: the smallest
 # bounds, each prime p with (p - 1) | 2d on both sides, and the top of that
 # range at 2d + 1.  1009 is a prime whose 2d has no divisor q past 2 with q + 1

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import json
 import re
 import shlex
@@ -100,6 +101,26 @@ def test_every_cli_smoke_step_is_checked():
 def test_cli_smoke_step_passes_from_the_checkout(capsys, name, args, text):
     assert cli.main(shlex.split(args)) == 0
     assert text in capsys.readouterr().out
+
+
+# CI steps of the form `rmbounds ARGS | python -c "SCRIPT"`, as (step name, ARGS, SCRIPT).
+PIPE_STEP = re.compile(r'rmbounds (.+?) \| python -c "(.*)"', re.DOTALL)
+PIPE_STEPS = [
+    (step["name"], *match.groups())
+    for step in load_job()["steps"]
+    if (match := PIPE_STEP.fullmatch(step.get("run", "").strip()))
+]
+
+
+def test_every_json_pipe_step_is_checked():
+    assert [shlex.split(args)[0] for _, args, _ in PIPE_STEPS] == ["forbidden"]
+
+
+@pytest.mark.parametrize("name, args, script", PIPE_STEPS, ids=[name for name, _, _ in PIPE_STEPS])
+def test_json_pipe_step_passes_from_the_checkout(capsys, monkeypatch, name, args, script):
+    assert cli.main(shlex.split(args)) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    exec(compile(script, name, "exec"), {})
 
 
 def test_installed_suite_step_runs_the_checkout_tests_from_outside_it():
