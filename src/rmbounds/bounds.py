@@ -16,10 +16,13 @@ bounds out on a (d, p) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, takewhile
+from itertools import compress, count, takewhile
+from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .arith import PMAX_LIMIT, _lambda, _sieve, _valuation, primes_up_to, require_dimension, require_int, require_prime
+from .arith import (
+    PMAX_LIMIT, _lambda, _sieve, _valuation, is_prime, primes_up_to, require_dimension, require_int, require_prime
+)
 
 SHARP = "sharp"
 ALMOST_SHARP = "almost_sharp"
@@ -78,12 +81,27 @@ def _b0(p: int, d: int) -> int:
 
 
 def _primes_b0_above_2(d: int, bound: int) -> list[int]:
-    """The primes p <= bound with _b0(p, d) > 2, ascending, from one sieve of min(bound, 2d + 1) bytes.
+    """The primes p <= bound with _b0(p, d) > 2, ascending: the primes q + 1 <= bound for the divisors q of 2d.
 
-    These are the p with (p - 1) | 2d (2 and 3 always), so all are at most 2d + 1.
+    2d is factored by trial division over one sieve of min(bound - 1,
+    isqrt(2d)) bytes, stopping once a prime's square exceeds the part left;
+    that part is then 1, a prime, or a product of primes above bound - 1,
+    which divide no q <= bound - 1.
     """
-    top = min(bound, 2 * d + 1)
-    return [q + 1 for q in compress(range(1, top), _sieve(top)[2:]) if (2 * d) % q == 0]
+    top = bound - 1
+    divisors, rest = [1], 2 * d  # the divisors of 2d up to top, from its prime factors tried so far
+    for q in compress(count(), _sieve(min(top, isqrt(rest)))):
+        if q * q > rest:
+            break
+        if rest % q == 0:
+            powers = []
+            while rest % q == 0:
+                rest //= q
+                powers.append(q ** (len(powers) + 1))
+            divisors += [m * k for m in divisors for k in powers if m * k <= top]
+    if 1 < rest <= top:  # every prime up to its root was tried, so rest is prime
+        divisors += [m * rest for m in divisors if m * rest <= top]
+    return sorted(q + 1 for q in divisors if q <= top and is_prime(q + 1))
 
 
 def forced_subfield_exponent(p: int, e: int) -> int:

@@ -132,6 +132,30 @@ def _table_lines(table: BoundTable, args):
     return lines
 
 
+# A table cell as json.dumps(..., indent=2) prints it inside the document's "cells" list.  No value needs
+# escaping: the numbers are ints, display holds digits, spaces and parentheses, and sharpness is a constant.
+_JSON_CELL = """\
+    {
+      "p": %d,
+      "d": %d,
+      "bk": %d,
+      "bk_prime": %d,
+      "b0": %d,
+      "display": "%s",
+      "sharpness": "%s"
+    }"""
+
+
+def _table_json(table: BoundTable, args) -> str:
+    """json.dumps({"command": "table", **table.to_json_dict()}, indent=2), byte for byte, one cell template at a time."""
+    head = (
+        f'{{\n  "command": "table",\n  "d_max": {table.d_max},\n  "p_max": {table.p_max},\n'
+        f'  "annotated": {"true" if table.annotated else "false"},\n  "cells": [\n'
+    )
+    cells = [_JSON_CELL % (*cell.triple, cell.display, cell.sharpness) for _, cell in sorted(table.cells.items())]
+    return head + ",\n".join(cells) + "\n  ]\n}"
+
+
 def _profile_rows(report: RmConstraintReport):
     refined = ";".join(f"{p}:{cap}" for p, cap in sorted(report.refined_bounds.items()))
     return [
@@ -235,11 +259,16 @@ class _VerifyRun(NamedTuple):
         return {"p_max": self.p_max, "d_max": self.d_max, "ok": self.ok, "results": results}
 
 
+def _json_text(result, args) -> str:
+    return json.dumps({"command": args.command, **result.to_json_dict()}, indent=2)
+
+
 class _Command(NamedTuple):
     run: Callable  # args -> the command's result, computed from the flags
     rebuild: Callable  # a json document -> the same result, computed from the document's inputs
     rows: Callable  # result -> its csv rows, header first
     lines: Callable  # (result, args) -> its plain lines
+    json: Callable = _json_text  # (result, args) -> its json document
 
 
 # Every subcommand, as one row; main looks the row up on each call.
@@ -248,7 +277,7 @@ COMMANDS: dict[str, _Command] = {
         lambda args: _bound(args.p, args.d), lambda doc: _bound(doc["p"], doc["d"]),
         lambda triple: [triple._fields, triple], _bound_lines,
     ),
-    "table": _Command(_run_table, _rebuild_table, _table_rows, _table_lines),
+    "table": _Command(_run_table, _rebuild_table, _table_rows, _table_lines, _table_json),
     "profile": _Command(
         lambda args: analyze_profile(ExponentProfile.parse(args.profile), args.d),
         lambda doc: analyze_profile(ExponentProfile.from_json_list(doc["profile"]), doc["d"]), _profile_rows, _profile_lines
@@ -392,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             result = command.run(args)
             if args.format == "json":
-                print(json.dumps({"command": args.command, **result.to_json_dict()}, indent=2))
+                print(command.json(result, args))
             elif args.format == "csv":
                 csv.writer(sys.stdout, lineterminator="\n").writerows(command.rows(result))  # None becomes an empty field
             else:

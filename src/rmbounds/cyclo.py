@@ -299,14 +299,15 @@ def analyze_profile(profile, d: int) -> RmConstraintReport:
     profile = ExponentProfile.of(profile)
     own = []  # (p, the degree forced at p) per entry
     fields = []
+    degree = 1
     for p, e in profile:
         g, f = _forced(p, _forced_exponent(p, e))
         own.append((p, g))
+        degree *= g
         if f is not None:
             fields.append(f)
     # A profile's entries lie at ascending distinct primes, so its fields are in order.
     forced = Compositum._unchecked(tuple(fields))
-    degree = math.prod(g for _, g in own)
     if degree >= _DIGIT_LIMIT:
         raise ValueError(f"profile is too large: its forced compositum's degree has more than {_MAX_DIGITS} digits")
     admissible = d % degree == 0
@@ -353,10 +354,10 @@ def enumerate_forbidden(
 
     A prime is usable when some exponent up to B0(p, d) forces a field, so
     only where B0(p, d) > 2: at 2, 3 and the primes p with (p - 1) | 2d, all
-    at most 2d + 1.  The set-up takes them from one sieve of
-    min(prime_bound, 2d + 1) bytes, with one division of 2d per prime in it
-    (bounds._primes_b0_above_2).  Only the singletons list every prime up to
-    prime_bound.
+    at most 2d + 1.  The set-up finds them as the primes q + 1 <= prime_bound
+    for the divisors q of 2d, factoring 2d by trial division over one sieve
+    of min(prime_bound - 1, isqrt(2d)) bytes (bounds._primes_b0_above_2).
+    Only the singletons list every prime up to prime_bound.
 
     Larger profiles come from one depth-first walk over the admissible
     prefixes, primes ascending.  A profile's last entry is the first step at

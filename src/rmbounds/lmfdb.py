@@ -165,23 +165,25 @@ def _check_record(obj, where: Callable[[], str]) -> dict:
     raise ValueError(f"{where()}: {key!r} must be {what}, got {obj[key]!r}")
 
 
-def _parse_store_line(line: str, where: Callable[[], str]) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where()}: not valid JSON: {exc}") from exc
-    return _check_record(obj, where)
+def load_store(lines, where: str, start: int = 1) -> dict[int, dict]:
+    """Parse JSON-lines records, numbered from start, last writer winning per level.
 
-
-def load_store(lines, where: str) -> dict[int, dict]:
-    """Parse JSON-lines records, last writer winning per level."""
+    A failing line's message names it as where:lineno; that text is built only on failure.
+    """
     store: dict[int, dict] = {}
-    for lineno, line in enumerate(lines, start=1):
+
+    def at() -> str:  # reads the loop's current lineno
+        return f"{where}:{lineno}"
+
+    for lineno, line in enumerate(lines, start):
         line = line.strip()
-        if not line:
-            continue
-        obj = _parse_store_line(line, lambda: f"{where}:{lineno}")
-        store[obj["level"]] = obj
+        if line:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{at()}: not valid JSON: {exc}") from exc
+            obj = _check_record(obj, at)
+            store[obj["level"]] = obj
     return store
 
 
@@ -194,7 +196,9 @@ class OrbitDimCache:
     serialized.  The first put opens one append handle, and every put flushes
     its line before it returns.  The handle is closed by close() or when the
     cache is dropped.  put checks each record against the loader's rules, so
-    nothing it writes can make the file fail to load.
+    nothing it writes can make the file fail to load.  The client appends its
+    network answers through _append, unchecked: its fetch has already checked
+    each dim, and it stamps the record itself.
 
     A write cut short by a crash leaves an unterminated last line.  Loading
     skips it with a warning if it does not parse, and the first put cuts it
@@ -229,11 +233,10 @@ class OrbitDimCache:
             if tail:
                 cut = end
                 try:
-                    obj = _parse_store_line(tail, lambda: f"{self.path}:{len(lines) + 1}")
+                    records.update(load_store([tail], str(self.path), len(lines) + 1))
                 except ValueError as exc:
                     logger.warning("ignoring the unterminated last line, left by an interrupted write: %s", exc)
                 else:
-                    records[obj["level"]] = obj
                     carry = tail + "\n"
         # One assignment, so a concurrent get never sees the map half-built.
         self._records, self._cut, self._carry = records, cut, carry
@@ -242,15 +245,22 @@ class OrbitDimCache:
         return self._records.get(level)
 
     def put(self, level: int, dims: list[int], fetched_at: str | None = None) -> dict:
+        """Check a record against the loader's rules, then append it: the stamp is now's unless fetched_at is given."""
         fetched_at = _utcnow_iso() if fetched_at is None else fetched_at
         obj = {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
         _check_record(obj, lambda: f"put to {self.path}")
-        obj["dims"] = dims = sorted(dims)  # after the check, so bad dims raise its ValueError, not a TypeError
-        # json.dumps(obj) written out: the check admits exact ints only, and a str encodes alone as in a record.
+        return self._append(level, dims, fetched_at, json.dumps(fetched_at))
+
+    def _append(self, level: int, dims: list[int], fetched_at: str, quoted: str) -> dict:
+        """put without the checks: level an int >= 1, dims a list of ints >= 1 and fetched_at a str, quoted
+        being its json text, are the caller's to ensure.  Writes the record with its dims sorted."""
+        dims = sorted(dims)
+        # json.dumps(record) written out: the record holds exact ints only, and quoted is the str's own encoding.
         line = (
             f'{{"level": {level}, "weight": 2, "char_trivial": true, "dims": [{", ".join(map(str, dims))}], '
-            f'"fetched_at": {json.dumps(fetched_at)}}}\n'
+            f'"fetched_at": {quoted}}}\n'
         )
+        obj = {"level": level, "weight": 2, "char_trivial": True, "dims": dims, "fetched_at": fetched_at}
         with self._lock:
             if self._handle is None:
                 if self._cut is not None:  # another writer may have cut and appended; read before a handle opens
@@ -382,10 +392,11 @@ class OrbitDimClient:
                 return record["dims"], SOURCE_CACHE, record["fetched_at"]
         if self.offline:
             raise NetworkUnavailable(f"offline and level {level} is neither a fixture nor cached")
-        dims = self._fetch_from_network(level)
+        dims = self._fetch_from_network(level)  # checked there: each an int >= 1
         if self.cache is None:
             return dims, SOURCE_NETWORK, None
-        record = self.cache.put(level, dims)
+        stamp = _utcnow_iso()  # digits, "-", ":", "T" and "Z": its json text is itself in quotes
+        record = self.cache._append(level, dims, stamp, f'"{stamp}"')
         return record["dims"], SOURCE_NETWORK, record["fetched_at"]
 
     def _fetch_from_network(self, level: int) -> list[int]:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from math import isqrt
 
 import pytest
 
-from rmbounds import cli
-from rmbounds.arith import primes_up_to
+from rmbounds import bounds, cli
+from rmbounds.arith import _sieve, primes_up_to
 from rmbounds.bounds import (
     BoundTriple,
     TableCell,
@@ -44,6 +45,20 @@ def test_primes_b0_above_2_are_the_primes_where_b0_exceeds_2():
         for bound in sorted({1, 2, 3, 4, 5, 97, 2 * d, 2 * d + 1, 2 * d + 2, 3000}):
             expected = [p for p in primes_up_to(bound) if b0_bound(p, d) > 2]
             assert _primes_b0_above_2(d, bound) == expected, (d, bound)
+    # Large d, whose trial division mostly runs out of sieve primes before isqrt(2d): 2**70 + 1, a highly
+    # composite d, the prime 2**61 - 1, and 2d = 1008**2, where q = 1008 has q + 1 = 1009 prime.
+    for d in (2**70 + 1, 6_983_776_800, 2**61 - 1, 1008**2 // 2):
+        for bound in (1, 2, 3, 1008, 1009, 1010, 10**4, 10**5):
+            expected = [p for p in primes_up_to(bound) if b0_bound(p, d) > 2]
+            assert _primes_b0_above_2(d, bound) == expected, (d, bound)
+
+
+def test_primes_b0_above_2_sieve_only_up_to_the_root_of_2d(monkeypatch):
+    sieved = []
+    monkeypatch.setattr(bounds, "_sieve", lambda bound: sieved.append(bound) or _sieve(bound))
+    primes = _primes_b0_above_2(720720, 10**7)
+    assert sieved and max(sieved) <= isqrt(2 * 720720) == 1200
+    assert len(primes) == 98 and primes[-1] == 180_181  # 2d / 8 + 1
 
 
 def test_forced_subfield_exponent_examples():

@@ -1306,8 +1306,8 @@ def test_json_output_renders_no_lines(capsys, monkeypatch, argv):
     assert json.loads(out)["command"] == argv[0]
 
 
-# The renderers each format must not call: csv writes rows, plain prints lines, json neither.
-OTHER_RENDERERS = {"plain": ("rows",), "csv": ("lines",), "json": ("rows", "lines")}
+# The renderers each format must not call: csv writes rows, plain prints lines, json prints its json document.
+OTHER_RENDERERS = {"plain": ("rows", "json"), "csv": ("lines", "json"), "json": ("rows", "lines")}
 
 
 @pytest.mark.parametrize("fmt", OTHER_RENDERERS)
@@ -1356,6 +1356,23 @@ def test_table_json_with_a_cell_dropped_is_rejected(capsys):
     del doc["cells"][-1]
     with pytest.raises(ValueError, match="^field 'cells' does not match"):
         cli.parse_json(json.dumps(doc), "table")
+
+
+@pytest.mark.parametrize("annotate", [False, True], ids=["plain", "annotated"])
+def test_table_json_is_what_json_dumps_prints(capsys, monkeypatch, annotate):
+    tables = []
+    monkeypatch.setattr(cli, "render_table", lambda *args, **kw: tables.append(render_table(*args, **kw)) or tables[-1])
+    flags = set()
+    for d_max in range(1, 13):
+        for p_max in (2, 3, 19, 97):
+            for full in ([], ["--full"]):
+                extra = ["--annotate", "--offline", "--budget", "20000"] if annotate else []
+                argv = ["table", "--dmax", str(d_max), "--pmax", str(p_max), *full, *extra, "--format", "json"]
+                code, out = run(capsys, argv)
+                expected = json.dumps({"command": "table", **tables[-1].to_json_dict()}, indent=2)
+                assert (code, out) == (0, expected + "\n"), argv
+                flags |= {cell.sharpness for cell in tables[-1].cells.values()}
+    assert flags == ({"sharp", "almost_sharp", "unknown"} if annotate else {"unknown"})
 
 
 # -- one parser, per-call logging -------------------------------------------------

@@ -456,7 +456,7 @@ def test_profiles_built_from_checked_entries_are_not_checked_again(monkeypatch):
     real_is_prime = cyclo.is_prime
     monkeypatch.setattr(cyclo, "is_prime", lambda n: tested.append(n) or real_is_prime(n))
     assert enumerate_forbidden(6, 1000, 3, include_singletons=True)
-    assert tested == []  # the sieve found the primes
+    assert tested == []  # no entry is tested again: the set-up tests its candidate primes in bounds, not here
     profile = ExponentProfile.parse("5^3,2^9")
     assert (profile.entries, tested) == (((2, 9), (5, 3)), [5, 2])  # parse checks each entry once
     assert profile.without(5).entries == ((2, 9),) and tested == [5, 2]

@@ -1271,6 +1271,36 @@ def test_stamped_cache_line_is_byte_identical(tmp_path, monkeypatch):
     assert fetched.path.read_bytes() == expected
 
 
+def test_a_scan_into_a_cache_writes_the_bytes_put_writes(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1_767_225_600.5)
+    scanned = OrbitDimCache(tmp_path / "scanned.jsonl")
+    client = OrbitDimClient(
+        cache=scanned, fixtures={}, transport=level_transport([]), sleep=lambda s: None, clock=itertools.count().__next__
+    )
+    client.annotate_table(3, 400)
+    scanned.close()
+    levels = [json.loads(line)["level"] for line in scanned.path.read_text().splitlines()]
+    assert len(levels) == len(set(levels)) > 10
+    put = OrbitDimCache(tmp_path / "put.jsonl")
+    for level in levels:
+        put.put(level, level_dims(level))  # in the service's order, as the scan got them
+    put.close()
+    assert put.path.read_bytes() == scanned.path.read_bytes()
+    assert {level: scanned.get(level) for level in levels} == {level: put.get(level) for level in levels}
+
+
+def test_a_scan_appends_network_answers_without_checking_them_again(tmp_path, monkeypatch):
+    checked = []
+    check = lmfdb._check_record
+    monkeypatch.setattr(lmfdb, "_check_record", lambda obj, where: checked.append(obj) or check(obj, where))
+    transport, calls = make_transport([(200, {"data": [{"dim": 2}, {"dim": 1}]}, {})])
+    cache = OrbitDimCache(tmp_path / "cache.jsonl")
+    client = OrbitDimClient(cache=cache, fixtures={}, transport=transport, sleep=lambda s: None)
+    client.sharpness_scan(5, 3, 400)
+    assert len(calls) > 10 and checked == []  # _fetch_from_network checked each dim
+    assert len(OrbitDimCache(cache.path)._records) == len(calls) == len(checked)  # the load checks each line once
+
+
 def test_only_fetch_orbit_dims_stamps_an_uncached_answer(tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: 1_767_225_600.5)
     stamps, stamp = [], lmfdb._utcnow_iso

@@ -113,7 +113,7 @@ PIPE_STEPS = [
 
 
 def test_every_json_pipe_step_is_checked():
-    assert [shlex.split(args)[0] for _, args, _ in PIPE_STEPS] == ["forbidden"]
+    assert [shlex.split(args)[0] for _, args, _ in PIPE_STEPS] == ["forbidden", "table"]
 
 
 @pytest.mark.parametrize("name, args, script", PIPE_STEPS, ids=[name for name, _, _ in PIPE_STEPS])
