@@ -133,6 +133,9 @@ class BoundTriple(NamedTuple):
     bk_prime: int
     b0: int
 
+    # A triple from its five values, built by tuple.__new__ without namedtuple's Python-level __new__.
+    _unchecked = classmethod(tuple.__new__)
+
     @classmethod
     def compute(cls, p: int, d: int) -> "BoundTriple":
         require_prime(p)
@@ -146,7 +149,7 @@ class BoundTriple(NamedTuple):
 def _triple(p: int, d: int) -> BoundTriple:
     """BoundTriple.compute without the checks: p prime and d >= 1 are the caller's to ensure."""
     bk = _bk(p, d)
-    return BoundTriple(p, d, bk, bk // d, _b0(p, d))
+    return BoundTriple._unchecked((p, d, bk, bk // d, _b0(p, d)))
 
 
 @dataclass(frozen=True)

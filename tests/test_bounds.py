@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 from math import isqrt
 
 import pytest
@@ -174,6 +176,32 @@ def test_a_triple_is_a_tuple():
     assert triple._replace(b0=2) == (3, 9, 81, 9, 2)
     assert triple._asdict() == triple.to_json_dict() == {"p": 3, "d": 9, "bk": 81, "bk_prime": 9, "b0": 9}
     assert not dataclasses.is_dataclass(BoundTriple)
+
+
+# Each way the library builds a triple: unchecked, through compute's checks, and as a table cell.
+TRIPLE_BUILDERS = {
+    "_triple": bounds._triple,
+    "compute": BoundTriple.compute,
+    "render_table": lambda p, d: render_table(d, p, include_trivial=True).cells[(d, p)].triple,
+}
+
+
+@pytest.mark.parametrize("builder", TRIPLE_BUILDERS)
+@pytest.mark.parametrize("p, d, values", [(2, 8, (112, 14, 14)), (3, 9, (81, 9, 9)), (23, 5, (10, 2, 2))])
+def test_every_built_triple_is_exactly_a_bound_triple(builder, p, d, values):
+    triple = TRIPLE_BUILDERS[builder](p, d)
+    plain = (p, d, *values)
+    assert type(triple) is BoundTriple
+    assert triple._fields == ("p", "d", "bk", "bk_prime", "b0")
+    assert triple._asdict() == dict(zip(triple._fields, plain))
+    assert type(triple._replace(b0=0)) is BoundTriple and triple._replace(b0=0) == (*plain[:4], 0)
+    bk, bk_prime, b0 = values
+    assert repr(triple) == f"BoundTriple(p={p}, d={d}, bk={bk}, bk_prime={bk_prime}, b0={b0})"
+    pickled = [pickle.loads(pickle.dumps(triple, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in (*pickled, copy.copy(triple), copy.deepcopy(triple)):
+        assert type(again) is BoundTriple and again == triple
+    for equal in (BoundTriple(*plain), plain):
+        assert triple == equal and hash(triple) == hash(equal)
 
 
 def test_equal_tables_hash_equal():

@@ -17,6 +17,7 @@ import pytest
 
 from rmbounds import arith, bounds, verify
 from rmbounds.arith import primes_up_to
+from test_forbidden_oracle import forced_degree, forced_exponent
 
 real_bk = bounds.bk_bound
 real_bk_prime = bounds.bk_prime_bound
@@ -320,6 +321,43 @@ def test_checked_kernels_run_once_per_cell_or_per_prime(monkeypatch):
         "forced_subfield_exponent": 8 * 40 + 8 * 41,
         "real_cyclotomic_degree": 8 * 40 + 8 * 31,
     }
+
+
+def naive_scan(d: int, degree_of) -> int:
+    """The exponent scan from its definition: the largest e <= 40 whose forced degree degree_of(e) divides d."""
+    return max((e for e in range(1, 41) if d % degree_of(e) == 0), default=0)
+
+
+def carried_scans() -> dict[tuple[int, int], int]:
+    """The scan value each cell of the oracle box at its largest size, p <= 200 and d <= 64, carries."""
+    return {(p, d): scan for p, d, scan, _ in verify._oracle_cells(200, 64, primes_up_to(200))}
+
+
+def test_oracle_box_carries_the_naive_exponent_scan():
+    carried = carried_scans()
+    assert len(carried) == 46 * 64  # 46 primes <= 200
+    assert carried == {(p, d): naive_scan(d, lambda e: forced_degree(p, e)) for p, d in carried}
+
+
+# A positive degree that falls and rises again as r grows: a scan that stops at
+# the first exponent whose degree does not divide d gets cells of this wrong.
+ZIGZAG = (1, 6, 2, 5, 3, 4, 7)
+
+
+def zigzag_degree(p: int, r: int) -> int:
+    return ZIGZAG[r % len(ZIGZAG)]
+
+
+def test_oracle_sieve_assumes_no_monotone_degree(monkeypatch):
+    monkeypatch.setattr(verify, "real_cyclotomic_degree", zigzag_degree)
+    carried = carried_scans()
+    expected = {(p, d): naive_scan(d, lambda e: zigzag_degree(p, forced_exponent(p, e))) for p, d in carried}
+    assert carried == expected
+    first_stop = {
+        (p, d): next((e - 1 for e in range(1, 41) if d % zigzag_degree(p, forced_exponent(p, e))), 40)
+        for p, d in carried
+    }
+    assert first_stop != expected
 
 
 def test_report_marks_empty_properties():

@@ -19,6 +19,7 @@ import pytest
 import yaml
 
 from rmbounds import cli
+from test_verify import RUN_ALL_2000_150
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,7 +114,14 @@ PIPE_STEPS = [
 
 
 def test_every_json_pipe_step_is_checked():
-    assert [shlex.split(args)[0] for _, args, _ in PIPE_STEPS] == ["forbidden", "table"]
+    assert [shlex.split(args)[0] for _, args, _ in PIPE_STEPS] == ["forbidden", "table", "verify"]
+
+
+def test_verify_pipe_step_expects_the_pinned_case_counts():
+    """The step runs outside the checkout, so it states the counts itself; they must be the suite's."""
+    (script,) = [script for _, args, script in PIPE_STEPS if shlex.split(args)[0] == "verify"]
+    expected = ast.literal_eval(re.search(r"expected = (\[[^]]*\])", script).group(1))
+    assert expected == [cases for _, cases in RUN_ALL_2000_150] and sum(expected) == 259436
 
 
 @pytest.mark.parametrize("name, args, script", PIPE_STEPS, ids=[name for name, _, _ in PIPE_STEPS])
