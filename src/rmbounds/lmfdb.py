@@ -38,6 +38,7 @@ SOURCE_FIXTURE = "fixture"
 # web API.  Only the host is a setting (OrbitDimClient's base_url).
 BASE_URL = "https://www.lmfdb.org"
 _PATH = "/api/mf_newforms/"
+_QUERY = {"weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}  # after the level
 MIN_INTERVAL = 0.5  # seconds between consecutive requests
 MAX_RETRIES = 4  # retries of a 429/5xx response before ServiceError
 TIMEOUT = 30.0  # seconds per request, and the longest Retry-After hint waited out
@@ -165,6 +166,10 @@ def _check_record(obj, where: Callable[[], str]) -> dict:
     raise ValueError(f"{where()}: {key!r} must be {what}, got {obj[key]!r}")
 
 
+# A stripped line is one JSON value exactly when this scan of it ends at its end.
+_decode = json.JSONDecoder().raw_decode
+
+
 def load_store(lines, where: str, start: int = 1) -> dict[int, dict]:
     """Parse JSON-lines records, numbered from start, last writer winning per level.
 
@@ -179,9 +184,14 @@ def load_store(lines, where: str, start: int = 1) -> dict[int, dict]:
         line = line.strip()
         if line:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{at()}: not valid JSON: {exc}") from exc
+                obj, end = _decode(line)
+                if end != len(line):  # a value, then more text
+                    raise ValueError
+            except ValueError:  # json.loads words each failure, a BOM and "Extra data" included
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{at()}: not valid JSON: {exc}") from exc
             obj = _check_record(obj, at)
             store[obj["level"]] = obj
     return store
@@ -193,12 +203,13 @@ class OrbitDimCache:
     Appends are serialized by a lock and written as single lines; loading
     applies last-writer-wins per level.  Caches that write one after another
     keep each other's records, but writers in concurrent processes are not
-    serialized.  The first put opens one append handle, and every put flushes
-    its line before it returns.  The handle is closed by close() or when the
-    cache is dropped.  put checks each record against the loader's rules, so
-    nothing it writes can make the file fail to load.  The client appends its
-    network answers through _append, unchecked: its fetch has already checked
-    each dim, and it stamps the record itself.
+    serialized.  The first put opens one unbuffered binary append handle,
+    and every put hands its line to the OS in one write before it returns,
+    writing again only the rest of a short write.  The handle is closed by
+    close() or when the cache is dropped.  put checks each record against
+    the loader's rules, so nothing it writes can make the file fail to load.
+    The client appends its network answers through _append, unchecked: its
+    fetch has already checked each dim, and it stamps the record itself.
 
     A write cut short by a crash leaves an unterminated last line.  Loading
     skips it with a warning if it does not parse, and the first put cuts it
@@ -266,16 +277,19 @@ class OrbitDimCache:
                 if self._cut is not None:  # another writer may have cut and appended; read before a handle opens
                     self._load()
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                handle = open(self.path, "a", encoding="utf-8", newline="\n")
+                handle = open(self.path, "ab", buffering=0)
                 # Closes the handle once: at close(), or when the cache is dropped unclosed.
                 self._finalizer = weakref.finalize(self, handle.close)
                 if self._cut is not None:
                     handle.truncate(self._cut)
-                    handle.write(self._carry)
+                    line = self._carry + line  # the torn tail's record goes back in the same write
                     self._cut, self._carry = None, ""
                 self._handle = handle
-            self._handle.write(line)
-            self._handle.flush()  # a crash can then tear at most the last line
+            # Unbuffered, so a crash can tear at most the last line; a short write is followed by its rest.
+            data = line.encode()
+            written = self._handle.write(data)
+            while written < len(data):
+                written += self._handle.write(data[written:])
             self._records[level] = obj
         return obj
 
@@ -401,9 +415,9 @@ class OrbitDimClient:
 
     def _fetch_from_network(self, level: int) -> list[int]:
         url = self._url
-        params = {"level": f"i{level}", "weight": "i2", "char_order": "i1", "_fields": "dim", "_format": "json"}
+        params = {"level": f"i{level}", **_QUERY}
         dims: list[int] = []
-        followed = set()  # the next URLs requested so far
+        followed = None  # the next URLs requested so far, once a page has one
         while True:
             body = self._request_with_backoff(url, params)
             if not isinstance(body, dict) or "data" not in body:
@@ -415,7 +429,7 @@ class OrbitDimClient:
                 if not isinstance(row, dict) or "dim" not in row:
                     raise MalformedResponse(f"row without 'dim' field: {row!r}")
                 dim = row["dim"]
-                if not _is_orbit_degree(dim):
+                if type(dim) is not int or dim < 1:  # _is_orbit_degree, inline
                     raise MalformedResponse(f"bad orbit dimension {dim!r}")
                 dims.append(dim)
             next_url = body.get("next")
@@ -426,19 +440,23 @@ class OrbitDimClient:
             url, params = next_url, {}
             if url.startswith("/"):
                 url = self.base_url + url
-            if url in followed:
+            if followed is None:
+                followed = set()
+            elif url in followed:
                 raise MalformedResponse(f"'next' repeats {url} for level {level}")
             followed.add(url)
 
     def _request_with_backoff(self, url: str, params: dict[str, str]):
+        clock = self._clock
         with self._net_lock:
+            last = self._last_request
             for attempt in range(MAX_RETRIES + 1):
-                if self._last_request is not None:
-                    elapsed = self._clock() - self._last_request
+                if last is not None:
+                    elapsed = clock() - last
                     if elapsed < MIN_INTERVAL:
                         self._sleep(MIN_INTERVAL - elapsed)
                 status, body, headers = self._transport(url, params, TIMEOUT)
-                self._last_request = self._clock()
+                self._last_request = last = clock()
                 if status == 200:
                     if isinstance(body, str):
                         raise MalformedResponse("response was not JSON")

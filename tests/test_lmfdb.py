@@ -338,6 +338,113 @@ def test_cache_records_end_only_at_newline(tmp_path):
         OrbitDimCache(path)
 
 
+GOOD_LINE = '{"level": 1, "weight": 2, "char_trivial": true, "dims": [1], "fetched_at": "x"}'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("\ufeff" + GOOD_LINE,
+         "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (GOOD_LINE + " garbage", "not valid JSON: Extra data: line 1 column 81 (char 80)"),
+        (GOOD_LINE + GOOD_LINE, "not valid JSON: Extra data: line 1 column 80 (char 79)"),
+        ("5", "record is not a JSON object"),
+    ],
+    ids=["bom", "trailing-garbage", "two-objects", "bare-scalar"],
+)
+def test_cache_load_error_text_is_pinned(tmp_path, line, message):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        OrbitDimCache(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def json_loads_store(line):
+    """One line loaded as every line was when each went through json.loads."""
+    line = line.strip()
+    if not line:
+        return {}
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"here:1: not valid JSON: {exc}") from exc
+    obj = lmfdb._check_record(obj, lambda: "here:1")
+    return {obj["level"]: obj}
+
+
+def outcome(load, line):
+    """load(line), or the text of the ValueError it raises."""
+    try:
+        return load(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Lines near a record: JSON tokens, a BOM, whitespace and stray text, and values with text around them.
+NEAR_JSON = st.one_of(
+    st.text(st.sampled_from(list('{}[]":, 0123456789.eE+-truefalsn\ufeff\\\t\x0b\x1c \u2028x')), max_size=16),
+    st.tuples(
+        st.text(" \t\ufeff{x", max_size=2),
+        st.sampled_from([GOOD_LINE, "5", "[]", '"x"', "{}"]),
+        st.text(" \t}]x0,{", max_size=3),
+    ).map("".join),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(line=NEAR_JSON)
+@example(line=GOOD_LINE + " \t")
+@example(line=" 5 5")
+def test_load_store_reads_a_line_as_json_loads_does(line):
+    assert outcome(lambda line: load_store([line], "here"), line) == outcome(json_loads_store, line)
+
+
+class ShortWrites:
+    """A raw file whose write takes at most 7 bytes per call; every call's size is recorded."""
+
+    def __init__(self, raw, sizes):
+        self._raw, self._sizes = raw, sizes
+
+    def write(self, data):
+        self._sizes.append(len(data))
+        return self._raw.write(data[:7])
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+def put_around_a_parsing_torn_tail(path):
+    """Two puts, one stamped with non-ASCII text, then a whole record torn off before its newline, then one put
+    by a new cache, which writes that record back: every record put or carried, in file order."""
+    cache = OrbitDimCache(path)
+    records = [cache.put(10, [3, 1], "2026-01-01T00:00:00Z"), cache.put(11, [2], "caf\u00e9 \u2028 \U0001f600")]
+    cache.close()
+    torn = {"level": 12, "weight": 2, "char_trivial": True, "dims": [1, 1], "fetched_at": "2026-01-01T00:00:01Z"}
+    with open(path, "ab") as handle:
+        handle.write(json.dumps(torn).encode())
+    cache = OrbitDimCache(path)
+    records += [torn, cache.put(13, [4], "2026-01-01T00:00:02Z")]
+    cache.close()
+    return records
+
+
+def test_cache_writes_the_rest_of_a_short_write(tmp_path, monkeypatch):
+    plain = tmp_path / "plain" / "cache.jsonl"
+    put_around_a_parsing_torn_tail(plain)
+    sizes = []
+    real_open = open
+    monkeypatch.setattr(lmfdb, "open", lambda *args, **kwargs: ShortWrites(real_open(*args, **kwargs), sizes),
+                        raising=False)
+    short = tmp_path / "short" / "cache.jsonl"
+    records = put_around_a_parsing_torn_tail(short)
+    assert short.read_bytes() == plain.read_bytes()
+    assert plain.read_bytes() == b"".join(json.dumps(record).encode() + b"\n" for record in records)
+    assert len(sizes) > 3 and max(sizes) > 7  # the writes really were cut short, and each rest written again
+    reloaded = OrbitDimCache(short)
+    assert [reloaded.get(record["level"]) for record in records] == records
+
+
 def file_levels(path):
     """The levels stored in a cache file whose lines are all complete."""
     return sorted(load_store(path.read_text().splitlines(), str(path)))

@@ -131,6 +131,17 @@ def test_json_pipe_step_passes_from_the_checkout(capsys, monkeypatch, name, args
     exec(compile(script, name, "exec"), {})
 
 
+def test_cache_round_trip_step_passes_from_a_scratch_directory(tmp_path, monkeypatch):
+    """The step's script, split as the shell splits it, run in an empty directory against the checkout."""
+    (step,) = [step for step in load_job()["steps"] if step.get("name") == "Installed cache round trip"]
+    assert step["working-directory"] == "${{ runner.temp }}"
+    python, flag, script = shlex.split(step["run"])
+    assert (python, flag) == ("python", "-c") and "\\u00e9" in script and "\\U0001f600" in script
+    monkeypatch.chdir(tmp_path)
+    exec(compile(script, step["name"], "exec"), {})
+    assert [path.name for path in tmp_path.iterdir()] == ["rmbounds-cache-round-trip.jsonl"]
+
+
 def test_installed_suite_step_runs_the_checkout_tests_from_outside_it():
     steps = load_job()["steps"]
     names = [step.get("name") for step in steps]
