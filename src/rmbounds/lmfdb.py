@@ -190,7 +190,7 @@ def load_store(lines, where: str, start: int = 1) -> dict[int, dict]:
             except ValueError:  # json.loads words each failure, a BOM and "Extra data" included
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer past the 4,300-digit conversion limit
                     raise ValueError(f"{at()}: not valid JSON: {exc}") from exc
             obj = _check_record(obj, at)
             store[obj["level"]] = obj

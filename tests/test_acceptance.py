@@ -33,10 +33,11 @@ def test_criterion_1_table_reproduction(capsys):
     table = cli.parse_json(out, "table")
 
     ok = code == 0 and elapsed < 1.0
-    ok &= set(table.cells) == set(verify.REFERENCE_GRID_D10)
+    cells = {(triple.d, triple.p): triple for triple, _ in table.cells}
+    ok &= set(cells) == set(verify.REFERENCE_GRID_D10)
     for (d, p), (bp, b0) in verify.REFERENCE_GRID_D10.items():
-        cell = table.cells[(d, p)]
-        ok &= (cell.triple.bk_prime, cell.triple.b0) == (bp, b0)
+        triple = cells[(d, p)]
+        ok &= (triple.bk_prime, triple.b0) == (bp, b0)
     ok &= bk_prime_bound(2, 8) == 14
     ok &= bk_prime_bound(3, 9) == 9
     ok &= bk_prime_bound(5, 10) == 6

@@ -12,7 +12,7 @@ from rmbounds import bounds, cli
 from rmbounds.arith import _sieve, primes_up_to
 from rmbounds.bounds import (
     BoundTriple,
-    TableCell,
+    _cell_text,
     _primes_b0_above_2,
     b0_bound,
     bk_bound,
@@ -85,34 +85,39 @@ def test_reference_grid():
         assert b0_bound(p, d) == expect_b0, (p, d)
 
 
+def cells_of(table):
+    """A table's cells as a dict from (d, p) to (triple, sharpness), read in the order the table yields them."""
+    return {(triple.d, triple.p): (triple, sharpness) for triple, sharpness in table.cells}
+
+
 def test_render_table_layout():
-    table = render_table(10, 19)
+    cells = cells_of(render_table(10, 19))
     # cells with p > 2d + 1 are omitted
-    assert (1, 5) not in table.cells
-    assert (4, 11) not in table.cells
-    assert set(p for (_, p) in table.cells) == {2, 3, 5, 7, 11, 13, 17, 19}
-    cell = table.cells[(6, 3)]
-    assert cell.display == "7"
-    cell = table.cells[(10, 3)]
-    assert cell.display == "8 (5)"
+    assert (1, 5) not in cells
+    assert (4, 11) not in cells
+    assert set(p for (_, p) in cells) == {2, 3, 5, 7, 11, 13, 17, 19}
+    triple, _ = cells[(6, 3)]
+    assert _cell_text(triple) == "7"
+    triple, _ = cells[(10, 3)]
+    assert _cell_text(triple) == "8 (5)"
 
 
 def test_render_table_single_row():
-    table = render_table(1, 3)
-    assert sorted(table.cells) == [(1, 2), (1, 3)]
-    assert table.cells[(1, 2)].display == "8"
-    assert table.cells[(1, 3)].display == "5"
+    cells = cells_of(render_table(1, 3))
+    assert sorted(cells) == [(1, 2), (1, 3)]
+    assert _cell_text(cells[(1, 2)][0]) == "8"
+    assert _cell_text(cells[(1, 3)][0]) == "5"
 
 
 def test_render_table_full_includes_trivial_cells():
-    table = render_table(1, 7, include_trivial=True)
-    assert table.cells[(1, 7)].display == "2"
+    cells = cells_of(render_table(1, 7, include_trivial=True))
+    assert _cell_text(cells[(1, 7)][0]) == "2"
 
 
 def test_render_table_merges_sharpness():
-    table = render_table(2, 5, sharpness={(2, 1): "sharp", (5, 2): "none_found"})
-    assert table.cells[(1, 2)].sharpness == "sharp"
-    assert table.cells[(2, 5)].sharpness == "unknown"
+    cells = cells_of(render_table(2, 5, sharpness={(2, 1): "sharp", (5, 2): "none_found"}))
+    assert cells[(1, 2)][1] == "sharp"
+    assert cells[(2, 5)][1] == "unknown"
 
 
 def test_triple_invariants_on_grid():
@@ -127,22 +132,16 @@ def test_triple_invariants_on_grid():
 def test_cell_display_parenthesizes_iff_strict():
     for d in range(1, 15):
         for p in (2, 3, 5, 7):
-            cell = TableCell(triple=BoundTriple.compute(p, d))
-            assert ("(" in cell.display) == (cell.triple.b0 < cell.triple.bk_prime)
+            triple = BoundTriple.compute(p, d)
+            assert ("(" in _cell_text(triple)) == (triple.b0 < triple.bk_prime)
 
 
 def test_json_round_trip():
     triple = BoundTriple.compute(3, 9)
     assert cli.parse_json(json.dumps({"command": "bound", **triple.to_json_dict()}), "bound") == triple
-    cell = TableCell(triple=triple, sharpness="sharp")
     table = render_table(9, 3, sharpness={(3, 9): "sharp"})
-    assert cli.parse_json(json.dumps({"command": "table", **table.to_json_dict()}), "table").cells[(9, 3)] == cell
-
-
-@pytest.mark.parametrize("sharpness", ["bogus", "none_found", None])
-def test_cell_rejects_an_unknown_sharpness(sharpness):
-    with pytest.raises(ValueError, match="sharpness must be sharp, almost_sharp or unknown"):
-        TableCell(triple=BoundTriple.compute(3, 9), sharpness=sharpness)
+    parsed = cli.parse_json(json.dumps({"command": "table", **table.to_json_dict()}), "table")
+    assert cells_of(parsed)[(9, 3)] == (triple, "sharp")
 
 
 # -- the triple's public contract ---------------------------------------------------
@@ -182,7 +181,7 @@ def test_a_triple_is_a_tuple():
 TRIPLE_BUILDERS = {
     "_triple": bounds._triple,
     "compute": BoundTriple.compute,
-    "render_table": lambda p, d: render_table(d, p, include_trivial=True).cells[(d, p)].triple,
+    "render_table": lambda p, d: cells_of(render_table(d, p, include_trivial=True))[(d, p)][0],
 }
 
 
@@ -217,7 +216,7 @@ def test_equal_tables_hash_equal():
 def test_render_table_cells_equal_computed_triples(include_trivial):
     table = render_table(30, 31, include_trivial=include_trivial)
     cells = [(d, p) for d in range(1, 31) for p in table.primes if include_trivial or p <= 2 * d + 1]
-    assert sorted(table.cells) == sorted(cells)
-    for (d, p), cell in table.cells.items():
-        assert type(cell.triple) is BoundTriple
-        assert cell.triple == BoundTriple.compute(p, d)
+    assert sorted(cells_of(table)) == sorted(cells)
+    for (d, p), (triple, _) in cells_of(table).items():
+        assert type(triple) is BoundTriple
+        assert triple == BoundTriple.compute(p, d)

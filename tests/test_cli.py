@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rmbounds
-from rmbounds import cli, verify
+from rmbounds import bounds, cli, verify
 from rmbounds.arith import PMAX_LIMIT
 from rmbounds.bounds import BoundTriple, render_table
 from rmbounds.cyclo import Determination, analyze_profile, enumerate_forbidden, genus2_rm_analysis
@@ -517,10 +517,11 @@ def test_table_matches_reference_grid(capsys):
     table = cli.parse_json(out, "table")
     from rmbounds.verify import REFERENCE_GRID_D10
 
+    cells = {(triple.d, triple.p): triple for triple, _ in table.cells}
     for (d, p), (bp, b0) in REFERENCE_GRID_D10.items():
-        cell = table.cells[(d, p)]
-        assert (cell.triple.bk_prime, cell.triple.b0) == (bp, b0)
-    assert set(table.cells) == set(REFERENCE_GRID_D10)
+        triple = cells[(d, p)]
+        assert (triple.bk_prime, triple.b0) == (bp, b0)
+    assert set(cells) == set(REFERENCE_GRID_D10)
 
 
 def test_table_csv_rows(capsys):
@@ -645,6 +646,32 @@ def test_table_annotate_checks_the_grid_before_any_scan(capsys, monkeypatch, off
     assert cli.main(argv) == 1
     assert asked == []
     assert capsys.readouterr().err == "error: a grid of 100000 rows by 9 primes has more than 800000 cells\n"
+
+
+def test_table_annotate_sieves_past_2_dmax_plus_1_once(capsys, monkeypatch):
+    sieved = []  # the bound of each sieve the table's grid and the scan's grid ask for
+    sieve = bounds.primes_up_to
+    monkeypatch.setattr(bounds, "primes_up_to", lambda bound: sieved.append(bound) or sieve(bound))
+    argv = ["table", "--dmax", "1", "--pmax", "10000000", "--annotate", "--offline", "--budget", "10"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("  p=9999991\n1    8    5\n")
+    assert [bound for bound in sieved if bound > 2 * 1 + 1] == [10000000]  # no prime above 3 is scanned
+
+
+# A table is printed as its cells are built, so its memory does not grow with its rows; holding every
+# cell until the table is printed peaks at 59-126 MB on this grid.
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_table_is_printed_in_memory_that_does_not_grow_with_its_grid(monkeypatch, fmt):
+    argv = ["table", "--dmax", "20000", "--pmax", "19", "--format", fmt]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_table_smallest_pmax(capsys):
@@ -1096,9 +1123,9 @@ def test_table_and_annotate_table_hold_the_same_grid(d_max):
     client = OrbitDimClient(offline=True)
     for p_max in (2, 3, 5, 13, 19, 31):
         witnesses = client.annotate_table(d_max, 20000, p_max=p_max)
-        assert list(witnesses) == [(p, d) for d, p in render_table(d_max, p_max).cells]
+        assert list(witnesses) == [(triple.p, triple.d) for triple, _ in render_table(d_max, p_max).cells]
         full = render_table(d_max, p_max, include_trivial=True)
-        assert list(full.cells) == [(d, p) for d in range(1, d_max + 1) for p in full.primes]
+        assert [(triple.d, triple.p) for triple, _ in full.cells] == [(d, p) for d in range(1, d_max + 1) for p in full.primes]
         sharpness = {key: witness.status for key, witness in witnesses.items()}
         for include_trivial in (False, True):
             for flags in (None, sharpness):
@@ -1361,7 +1388,8 @@ def test_table_json_with_a_cell_dropped_is_rejected(capsys):
 @pytest.mark.parametrize("annotate", [False, True], ids=["plain", "annotated"])
 def test_table_json_is_what_json_dumps_prints(capsys, monkeypatch, annotate):
     tables = []
-    monkeypatch.setattr(cli, "render_table", lambda *args, **kw: tables.append(render_table(*args, **kw)) or tables[-1])
+    row = cli.COMMANDS["table"]  # each table main prints is recorded
+    monkeypatch.setitem(cli.COMMANDS, "table", row._replace(run=lambda args: tables.append(row.run(args)) or tables[-1]))
     flags = set()
     for d_max in range(1, 13):
         for p_max in (2, 3, 19, 97):
@@ -1371,7 +1399,7 @@ def test_table_json_is_what_json_dumps_prints(capsys, monkeypatch, annotate):
                 code, out = run(capsys, argv)
                 expected = json.dumps({"command": "table", **tables[-1].to_json_dict()}, indent=2)
                 assert (code, out) == (0, expected + "\n"), argv
-                flags |= {cell.sharpness for cell in tables[-1].cells.values()}
+                flags |= {sharpness for _, sharpness in tables[-1].cells}
     assert flags == ({"sharp", "almost_sharp", "unknown"} if annotate else {"unknown"})
 
 

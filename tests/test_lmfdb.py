@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rmbounds
-from rmbounds import lmfdb
+from rmbounds import cli, lmfdb
 from rmbounds.arith import primes_up_to
 from rmbounds.bounds import GRID_LIMIT, b0_bound
 from rmbounds.lmfdb import (
@@ -358,6 +358,22 @@ def test_cache_load_error_text_is_pinned(tmp_path, line, message):
     with pytest.raises(ValueError) as info:
         OrbitDimCache(path)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_cache_line_past_the_integer_digit_limit_names_file_and_line(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an integer literal past 4,300 digits
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD_LINE.replace('"level": 1', '"level": ' + "7" * 5000) + "\n", encoding="utf-8")
+    message = (
+        f"{path}:1: not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+    )
+    with pytest.raises(ValueError) as info:
+        OrbitDimCache(path)
+    assert str(info.value) == message
+    argv = ["table", "--dmax", "2", "--annotate", "--offline", "--budget", "100", "--cache", str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def json_loads_store(line):
